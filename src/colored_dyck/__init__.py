@@ -31,7 +31,6 @@ from .model import (
     DownStep,
     PathParams,
     Rise,
-    color_at,
     parse_steps,
     peaks,
     semilength,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidIndex
+from .errors import InvalidIndex, NonIntegerTerm
 from .model import ColorSequence
 
 __all__ = [
@@ -44,6 +44,14 @@ def catalan(n: int) -> int:
     if n < 0:
         raise ValueError("catalan index must be nonnegative")
     return math.comb(2 * n, n) // (n + 1)
+
+
+def exact_div(num: int, den: int, context: str) -> int:
+    """num / den, raising NonIntegerTerm unless it is an integer."""
+    q, rem = divmod(num, den)
+    if rem:
+        raise NonIntegerTerm(f"non-integer value in {context}: {num}/{den}")
+    return q
 
 
 def partitions_into_parts(n: int, k: int):
@@ -103,9 +111,7 @@ def partial_bell_sum(n: int, k: int, x) -> int:
                 continue
             denom *= math.factorial(a) * math.factorial(i) ** a
             monomial *= x[i - 1] ** a
-        coeff, rem = divmod(n_fact, denom)
-        assert rem == 0
-        total += coeff * monomial
+        total += exact_div(n_fact, denom, "partial_bell_sum") * monomial
     return total
 
 

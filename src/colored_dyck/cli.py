@@ -131,8 +131,7 @@ def _cmd_decompose(args):
 
 def _cmd_validate(args):
     params = model.PathParams(args.a, args.b)
-    word = model.parse_steps(_read_word_text(args), params, args.colors)
-    model.validate_colors(word, args.colors)
+    model.parse_steps(_read_word_text(args), params, args.colors)
     print("valid")
     return 0
 
@@ -231,6 +230,8 @@ def main(argv=None) -> int:
     except ColoredDyckError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

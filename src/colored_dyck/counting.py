@@ -9,19 +9,17 @@ while count_bell evaluates the closed form
 
     y_n = sum_k C(a*n + b*k, k-1) * (k-1)!/n! * B_{n,k}(1!c_1, 2!c_2, ...).
 
-All formula terms are computed over exact rationals and asserted
-integral; a failing assertion (NonIntegerTerm) certifies a bug, since
-integrality is a theorem.
+Each formula term is an exact integer quotient; a nonzero remainder
+raises NonIntegerTerm and certifies a bug, since integrality is a
+theorem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
-from .bell import binomial, partial_bell_sum, scaled_colors
-from .errors import NonIntegerTerm
+from .bell import binomial, exact_div, partial_bell_sum, scaled_colors
 from .model import ColorSequence, PathParams
 
 __all__ = [
@@ -39,8 +37,6 @@ __all__ = [
 class CountSeries:
     """Exact counts y_0..y_N for fixed parameters and coloring."""
 
-    params: PathParams
-    colors: ColorSequence
     values: tuple[int, ...]
 
     def __post_init__(self):
@@ -89,23 +85,28 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
     built by dynamic programming (one pairwise convolution per power),
     never by enumerating compositions.
     """
+    if N < 0:
+        raise ValueError("need N >= 0")
     a, b = params.a, params.b
     y = [1]
-    # power_rows[r] caches the r-fold convolution of y with itself at
-    # indices filled in so far; entries only ever depend on y values
-    # with smaller index, which are already final.
-    power_rows: dict[int, list[int]] = {}
+    # rows[r] caches the r-fold convolution of y with itself at indices
+    # filled in so far (rows[1] is y).  Entries only ever depend on y
+    # values with smaller index, which are already final, and no row is
+    # longer than the row below it.
+    rows = [[], y]
 
     def conv_power(r, m):
-        if r == 1:
-            return y[m]
-        row = power_rows.setdefault(r, [])
-        while len(row) <= m:
-            i = len(row)
-            row.append(
-                sum(conv_power(r - 1, t) * y[i - t] for t in range(i + 1))
-            )
-        return row[m]
+        rows.extend([] for _ in range(len(rows), r + 1))
+        if len(rows[r]) > m:
+            return rows[r][m]
+        s = r
+        while len(rows[s - 1]) <= m:
+            s -= 1
+        for prev, row in zip(rows[s - 1 : r], rows[s : r + 1]):
+            while len(row) <= m:
+                i = len(row)
+                row.append(sum(prev[t] * y[i - t] for t in range(i + 1)))
+        return rows[r][m]
 
     for n in range(1, N + 1):
         total = 0
@@ -116,35 +117,36 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
             r = a * ell + b
             total += c * (1 if n == ell else conv_power(r, n - ell))
         y.append(total)
-    return CountSeries(params, colors, tuple(y))
+    return CountSeries(tuple(y))
 
 
-def _bell_formula_term(params, scaled, n, k, r=1):
-    """One exact term r * C(a*n + b*k + r - 1, k-1) * (k-1)!/n! * B_{n,k}."""
+def _bell_terms(params, colors, n, r=1):
+    """The exact terms r * C(a*n + b*k + r - 1, k-1) * (k-1)!/n! * B_{n,k}
+    for k = 1..n, with B_{n,k} at (1!c_1, 2!c_2, ...)."""
     a, b = params.a, params.b
-    bell = partial_bell_sum(n, k, scaled)
-    term = (
-        Fraction(r)
-        * binomial(a * n + b * k + r - 1, k - 1)
-        * Fraction(factorial(k - 1), factorial(n))
-        * bell
-    )
-    if term.denominator != 1:
-        raise NonIntegerTerm(
-            f"non-integer term at n={n}, k={k}, r={r}: {term}"
+    scaled = scaled_colors(colors, n)
+    n_fact = factorial(n)
+    return [
+        exact_div(
+            r
+            * binomial(a * n + b * k + r - 1, k - 1)
+            * factorial(k - 1)
+            * partial_bell_sum(n, k, scaled),
+            n_fact,
+            f"Bell term n={n}, k={k}, r={r}",
         )
-    return term.numerator
+        for k in range(1, n + 1)
+    ]
 
 
 def count_bell(params: PathParams, colors: ColorSequence, N: int) -> CountSeries:
     """Evaluate the partial-Bell-polynomial closed form up to index N."""
+    if N < 0:
+        raise ValueError("need N >= 0")
     values = [1]
     for n in range(1, N + 1):
-        scaled = scaled_colors(colors, n)
-        values.append(
-            sum(_bell_formula_term(params, scaled, n, k) for k in range(1, n + 1))
-        )
-    return CountSeries(params, colors, tuple(values))
+        values.append(sum(_bell_terms(params, colors, n)))
+    return CountSeries(tuple(values))
 
 
 def convolution_power_direct(series: CountSeries, r: int, n: int) -> int:
@@ -170,18 +172,11 @@ def convolution_power_closed(
     r * sum_k C(a*n + b*k + r - 1, k-1) * (k-1)!/n! * B_{n,k}(1!c_1, ...)."""
     if r < 1 or n < 1:
         raise ValueError("need r >= 1 and n >= 1")
-    scaled = scaled_colors(colors, n)
-    return sum(
-        _bell_formula_term(params, scaled, n, k, r) for k in range(1, n + 1)
-    )
+    return sum(_bell_terms(params, colors, n, r))
 
 
 def peak_table(params: PathParams, colors: ColorSequence, n: int) -> PeakTable:
     """Counts of words of index n refined by their number of peaks."""
     if n < 1:
         raise ValueError("need n >= 1")
-    scaled = scaled_colors(colors, n)
-    row = tuple(
-        _bell_formula_term(params, scaled, n, k) for k in range(1, n + 1)
-    )
-    return PeakTable(n, row)
+    return PeakTable(n, _bell_terms(params, colors, n))

@@ -30,7 +30,7 @@ class InvalidIndex(ColoredDyckError):
 
 
 class NonIntegerTerm(ColoredDyckError):
-    """An exact-rational term failed its integrality assertion.
+    """An exact quotient that must be an integer left a remainder.
 
     This signals an implementation bug, never bad input: the formulas
     involved are integer-valued theorems.

@@ -28,7 +28,6 @@ __all__ = [
     "Rise",
     "DOWN",
     "ColoredDyckWord",
-    "color_at",
     "to_steps",
     "parse_steps",
     "peaks",
@@ -122,11 +121,6 @@ class ColorSequence:
         if j <= len(self.prefix):
             return self.prefix[j - 1]
         return self.tail
-
-
-def color_at(colors: ColorSequence, j: int) -> int:
-    """Evaluate the coloring rule at position j >= 1."""
-    return colors.at(j)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .bell import binomial, catalan
-from .errors import InvalidIndex, NonIntegerTerm, ResourceLimit
+from .bell import binomial, catalan, exact_div
+from .errors import InvalidIndex, ResourceLimit
 from .model import ColorSequence, PathParams
 
 __all__ = [
@@ -41,19 +41,11 @@ __all__ = [
 ]
 
 
-def _as_integer(x: Fraction, context: str) -> int:
-    if x.denominator != 1:
-        raise NonIntegerTerm(f"non-integer value in {context}: {x}")
-    return x.numerator
-
-
 def narayana(n: int, k: int) -> int:
     """The Narayana number (1/n) * C(n, k-1) * C(n, k)."""
     if not 1 <= k <= n:
         raise InvalidIndex(f"need 1 <= k <= n, got n={n}, k={k}")
-    return _as_integer(
-        Fraction(comb(n, k - 1) * comb(n, k), n), "narayana"
-    )
+    return exact_div(comb(n, k - 1) * comb(n, k), n, "narayana")
 
 
 def motzkin_colored(c1: int, c2: int, n: int) -> int:
@@ -78,9 +70,7 @@ def fuss_catalan(m: int, n: int) -> int:
     """The Fuss-Catalan number (1/(m*n+1)) * C((m+1)*n, n)."""
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
-    return _as_integer(
-        Fraction(comb((m + 1) * n, n), m * n + 1), "fuss_catalan"
-    )
+    return exact_div(comb((m + 1) * n, n), m * n + 1, "fuss_catalan")
 
 
 def fuss_catalan_peaks(m: int, n: int, k: int) -> int:
@@ -88,8 +78,8 @@ def fuss_catalan_peaks(m: int, n: int, k: int) -> int:
     (1/n) * C(m*n, k-1) * C(n, k)."""
     if not 1 <= k <= n:
         raise InvalidIndex(f"need 1 <= k <= n, got n={n}, k={k}")
-    return _as_integer(
-        Fraction(binomial(m * n, k - 1) * comb(n, k), n), "fuss_catalan_peaks"
+    return exact_div(
+        binomial(m * n, k - 1) * comb(n, k), n, "fuss_catalan_peaks"
     )
 
 
@@ -101,7 +91,7 @@ def a052709_closed(n: int) -> int:
     total = Fraction(0)
     for k in range((n + 1) // 2, n + 1):
         total += Fraction(binomial(2 * k, k - 1) * binomial(k, n - k), k)
-    return _as_integer(total, "a052709")
+    return exact_div(total.numerator, total.denominator, "a052709")
 
 
 def a186997_closed(n: int) -> int:
@@ -112,7 +102,7 @@ def a186997_closed(n: int) -> int:
     total = Fraction(0)
     for k in range((n + 1) // 2, n + 1):
         total += Fraction(binomial(n + 2 * k, k - 1) * binomial(k, n - k), k)
-    return _as_integer(total, "a186997")
+    return exact_div(total.numerator, total.denominator, "a186997")
 
 
 def step_lattice_count(steps, end_x: int) -> int:
@@ -149,7 +139,7 @@ def duchon_d(n: int) -> int:
         total += Fraction(
             comb(5 * n + 1, n - j) * comb(5 * n + 2 * j, j), 5 * n + j + 1
         )
-    return _as_integer(total, "duchon_d")
+    return exact_div(total.numerator, total.denominator, "duchon_d")
 
 
 def duchon_alt_first(n: int) -> int:
@@ -168,7 +158,7 @@ def duchon_alt_first(n: int) -> int:
                 * perm(2 * j - k + 2 * n - 1, n - 1)
             )
         total += comb(5 * n, k - 1) * inner / factorial(n)
-    return _as_integer(total, "duchon_alt_first")
+    return exact_div(total.numerator, total.denominator, "duchon_alt_first")
 
 
 def duchon_alt_mid(n: int) -> int:
@@ -186,7 +176,7 @@ def duchon_alt_mid(n: int) -> int:
                 * (2 * j - k)
                 * binomial(2 * j - k + 2 * n - 1, n - 1)
             )
-    return _as_integer(total, "duchon_alt_mid")
+    return exact_div(total.numerator, total.denominator, "duchon_alt_mid")
 
 
 def duchon_alt(n: int) -> int:
@@ -203,7 +193,7 @@ def duchon_alt(n: int) -> int:
                 * (binomial(k - 1, j) - binomial(k - 1, j - 1))
                 * binomial(2 * n + k - 2 * j - 1, n - 1)
             )
-    return _as_integer(total, "duchon_alt")
+    return exact_div(total.numerator, total.denominator, "duchon_alt")
 
 
 def _slope32_ok(x: int, y: int) -> bool:

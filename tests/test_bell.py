@@ -14,8 +14,8 @@ from colored_dyck import (
     partial_bell_sum,
     scaled_colors,
 )
-from colored_dyck.bell import partitions_into_parts
-from colored_dyck.errors import InvalidIndex
+from colored_dyck.bell import exact_div, partitions_into_parts
+from colored_dyck.errors import InvalidIndex, NonIntegerTerm
 
 
 def bell_or_base(n, k, x):
@@ -45,6 +45,11 @@ class TestPrimitives:
     def test_catalan_matches_binomial_quotient(self):
         for n in range(20):
             assert catalan(n) * (n + 1) == math.comb(2 * n, n)
+
+    def test_exact_div(self):
+        assert exact_div(6, 3, "x") == 2
+        with pytest.raises(NonIntegerTerm):
+            exact_div(7, 2, "x")
 
 
 class TestPartitions:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import colored_dyck
 from colored_dyck.cli import main, parse_color_spec
 from colored_dyck.model import ColorSequence
 
@@ -73,6 +78,34 @@ class TestCount:
                 "--N", "4", "--route", route,
             )
             assert code == 0
+
+
+# Out-of-contract input exits 2 (usage) with no traceback; a large but
+# legal `a` succeeds.
+CONTRACT_PROBES = [
+    (("count", "--a", "-1", "--b", "0", "--N", "3"), 2, None),
+    (("count", "--a", "1", "--b", "0", "--N", "-1"), 2, None),
+    (("peaks", "--a", "1", "--b", "0", "--n", "0"), 2, None),
+    (("preset", "mary", "--m", "0"), 2, None),
+    (("preset", "narayana", "--N", "0"), 2, None),
+    (("count", "--a", "1500", "--b", "0", "--N", "3"), 0, "1\n1\n1501\n3378751\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out", CONTRACT_PROBES, ids=[" ".join(p[0]) for p in CONTRACT_PROBES]
+)
+def test_contract_probe(argv, code, out):
+    src = str(Path(colored_dyck.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "colored_dyck.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if out is not None:
+        assert proc.stdout == out
 
 
 class TestPeaks:

@@ -34,6 +34,15 @@ class TestRecurrence:
     def test_y0_is_one(self, params, colors):
         assert count_recurrence(params, colors, 0).values == (1,)
 
+    def test_large_a_needs_no_deep_recursion(self):
+        s = count_recurrence(PathParams(1500, 0), ColorSequence.ones(), 3)
+        assert s.values == (1, 1, 1501, 3378751)
+
+    @pytest.mark.parametrize("route", [count_recurrence, count_bell])
+    def test_negative_N_rejected(self, route):
+        with pytest.raises(ValueError):
+            route(PathParams(1, 0), ColorSequence.ones(), -1)
+
 
 class TestBellRoute:
     def test_catalan(self):

@@ -6,7 +6,6 @@ from colored_dyck import (
     ColorSequence,
     PathParams,
     Rise,
-    color_at,
     parse_steps,
     peaks,
     semilength,
@@ -25,21 +24,21 @@ from colored_dyck.errors import (
 
 class TestColorSequence:
     def test_ones(self):
-        assert color_at(ColorSequence.ones(), 7) == 1
+        assert ColorSequence.ones().at(7) == 1
 
     def test_powers_of_two(self):
-        assert color_at(ColorSequence.powers_of_two(), 3) == 4
+        assert ColorSequence.powers_of_two().at(3) == 4
 
     def test_catalan_pair_sum(self):
         # C_1 + C_2 = 1 + 2
-        assert color_at(ColorSequence.catalan_pair_sum(), 2) == 3
+        assert ColorSequence.catalan_pair_sum().at(2) == 3
 
     def test_explicit_with_tail(self):
         c = ColorSequence.explicit((2, 0, 1), tail=5)
         assert [c.at(j) for j in (1, 2, 3, 4, 9)] == [2, 0, 1, 5, 5]
 
     def test_constant(self):
-        assert color_at(ColorSequence.constant(4), 11) == 4
+        assert ColorSequence.constant(4).at(11) == 4
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
