@@ -6,6 +6,7 @@ from .bell import (
     factorial,
     partial_bell_rec,
     partial_bell_sum,
+    partial_bell_triangle,
     scaled_colors,
 )
 from .bijection import (

@@ -1,8 +1,10 @@
 """Exact big-integer combinatorial primitives.
 
-Two independent evaluators are provided for partial Bell polynomials:
-the partition sum (partial_bell_sum) and the standard recurrence
-(partial_bell_rec).  Each serves as the oracle for the other.
+Partial Bell polynomials are evaluated by the standard recurrence,
+one whole triangle B_{n,k}, n <= N, at a time (partial_bell_triangle);
+partial_bell_rec reads one cell of it.  The partition sum
+(partial_bell_sum, over partitions_into_parts) is an independent,
+exponential-time oracle that only the tests call.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "partitions_into_parts",
     "partial_bell_sum",
     "partial_bell_rec",
+    "partial_bell_triangle",
     "scaled_colors",
 ]
 
@@ -115,29 +118,38 @@ def partial_bell_sum(n: int, k: int, x) -> int:
     return total
 
 
+def partial_bell_triangle(N: int, x) -> list[list[int]]:
+    """The rows B[n][k] = B_{n,k}(x_1, ..., x_{n-k+1}), 0 <= k <= n <= N,
+    by the recurrence (Comtet, Advanced Combinatorics, 1974)
+
+        B_{n,k} = sum_j C(n-1, j-1) * x_j * B_{n-j, k-1},  B_{0,0} = 1,
+
+    in O(N^3) big-integer products.
+    """
+    if N < 0:
+        raise InvalidIndex(f"need N >= 0, got N={N}")
+    if len(x) < N:
+        raise InvalidIndex(f"need at least N = {N} arguments, got {len(x)}")
+    rows = [[1]]
+    for n in range(1, N + 1):
+        row = [0] * (n + 1)
+        for j in range(1, n + 1):
+            w = math.comb(n - 1, j - 1) * x[j - 1]
+            if w:
+                for k, value in enumerate(rows[n - j], start=1):
+                    row[k] += w * value
+        rows.append(row)
+    return rows
+
+
 def partial_bell_rec(n: int, k: int, x) -> int:
-    """B_{n,k} via the recurrence
-    B_{n,k} = sum_j C(n-1, j-1) * x_j * B_{n-j, k-1}, B_{0,0} = 1.
+    """B_{n,k} as one cell of partial_bell_triangle.
 
     Independent of partial_bell_sum; used as a cross-check oracle.
     """
     _check_bell_args(n, k, x)
-    memo = {}
-
-    def bell(m, q):
-        if q == 0:
-            return 1 if m == 0 else 0
-        if m < q:
-            return 0
-        key = (m, q)
-        if key not in memo:
-            memo[key] = sum(
-                math.comb(m - 1, j - 1) * x[j - 1] * bell(m - j, q - 1)
-                for j in range(1, min(m - q + 1, len(x)) + 1)
-            )
-        return memo[key]
-
-    return bell(n, k)
+    # B_{n,k} reads only x_1..x_{n-k+1}; the zeros fill the row length.
+    return partial_bell_triangle(n, tuple(x) + (0,) * (n - len(x)))[n][k]
 
 
 def scaled_colors(colors: ColorSequence, n: int):

@@ -150,6 +150,8 @@ def enumerate_all(
     """
     if n < 0:
         raise ValueError("need n >= 0")
+    if cap < 0:
+        raise ValueError("need cap >= 0")
     memo: dict[int, tuple[ColoredDyckWord, ...]] = {}
 
     def build(m):

@@ -9,6 +9,10 @@ while count_bell evaluates the closed form
 
     y_n = sum_k C(a*n + b*k, k-1) * (k-1)!/n! * B_{n,k}(1!c_1, 2!c_2, ...).
 
+Both routes are polynomial in N: the recurrence builds convolution
+powers by dynamic programming, and the closed form reads every B_{n,k}
+from one partial Bell triangle built once up to N.
+
 Each formula term is an exact integer quotient; a nonzero remainder
 raises NonIntegerTerm and certifies a bug, since integrality is a
 theorem.
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .bell import binomial, exact_div, partial_bell_sum, scaled_colors
+from .bell import binomial, exact_div, partial_bell_triangle, scaled_colors
 from .model import ColorSequence, PathParams
 
 __all__ = [
@@ -120,18 +124,20 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
     return CountSeries(tuple(y))
 
 
-def _bell_terms(params, colors, n, r=1):
+def _bell_row(colors, n):
+    """Row n of the Bell triangle at (1!c_1, 2!c_2, ..., n!c_n)."""
+    return partial_bell_triangle(n, scaled_colors(colors, n))[n]
+
+
+def _bell_terms(params, row, r=1):
     """The exact terms r * C(a*n + b*k + r - 1, k-1) * (k-1)!/n! * B_{n,k}
-    for k = 1..n, with B_{n,k} at (1!c_1, 2!c_2, ...)."""
+    for k = 1..n, with B_{n,k} = row[k] from row n of the Bell triangle."""
     a, b = params.a, params.b
-    scaled = scaled_colors(colors, n)
+    n = len(row) - 1
     n_fact = factorial(n)
     return [
         exact_div(
-            r
-            * binomial(a * n + b * k + r - 1, k - 1)
-            * factorial(k - 1)
-            * partial_bell_sum(n, k, scaled),
+            r * binomial(a * n + b * k + r - 1, k - 1) * factorial(k - 1) * row[k],
             n_fact,
             f"Bell term n={n}, k={k}, r={r}",
         )
@@ -144,8 +150,9 @@ def count_bell(params: PathParams, colors: ColorSequence, N: int) -> CountSeries
     if N < 0:
         raise ValueError("need N >= 0")
     values = [1]
-    for n in range(1, N + 1):
-        values.append(sum(_bell_terms(params, colors, n)))
+    if N:
+        rows = partial_bell_triangle(N, scaled_colors(colors, N))
+        values += (sum(_bell_terms(params, row)) for row in rows[1:])
     return CountSeries(tuple(values))
 
 
@@ -172,11 +179,11 @@ def convolution_power_closed(
     r * sum_k C(a*n + b*k + r - 1, k-1) * (k-1)!/n! * B_{n,k}(1!c_1, ...)."""
     if r < 1 or n < 1:
         raise ValueError("need r >= 1 and n >= 1")
-    return sum(_bell_terms(params, colors, n, r))
+    return sum(_bell_terms(params, _bell_row(colors, n), r))
 
 
 def peak_table(params: PathParams, colors: ColorSequence, n: int) -> PeakTable:
     """Counts of words of index n refined by their number of peaks."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return PeakTable(n, _bell_terms(params, colors, n))
+    return PeakTable(n, _bell_terms(params, _bell_row(colors, n)))

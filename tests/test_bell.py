@@ -12,6 +12,7 @@ from colored_dyck import (
     factorial,
     partial_bell_rec,
     partial_bell_sum,
+    partial_bell_triangle,
     scaled_colors,
 )
 from colored_dyck.bell import exact_div, partitions_into_parts
@@ -148,6 +149,46 @@ class TestBellEvaluators:
                     assert value == 0
                 else:
                     assert value == partial_bell_rec(n, k, x)
+
+
+# Argument sequences of the evaluator tests above, extended to 12 terms.
+TRIANGLE_ARGS = [
+    (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8),
+    tuple(math.factorial(i) for i in range(1, 13)),
+    (1, 4) + (0,) * 10,
+    (2, -3, 0, 5, -1, 6, 4, -6, 1, 0, -2, 3),
+    scaled_colors(ColorSequence.ones(), 12),
+    scaled_colors(ColorSequence.powers_of_two(), 12),
+]
+
+
+class TestBellTriangle:
+    @pytest.mark.parametrize("x", TRIANGLE_ARGS)
+    def test_matches_partition_sum(self, x):
+        rows = partial_bell_triangle(12, x)
+        assert [len(row) for row in rows] == list(range(1, 14))
+        assert rows[0] == [1]
+        for n in range(1, 13):
+            assert rows[n][0] == 0
+            for k in range(1, n + 1):
+                assert rows[n][k] == partial_bell_sum(n, k, x)
+
+    @pytest.mark.parametrize("x", TRIANGLE_ARGS)
+    def test_matches_sympy(self, x):
+        sympy = pytest.importorskip("sympy")
+        rows = partial_bell_triangle(10, x)
+        for n in range(1, 11):
+            for k in range(1, n + 1):
+                assert rows[n][k] == sympy.bell(n, k, x[: n - k + 1])
+
+    def test_empty(self):
+        assert partial_bell_triangle(0, ()) == [[1]]
+
+    def test_invalid_arguments(self):
+        with pytest.raises(InvalidIndex):
+            partial_bell_triangle(-1, ())
+        with pytest.raises(InvalidIndex):
+            partial_bell_triangle(3, (1, 1))
 
 
 class TestConvolutionIdentities:

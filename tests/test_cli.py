@@ -88,6 +88,7 @@ CONTRACT_PROBES = [
     (("peaks", "--a", "1", "--b", "0", "--n", "0"), 2, None),
     (("preset", "mary", "--m", "0"), 2, None),
     (("preset", "narayana", "--N", "0"), 2, None),
+    (("enumerate", "--a", "1", "--b", "0", "--n", "3", "--cap", "-1"), 2, None),
     (("count", "--a", "1500", "--b", "0", "--N", "3"), 0, "1\n1\n1501\n3378751\n"),
 ]
 

@@ -12,7 +12,9 @@ from colored_dyck import (
     peak_table,
     peaks,
 )
+from colored_dyck import bell
 from colored_dyck.bijection import enumerate_all
+from colored_dyck.sequences import narayana
 
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
@@ -62,6 +64,26 @@ class TestBellRoute:
         bell = count_bell(params, colors, 9)
         assert rec.values == bell.values
 
+    def test_routes_agree_at_40(self, params, colors):
+        assert count_bell(params, colors, 40) == count_recurrence(params, colors, 40)
+
+    def test_y0_is_one(self, params, colors):
+        assert count_bell(params, colors, 0).values == (1,)
+
+    def test_partition_oracles_off_the_hot_path(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("partition-sum oracle called")
+
+        monkeypatch.setattr(bell, "partial_bell_sum", forbidden)
+        monkeypatch.setattr(bell, "partitions_into_parts", forbidden)
+        params, colors = PathParams(2, 1), ColorSequence.catalan_pair_sum()
+        assert count_bell(params, colors, 12) == count_recurrence(params, colors, 12)
+        assert peak_table(params, colors, 6).total() == count_bell(params, colors, 6)[6]
+        series = count_recurrence(params, colors, 6)
+        assert convolution_power_closed(
+            params, colors, 3, 6
+        ) == convolution_power_direct(series, 3, 6)
+
 
 class TestConvolutionPowers:
     def test_identity_power(self):
@@ -103,6 +125,10 @@ class TestPeakTable:
     def test_narayana_row(self):
         table = peak_table(PathParams(1, 0), ColorSequence.ones(), 3)
         assert table.row == (1, 3, 1)
+
+    def test_narayana_row_60(self):
+        table = peak_table(PathParams(1, 0), ColorSequence.ones(), 60)
+        assert table.row == tuple(narayana(60, k) for k in range(1, 61))
 
     def test_rows_sum_to_counts(self, params, colors):
         series = count_bell(params, colors, 8)
