@@ -10,8 +10,8 @@ a fixed deterministic order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from math import prod
 
 from .errors import EmptyWord, InvalidTuple, MalformedWord, ResourceLimit
 from .model import (
@@ -21,6 +21,7 @@ from .model import (
     DownStep,
     PathParams,
     Rise,
+    _trusted_word,
     validate_colors,
 )
 
@@ -67,6 +68,11 @@ def compose(
         )
     blocks = [Rise(t.ell, t.color)]
     for i, child in enumerate(t.children):
+        if child.params != params:
+            raise InvalidTuple(
+                f"child {i} is built for (a, b) = ({child.params.a}, "
+                f"{child.params.b}), not ({params.a}, {params.b})"
+            )
         if i > 0:
             blocks.append(DOWN)
         blocks.extend(child.blocks)
@@ -147,42 +153,58 @@ def enumerate_all(
     compositions in lexicographic order, with each child enumerated
     recursively in this same order.  Exceeding the output cap is an
     error, not truncation.
+
+    Words are assembled as block tuples straight from the tuple
+    (ell, color; D_1, ..., D_r) and are not re-validated: the head
+    leaves balance r - 1, the r - 1 separators close it, every child is
+    balanced, and color <= c_ell by the loop bounds.
     """
     if n < 0:
         raise ValueError("need n >= 0")
     if cap < 0:
         raise ValueError("need cap >= 0")
-    memo: dict[int, tuple[ColoredDyckWord, ...]] = {}
+    # memo[m]: the block tuple of every word of index m, in order;
+    # after_down[m]: the same, each preceded by a separating down step.
+    memo: dict[int, tuple[tuple, ...]] = {0: ((),)}
+    after_down: dict[int, tuple[tuple, ...]] = {}
+    separator = (DOWN,)
+
+    def separated(i):
+        if i not in after_down:
+            after_down[i] = tuple([separator + child for child in memo[i]])
+        return after_down[i]
 
     def build(m):
         if m not in memo:
-            if m == 0:
-                memo[m] = (ColoredDyckWord(params, ()),)
-                return memo[m]
             words = []
             for ell in range(1, m + 1):
+                n_colors = colors.at(ell)
+                if n_colors < 1:
+                    continue
                 r = params.a * ell + params.b
-                child_sets = None
-                for color in range(1, colors.at(ell) + 1):
-                    if child_sets is None:
-                        child_sets = [
-                            [build(i) for i in comp]
-                            for comp in weak_compositions(m - ell, r)
-                        ]
-                    for sets in child_sets:
-                        for children in itertools.product(*sets):
-                            words.append(
-                                compose(
-                                    DecompositionTuple(ell, color, children),
-                                    params,
-                                    colors,
-                                )
-                            )
-                            if len(words) > cap:
-                                raise ResourceLimit(
-                                    f"more than {cap} words at index {m}"
-                                )
+                # Every child index is built before any word of this ell
+                # is counted, so a lower index over the cap is the one
+                # reported.
+                comps = list(weak_compositions(m - ell, r))
+                child_sets = [[build(i) for i in comp] for comp in comps]
+                # D_1 ++ d ++ D_2 ++ ... ++ d ++ D_r for every choice
+                # of children, in composition then product order.
+                tails = []
+                for comp, sets in zip(comps, child_sets):
+                    size = prod(map(len, sets))
+                    if len(words) + n_colors * (len(tails) + size) > cap:
+                        raise ResourceLimit(f"more than {cap} words at index {m}")
+                    if not size:
+                        continue  # some child index has no words
+                    part = sets[0]
+                    for i in comp[1:]:
+                        seps = separated(i)
+                        part = [head + tail for head in part for tail in seps]
+                    tails.extend(part)
+                for color in range(1, n_colors + 1):
+                    rise = (Rise(ell, color),)
+                    words.extend([rise + tail for tail in tails])
             memo[m] = tuple(words)
         return memo[m]
 
-    return build(n)
+    return tuple([_trusted_word(params, blocks, n) for blocks in build(n)])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bijection, counting, model, sequences
@@ -93,15 +94,17 @@ def _cmd_peaks(args):
 
 def _word_record(word):
     blocks = []
+    n_peaks = 0
     for block in word.blocks:
         if isinstance(block, model.Rise):
             blocks.append({"type": "rise", "j": block.j, "color": block.color})
+            n_peaks += 1
         else:
             blocks.append({"type": "down"})
     record = {
         "n": word.n,
         "blocks": blocks,
-        "peaks": model.peaks(word),
+        "peaks": n_peaks,
         "steps": model.to_steps(word),
     }
     return json.dumps(record, separators=(",", ":"))
@@ -223,7 +226,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here so that a closed pipe is handled below, not at
+        # interpreter exit.  In-process callers may capture stdout with
+        # a write-only object.
+        flush = getattr(sys.stdout, "flush", None)
+        if flush is not None:
+            flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `| head`).  Point stdout at
+        # devnull so that the flush at interpreter exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
     except NonIntegerTerm as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

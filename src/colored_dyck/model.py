@@ -191,6 +191,18 @@ class ColoredDyckWord:
         return len(self.blocks)
 
 
+def _trusted_word(params: PathParams, blocks: tuple, n: int) -> ColoredDyckWord:
+    """A word whose invariants the caller already guarantees: `blocks`
+    is a tuple whose expansion is a balanced Dyck word of index `n`.
+
+    Skips the O(len) walk of ``ColoredDyckWord.__post_init__``; the
+    result compares and hashes like the checked construction.
+    """
+    word = object.__new__(ColoredDyckWord)
+    word.__dict__.update(params=params, blocks=blocks, n=n)
+    return word
+
+
 def peaks(word: ColoredDyckWord) -> int:
     """Number of peaks = number of maximal ascents = Rise blocks."""
     return sum(1 for b in word.blocks if isinstance(b, Rise))
@@ -220,12 +232,12 @@ def to_steps(word: ColoredDyckWord) -> str:
     each Rise block and is always emitted.
     """
     p = word.params
+    period, b = p.a + p.b, p.b
     parts = []
     for block in word.blocks:
         if isinstance(block, Rise):
-            parts.append("u" * (p.period * block.j))
-            parts.append(f"[{block.color}]")
-            parts.append("d" * p.descent_run(block.j))
+            j = block.j
+            parts.append(f"{'u' * (period * j)}[{block.color}]{'d' * (b * (j - 1) + 1)}")
         else:
             parts.append("d")
     return "".join(parts)

@@ -13,6 +13,7 @@ from colored_dyck import (
     parse_steps,
     peaks,
     to_steps,
+    validate_colors,
 )
 from colored_dyck.bijection import weak_compositions
 from colored_dyck.errors import EmptyWord, InvalidTuple, ResourceLimit
@@ -77,6 +78,13 @@ class TestCompose:
             compose(
                 DecompositionTuple(1, 2, (empty,)), PathParams(1, 0), ONES
             )
+
+    def test_child_of_other_params(self):
+        # u[1]d under (0, 1) is also a valid (1, 0) block sequence, but
+        # decompose would return it with (1, 0) params: not the input.
+        child = ColoredDyckWord(PathParams(0, 1), (Rise(1, 1),))
+        with pytest.raises(InvalidTuple):
+            compose(DecompositionTuple(1, 1, (child,)), PathParams(1, 0), ONES)
 
 
 class TestDecompose:
@@ -148,6 +156,22 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ResourceLimit):
             enumerate_all(PathParams(1, 0), ONES, 6, cap=10)
+
+    def test_cap_counts_every_color(self):
+        # y_3 = 11 under c_j = 2^(j-1); only 5 of them use color 1 alone
+        pow2 = ColorSequence.powers_of_two()
+        assert len(enumerate_all(PathParams(1, 0), pow2, 3, cap=11)) == 11
+        with pytest.raises(ResourceLimit, match="more than 10 words at index 3"):
+            enumerate_all(PathParams(1, 0), pow2, 3, cap=10)
+
+    def test_words_equal_checked_construction(self, params, colors):
+        # enumerate_all builds its words without the structural walk
+        # and without validate_colors; both checks must still hold.
+        for n in range(7 // params.period + 1):
+            for w in enumerate_all(params, colors, n):
+                assert w == ColoredDyckWord(params, w.blocks)
+                assert hash(w) == hash(ColoredDyckWord(params, w.blocks))
+                validate_colors(w, colors)
 
 
 class TestRoundTrips:

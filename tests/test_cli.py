@@ -109,6 +109,26 @@ def test_contract_probe(argv, code, out):
         assert proc.stdout == out
 
 
+def test_closed_stdout_exits_quietly():
+    # The reader takes one line and closes the pipe, as `| head -n 1`
+    # does; the output (about 0.6 MB) is far larger than a pipe buffer.
+    src = str(Path(colored_dyck.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "colored_dyck.cli",
+         "enumerate", "--a", "1", "--b", "0", "--n", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"u")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0
+    assert err == b""
+
+
 class TestPeaks:
     def test_narayana_row(self, run):
         code, out, _ = run(

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colored_dyck import (
     DOWN,
@@ -192,3 +194,58 @@ class TestRoundTrip:
                     following = re.match(r"d+", text[m.end():])
                     assert following is not None
                     assert len(following.group()) >= params.descent_run(j)
+
+
+def _reference_steps(word):
+    """The serializer spelled out block by block, for comparison."""
+    p = word.params
+    parts = []
+    for block in word.blocks:
+        if isinstance(block, Rise):
+            parts.append("u" * (p.period * block.j))
+            parts.append(f"[{block.color}]")
+            parts.append("d" * p.descent_run(block.j))
+        else:
+            parts.append("d")
+    return "".join(parts)
+
+
+ROUND_TRIP_PARAMS = [PathParams(1, 0), PathParams(0, 1), PathParams(0, 2),
+                     PathParams(2, 1), PathParams(1, 2), PathParams(3, 0)]
+ROUND_TRIP_COLORS = [
+    ColorSequence.ones(),
+    ColorSequence.powers_of_two(),
+    ColorSequence.explicit((1, 1)),
+    ColorSequence.explicit((2, 0, 1)),
+    ColorSequence.constant(3),
+]
+
+
+@st.composite
+def block_words(draw):
+    """A random valid word: rises of any allowed size and color, down
+    steps wherever the prefix stays nonnegative, closed by down steps."""
+    params = draw(st.sampled_from(ROUND_TRIP_PARAMS))
+    colors = draw(st.sampled_from(ROUND_TRIP_COLORS))
+    sizes = [j for j in range(1, 6) if colors.at(j) >= 1]
+    blocks, balance = [], 0
+    for _ in range(draw(st.integers(0, 25))):
+        if balance > 0 and draw(st.booleans()):
+            blocks.append(DOWN)
+            balance -= 1
+        else:
+            j = draw(st.sampled_from(sizes))
+            blocks.append(Rise(j, draw(st.integers(1, colors.at(j)))))
+            balance += params.period * j - params.descent_run(j)
+    blocks.extend([DOWN] * balance)
+    return ColoredDyckWord(params, tuple(blocks)), colors
+
+
+class TestStepsProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(block_words())
+    def test_serialize_parse_round_trip(self, case):
+        w, colors = case
+        text = to_steps(w)
+        assert text == _reference_steps(w)
+        assert parse_steps(text, w.params, colors) == w
