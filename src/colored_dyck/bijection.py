@@ -21,6 +21,7 @@ from .model import (
     DownStep,
     PathParams,
     Rise,
+    _block_net,
     _trusted_word,
     validate_colors,
 )
@@ -67,7 +68,10 @@ def compose(
             f"color {t.color} out of range (c_{t.ell} = {colors.at(t.ell)})"
         )
     blocks = [Rise(t.ell, t.color)]
+    n = t.ell
     for i, child in enumerate(t.children):
+        if not isinstance(child, ColoredDyckWord):
+            raise InvalidTuple(f"child {i} is not a ColoredDyckWord")
         if child.params != params:
             raise InvalidTuple(
                 f"child {i} is built for (a, b) = ({child.params.a}, "
@@ -76,15 +80,11 @@ def compose(
         if i > 0:
             blocks.append(DOWN)
         blocks.extend(child.blocks)
-    word = ColoredDyckWord(params, tuple(blocks))
+        n += child.n
+    # The head leaves balance a*ell+b-1, which the separators close.
+    word = _trusted_word(params, tuple(blocks), n)
     validate_colors(word, colors)
     return word
-
-
-def _block_balance(block, params):
-    if isinstance(block, Rise):
-        return params.period * block.j - params.descent_run(block.j)
-    return -1
 
 
 def decompose(
@@ -95,8 +95,14 @@ def decompose(
     After stripping the leading Rise block, the remainder has an excess
     of a*ell+b-1 down steps.  Scanning left to right, a DownStep block
     met at balance zero is a separator; each one closes a child and
-    reduces the excess by one.
+    reduces the excess by one.  The word must be built for `params`:
+    read under other (a, b) its blocks do not balance.
     """
+    if w.params != params:
+        raise MalformedWord(
+            f"word is built for (a, b) = ({w.params.a}, {w.params.b}), "
+            f"not ({params.a}, {params.b})"
+        )
     validate_colors(w, colors)
     if not w.blocks:
         raise EmptyWord("cannot decompose the empty word")
@@ -104,19 +110,24 @@ def decompose(
     if not isinstance(head, Rise):
         raise MalformedWord("word does not start with an ascent")
 
+    # Each closed child balances with no negative prefix; with the
+    # child count right, so does the last one, since w balances.
     children = []
     current: list = []
-    balance = 0
+    balance = size = 0
     for block in w.blocks[1:]:
-        if isinstance(block, DownStep) and balance == 0:
-            children.append(ColoredDyckWord(params, tuple(current)))
+        if isinstance(block, Rise):
+            size += block.j
+        elif balance == 0 and isinstance(block, DownStep):
+            children.append(_trusted_word(params, tuple(current), size))
             current = []
+            size = 0
             continue
         current.append(block)
-        balance += _block_balance(block, params)
+        balance += _block_net(block, params)
         if balance < 0:
             raise MalformedWord("negative balance inside a child")
-    children.append(ColoredDyckWord(params, tuple(current)))
+    children.append(_trusted_word(params, tuple(current), size))
 
     expected = params.a * head.j + params.b
     if len(children) != expected:

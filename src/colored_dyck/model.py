@@ -151,15 +151,26 @@ DOWN = DownStep()
 Block = DownStep | Rise
 
 
-@dataclass(frozen=True)
+def _block_net(block: Block, params: PathParams) -> int:
+    """Net balance of one block: a*j+b-1 for Rise(j), -1 for a down step."""
+    if isinstance(block, Rise):
+        return params.a * block.j + params.b - 1
+    return -1
+
+
+@dataclass(frozen=True, slots=True)
 class ColoredDyckWord:
     """A colored Dyck word as an ordered block sequence.
 
-    Construction checks the structural invariants: the step expansion
-    is a balanced Dyck word and the total up-step count is a multiple
-    of a+b.  Color-range checks against a ColorSequence are separate
-    (validate_colors), so that externally supplied words report
-    ColorOutOfRange during decomposition rather than construction.
+    Construction checks the structural invariants of a block tuple a
+    caller supplies: every prefix has nonnegative balance and the whole
+    word balances, so its expansion is a Dyck word of index n = sum of
+    the rise sizes.  Words the package builds itself (parse_steps,
+    compose, decompose, enumerate_all) come from ``_trusted_word``
+    instead, with n taken from a pass already made.  Color-range checks
+    against a ColorSequence are separate (validate_colors), so that
+    externally supplied words report ColorOutOfRange during
+    decomposition rather than construction.
     """
 
     params: PathParams
@@ -167,22 +178,18 @@ class ColoredDyckWord:
     n: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        p = self.params
-        balance = 0
-        ups = 0
-        for block in self.blocks:
+        blocks = tuple(self.blocks)
+        object.__setattr__(self, "blocks", blocks)
+        balance = n = 0
+        for block in blocks:
             if isinstance(block, Rise):
-                balance += p.period * block.j
-                ups += p.period * block.j
-                balance -= p.descent_run(block.j)
-            else:
-                balance -= 1
+                n += block.j
+            balance += _block_net(block, self.params)
             if balance < 0:
                 raise NotDyck("prefix has more d's than u's")
         if balance != 0:
             raise NotDyck("unbalanced word")
-        object.__setattr__(self, "n", ups // p.period)
+        object.__setattr__(self, "n", n)
 
     def __iter__(self):
         return iter(self.blocks)
@@ -193,13 +200,18 @@ class ColoredDyckWord:
 
 def _trusted_word(params: PathParams, blocks: tuple, n: int) -> ColoredDyckWord:
     """A word whose invariants the caller already guarantees: `blocks`
-    is a tuple whose expansion is a balanced Dyck word of index `n`.
+    is a tuple of blocks built for `params` whose expansion is a
+    balanced Dyck word of index `n`.
 
-    Skips the O(len) walk of ``ColoredDyckWord.__post_init__``; the
-    result compares and hashes like the checked construction.
+    The package builds every word of its own through here, from parts
+    it has already checked; the O(len) walk of the checked constructor
+    runs only on block tuples a caller passes in.  The result compares
+    and hashes like the checked construction from the same blocks.
     """
     word = object.__new__(ColoredDyckWord)
-    word.__dict__.update(params=params, blocks=blocks, n=n)
+    object.__setattr__(word, "params", params)
+    object.__setattr__(word, "blocks", blocks)
+    object.__setattr__(word, "n", n)
     return word
 
 
@@ -213,16 +225,20 @@ def semilength(word: ColoredDyckWord) -> int:
     return word.params.period * word.n
 
 
+def _check_color(j: int, color: int, colors: ColorSequence) -> None:
+    """Raise ColorOutOfRange unless 1 <= color <= c_j."""
+    limit = colors.at(j)
+    if not 1 <= color <= limit:
+        raise ColorOutOfRange(
+            f"color {color} out of range for ascent size {j} (c_{j} = {limit})"
+        )
+
+
 def validate_colors(word: ColoredDyckWord, colors: ColorSequence) -> None:
     """Check every Rise block's color against the coloring rule."""
     for block in word.blocks:
         if isinstance(block, Rise):
-            limit = colors.at(block.j)
-            if not 1 <= block.color <= limit:
-                raise ColorOutOfRange(
-                    f"color {block.color} out of range for ascent size "
-                    f"{block.j} (c_{block.j} = {limit})"
-                )
+            _check_color(block.j, block.color, colors)
 
 
 def to_steps(word: ColoredDyckWord) -> str:
@@ -270,10 +286,11 @@ def parse_steps(text: str, params: PathParams, colors: ColorSequence) -> Colored
     tokens = _tokenize(text.strip())
 
     # Dyck property on the bare letters, before any grammar checks.
-    balance = 0
+    balance = ups = 0
     for kind, value in tokens:
         if kind == "u":
             balance += value
+            ups += value
         elif kind == "d":
             balance -= value
             if balance < 0:
@@ -326,12 +343,10 @@ def parse_steps(text: str, params: PathParams, colors: ColorSequence) -> Colored
             i += 1
         if color is None:
             color = 1
-        limit = colors.at(j)
-        if not 1 <= color <= limit:
-            raise ColorOutOfRange(
-                f"color {color} out of range for ascent size {j} (c_{j} = {limit})"
-            )
+        _check_color(j, color, colors)
         blocks.append(Rise(j, color))
         blocks.extend([DOWN] * extra)
 
-    return ColoredDyckWord(params, tuple(blocks))
+    # The blocks expand to the letters just checked, and every ascent
+    # is a whole number of periods.
+    return _trusted_word(params, tuple(blocks), ups // p.period)

@@ -16,10 +16,19 @@ from colored_dyck import (
     validate_colors,
 )
 from colored_dyck.bijection import weak_compositions
-from colored_dyck.errors import EmptyWord, InvalidTuple, ResourceLimit
+from colored_dyck.errors import EmptyWord, InvalidTuple, MalformedWord, ResourceLimit
 
 
 ONES = ColorSequence.ones()
+
+
+def assert_like_checked(w):
+    """w equals, hashes like and has the index of the checked
+    construction from its own blocks."""
+    checked = ColoredDyckWord(w.params, w.blocks)
+    assert w == checked
+    assert hash(w) == hash(checked)
+    assert w.n == checked.n
 
 
 class TestWeakCompositions:
@@ -86,6 +95,10 @@ class TestCompose:
         with pytest.raises(InvalidTuple):
             compose(DecompositionTuple(1, 1, (child,)), PathParams(1, 0), ONES)
 
+    def test_child_not_a_word(self):
+        with pytest.raises(InvalidTuple):
+            compose(DecompositionTuple(1, 1, ((),)), PathParams(1, 0), ONES)
+
 
 class TestDecompose:
     def test_minimal(self):
@@ -110,6 +123,12 @@ class TestDecompose:
         params = PathParams(1, 0)
         with pytest.raises(EmptyWord):
             decompose(ColoredDyckWord(params, ()), params, ONES)
+
+    def test_word_of_other_params(self):
+        # (Rise(1, 1),) balances under (0, 1) but not under (1, 0)
+        w = ColoredDyckWord(PathParams(0, 1), (Rise(1, 1),))
+        with pytest.raises(MalformedWord):
+            decompose(w, PathParams(1, 0), ONES)
 
     def test_excess_bookkeeping(self, params):
         # after the head block, each child closes with one separator,
@@ -169,8 +188,7 @@ class TestEnumeration:
         # and without validate_colors; both checks must still hold.
         for n in range(7 // params.period + 1):
             for w in enumerate_all(params, colors, n):
-                assert w == ColoredDyckWord(params, w.blocks)
-                assert hash(w) == hash(ColoredDyckWord(params, w.blocks))
+                assert_like_checked(w)
                 validate_colors(w, colors)
 
 
@@ -179,7 +197,11 @@ class TestRoundTrips:
         for n in range(1, 7 // params.period + 1):
             for w in enumerate_all(params, colors, n):
                 t = decompose(w, params, colors)
-                assert compose(t, params, colors) == w
+                for child in t.children:
+                    assert_like_checked(child)
+                again = compose(t, params, colors)
+                assert again == w
+                assert_like_checked(again)
 
     def test_tuple_word_tuple(self, params, colors):
         a, b = params.a, params.b
@@ -192,6 +214,9 @@ class TestRoundTrips:
                         enumerate_all(params, colors, i)[0] for i in rest
                     )
                     t = DecompositionTuple(ell, color, children)
-                    assert decompose(
-                        compose(t, params, colors), params, colors
-                    ) == t
+                    w = compose(t, params, colors)
+                    assert_like_checked(w)
+                    again = decompose(w, params, colors)
+                    assert again == t
+                    for child in again.children:
+                        assert_like_checked(child)

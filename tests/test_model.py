@@ -146,6 +146,17 @@ class TestSerialization:
                 "uudd", PathParams(1, 0), ColorSequence.explicit((1,))
             )
 
+    def test_parse_color_before_later_truncation(self):
+        # the bad color of the first rise is met before the truncated
+        # descent of the later size-2 rise
+        with pytest.raises(ColorOutOfRange):
+            parse_steps("u[2]duu[1]uddd", PathParams(1, 0), ColorSequence.ones())
+
+    def test_parse_letter_balance_before_grammar(self):
+        # unbalanced and truncated: the letter balance is checked first
+        with pytest.raises(NotDyck):
+            parse_steps("uu[1]", PathParams(1, 0), ColorSequence.ones())
+
     def test_parse_bad_character(self):
         with pytest.raises(MalformedAnnotation):
             parse_steps("uxdd", PathParams(1, 0), ColorSequence.ones())
@@ -248,4 +259,9 @@ class TestStepsProperty:
         w, colors = case
         text = to_steps(w)
         assert text == _reference_steps(w)
-        assert parse_steps(text, w.params, colors) == w
+        again = parse_steps(text, w.params, colors)
+        assert again == w
+        checked = ColoredDyckWord(w.params, again.blocks)
+        assert again == checked
+        assert hash(again) == hash(checked)
+        assert again.n == checked.n
