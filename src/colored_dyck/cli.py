@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import bijection, counting, model, sequences
 from .errors import ColoredDyckError, NonIntegerTerm
@@ -53,6 +54,22 @@ def _read_word_text(args) -> str:
     return sys.stdin.read().strip()
 
 
+@contextmanager
+def _int_text_unlimited():
+    """Lift the interpreter's limit on int-to-str digits (4300 by
+    default) while output is formatted, so that a legal count of any
+    size is printed; argv is parsed with the limit in force."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def _emit_series(values, fmt, start=0):
     lines = []
     for n, v in enumerate(values, start=start):
@@ -73,22 +90,25 @@ def _cmd_count(args):
     if args.route in ("both", "bell"):
         bell_series = counting.count_bell(params, args.colors, args.N)
         if series is not None and series.values != bell_series.values:
-            print(
-                "route disagreement: recurrence="
-                f"{list(series.values)} bell={list(bell_series.values)}",
-                file=sys.stderr,
-            )
+            with _int_text_unlimited():
+                print(
+                    "route disagreement: recurrence="
+                    f"{list(series.values)} bell={list(bell_series.values)}",
+                    file=sys.stderr,
+                )
             return 1
         series = bell_series
-    print("\n".join(_emit_series(series.values, args.format)))
+    with _int_text_unlimited():
+        print("\n".join(_emit_series(series.values, args.format)))
     return 0
 
 
 def _cmd_peaks(args):
     params = model.PathParams(args.a, args.b)
     table = counting.peak_table(params, args.colors, args.n)
-    for k in range(1, table.n + 1):
-        print(f"{k} {table[k]}")
+    with _int_text_unlimited():
+        for k in range(1, table.n + 1):
+            print(f"{k} {table[k]}")
     return 0
 
 
@@ -148,25 +168,28 @@ def _cmd_preset(args):
     if args.name == "narayana":
         n = args.n if args.n is not None else args.N
         table = counting.peak_table(params, colors, n)
-        for k in range(1, n + 1):
-            print(f"{k} {sequences.narayana(n, k)} {table[k]}")
+        with _int_text_unlimited():
+            for k in range(1, n + 1):
+                print(f"{k} {sequences.narayana(n, k)} {table[k]}")
         return 0
 
     N = args.N
     colored = counting.count_bell(params, colors, N)
     if args.name == "duchon":
-        for n in range(1, N + 1):
-            print(
-                f"{n} {sequences.duchon_d(n)} "
-                f"{sequences.duchon_alt(n)} {colored[n]}"
-            )
+        with _int_text_unlimited():
+            for n in range(1, N + 1):
+                print(
+                    f"{n} {sequences.duchon_d(n)} "
+                    f"{sequences.duchon_alt(n)} {colored[n]}"
+                )
         return 0
     if args.name == "mary":
         closed = lambda n: sequences.fuss_catalan(args.m, n)
     else:
         closed = spec.closed_form
-    for n in range(1, N + 1):
-        print(f"{n} {closed(n)} {colored[n]}")
+    with _int_text_unlimited():
+        for n in range(1, N + 1):
+            print(f"{n} {closed(n)} {colored[n]}")
     return 0
 
 

@@ -3,15 +3,18 @@
 count_recurrence evaluates the convolution recurrence
 
     y_0 = 1,
-    y_n = sum_l c_l * (aL+b)-fold convolution of y at index n-l,
+    y_n = sum_l c_l * [x^(n-l)] y(x)^(a*l+b),
 
 while count_bell evaluates the closed form
 
     y_n = sum_k C(a*n + b*k, k-1) * (k-1)!/n! * B_{n,k}(1!c_1, 2!c_2, ...).
 
-Both routes are polynomial in N: the recurrence builds convolution
-powers by dynamic programming, and the closed form reads every B_{n,k}
-from one partial Bell triangle built once up to N.
+Both routes are polynomial in N.  The recurrence reads only the powers
+y^(a*l+b), l = 1..N, and builds them by pairwise convolution along the
+chain y^b * (y^a)^l: y^1 .. y^max(a,b) from y, then each chain row
+from the one below it, at most N + max(a, b) rows in all.  The closed
+form reads every B_{n,k} from one partial Bell triangle built once up
+to N.  Neither route reads the other's tables.
 
 Each formula term is an exact integer quotient; a nonzero remainder
 raises NonIntegerTerm and certifies a bug, since integrality is a
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from operator import mul
 
 from .bell import binomial, exact_div, partial_bell_triangle, scaled_colors
 from .model import ColorSequence, PathParams
@@ -82,45 +86,57 @@ class PeakTable:
         return sum(self.row)
 
 
+def _conv_at(u, v, i: int) -> int:
+    """Index i of the convolution of u and v: sum_t u[t] * v[i-t].
+
+    The one convolution kernel of this module; both sequences must be
+    defined through index i.
+    """
+    return sum(map(mul, u[: i + 1], v[i::-1]))
+
+
 def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> CountSeries:
     """Evaluate the convolution recurrence up to index N.
 
-    Inner sums over weak compositions are r-fold convolution powers,
-    built by dynamic programming (one pairwise convolution per power),
-    never by enumerating compositions.
+    The recurrence reads the powers y^(a*l+b) only, so they are built
+    along the chain y^b * (y^a)^l: first y^1 .. y^max(a,b) from y, then
+    chain row l = y^(a*l+b) as row l-1 convolved with y^a (row 0 is
+    y^b, or the unit series 1 when b = 0).  Rows stop at the largest
+    l <= N with c_l != 0, so at most N + max(a, b) rows are built, and
+    every row is extended online, one entry per new term of y.  Inner
+    sums over weak compositions are never enumerated.
     """
     if N < 0:
         raise ValueError("need N >= 0")
     a, b = params.a, params.b
+    cs = [colors.at(ell) for ell in range(1, N + 1)]
+    last = max((ell for ell, c in enumerate(cs, start=1) if c), default=0)
     y = [1]
-    # rows[r] caches the r-fold convolution of y with itself at indices
-    # filled in so far (rows[1] is y).  Entries only ever depend on y
-    # values with smaller index, which are already final, and no row is
-    # longer than the row below it.
-    rows = [[], y]
-
-    def conv_power(r, m):
-        rows.extend([] for _ in range(len(rows), r + 1))
-        if len(rows[r]) > m:
-            return rows[r][m]
-        s = r
-        while len(rows[s - 1]) <= m:
-            s -= 1
-        for prev, row in zip(rows[s - 1 : r], rows[s : r + 1]):
-            while len(row) <= m:
-                i = len(row)
-                row.append(sum(prev[t] * y[i - t] for t in range(i + 1)))
-        return rows[r][m]
-
+    # powers[k] = y^k for 1 <= k <= max(a, b), none past y when every
+    # c_l is zero; each is filled through index n-1 before y_n is formed.
+    powers = [None, y] + [[] for _ in range(2, max(a, b) + 1 if last else 2)]
+    # chain[l] = y^(a*l+b), filled through index n-l before y_n is
+    # formed.  A row that is one of the powers (a = 0, or l = 1 and
+    # b = 0) is shared; own lists the others, each with the row below.
+    chain = [None] * (last + 1)
+    own = []
+    for ell in range(1, last + 1):
+        if a == 0 or (ell == 1 and b == 0):
+            chain[ell] = powers[a * ell + b]
+        else:
+            chain[ell] = [1]
+            own.append((ell, chain[ell], chain[ell - 1] if ell > 1 else powers[b]))
+    y_a = powers[a] if own else None
     for n in range(1, N + 1):
-        total = 0
-        for ell in range(1, n + 1):
-            c = colors.at(ell)
-            if c == 0:
-                continue
-            r = a * ell + b
-            total += c * (1 if n == ell else conv_power(r, n - ell))
-        y.append(total)
+        for k in range(2, len(powers)):
+            powers[k].append(_conv_at(powers[k - 1], y, n - 1))
+        for ell, row, below in own:
+            if ell >= n:
+                break
+            row.append(_conv_at(below, y_a, n - ell))
+        y.append(
+            sum(cs[ell - 1] * chain[ell][n - ell] for ell in range(1, min(last, n) + 1))
+        )
     return CountSeries(tuple(y))
 
 
@@ -166,9 +182,7 @@ def convolution_power_direct(series: CountSeries, r: int, n: int) -> int:
         raise ValueError(f"series must be defined through index {n}")
     acc = z
     for _ in range(r - 1):
-        acc = tuple(
-            sum(acc[t] * z[m - t] for t in range(m + 1)) for m in range(n + 1)
-        )
+        acc = [_conv_at(acc, z, m) for m in range(n + 1)]
     return acc[n]
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm
 
 from .bell import binomial, catalan, exact_div
 from .errors import InvalidIndex, ResourceLimit
@@ -50,13 +50,23 @@ def narayana(n: int, k: int) -> int:
 
 def motzkin_colored(c1: int, c2: int, n: int) -> int:
     """Motzkin n-paths with c1-colored horizontal and c2-colored up
-    steps: sum_k C(n, 2k) * C_k * c1^(n-2k) * c2^k."""
+    steps: sum_k C(n, 2k) * C_k * c1^(n-2k) * c2^k.
+
+    The coefficient T_k = C(n, 2k) * C_k = n!/((n-2k)! k! (k+1)!) is
+    walked by T_{k+1} = T_k * (n-2k)(n-2k-1) / ((k+1)(k+2)), and the
+    sum by Horner's rule in c1^2, so no step divides by c1.
+    """
     if n < 0:
         raise ValueError("need n >= 0")
-    return sum(
-        comb(n, 2 * k) * catalan(k) * c1 ** (n - 2 * k) * c2**k
-        for k in range(n // 2 + 1)
-    )
+    t = total = c2_k = 1
+    c1_sq = c1 * c1
+    for k in range(n // 2):
+        t = exact_div(
+            t * (n - 2 * k) * (n - 2 * k - 1), (k + 1) * (k + 2), "motzkin_colored"
+        )
+        c2_k *= c2
+        total = total * c1_sq + t * c2_k
+    return total * c1 ** (n % 2)
 
 
 def schroeder_little(n: int) -> int:
@@ -85,24 +95,44 @@ def fuss_catalan_peaks(m: int, n: int, k: int) -> int:
 
 def a052709_closed(n: int) -> int:
     """Paths from (0,0) to (2n,0) with steps (1,1), (1,-1), (3,1):
-    sum over k of (1/k) * C(2k, k-1) * C(k, n-k)."""
+    sum over k of (1/k) * C(2k, k-1) * C(k, n-k).
+
+    Each term is an integer, since (1/k) * C(2k, k-1) = C_k (Catalan).
+    C_k and C(k, n-k) are walked from k to k+1 by their ratios.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    total = Fraction(0)
-    for k in range((n + 1) // 2, n + 1):
-        total += Fraction(binomial(2 * k, k - 1) * binomial(k, n - k), k)
-    return exact_div(total.numerator, total.denominator, "a052709")
+    lo = (n + 1) // 2
+    cat, pick = catalan(lo), binomial(lo, n - lo)
+    total = cat * pick
+    for k in range(lo, n):
+        j = n - k
+        cat = exact_div(cat * 2 * (2 * k + 1), k + 2, "a052709")
+        pick = exact_div(pick * (k + 1) * j, (k - j + 1) * (k - j + 2), "a052709")
+        total += cat * pick
+    return total
 
 
 def a186997_closed(n: int) -> int:
     """Paths from (0,0) to (3n,0) with steps (1,2), (1,-1), (3,3):
-    sum over k of (1/k) * C(n+2k, k-1) * C(k, n-k)."""
+    sum over k of (1/k) * C(n+2k, k-1) * C(k, n-k).
+
+    The terms are summed over the common denominator
+    L = lcm(ceil(n/2), ..., n) and divided by L once.  C(n+2k, k-1) and
+    C(k, n-k) are walked from k to k+1 by their ratios.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    total = Fraction(0)
-    for k in range((n + 1) // 2, n + 1):
-        total += Fraction(binomial(n + 2 * k, k - 1) * binomial(k, n - k), k)
-    return exact_div(total.numerator, total.denominator, "a186997")
+    lo = (n + 1) // 2
+    den = lcm(*range(lo, n + 1))
+    top, pick = binomial(n + 2 * lo, lo - 1), binomial(lo, n - lo)
+    total = den // lo * top * pick
+    for k in range(lo, n):
+        m, j = n + 2 * k, n - k
+        top = exact_div(top * (m + 1) * (m + 2), k * (m - k + 2), "a186997")
+        pick = exact_div(pick * (k + 1) * j, (k - j + 1) * (k - j + 2), "a186997")
+        total += den // (k + 1) * top * pick
+    return exact_div(total, den, "a186997")
 
 
 def step_lattice_count(steps, end_x: int) -> int:
@@ -131,15 +161,25 @@ def step_lattice_count(steps, end_x: int) -> int:
 
 def duchon_d(n: int) -> int:
     """Duchon's count of slope-3/2 Dyck words of length 5n:
-    sum_j (1/(5n+j+1)) * C(5n+1, n-j) * C(5n+2j, j)."""
+    sum_j (1/(5n+j+1)) * C(5n+1, n-j) * C(5n+2j, j).
+
+    The terms are summed over the common denominator
+    L = lcm(5n+1, ..., 6n+1) and divided by L once.  C(5n+1, n-j) and
+    C(5n+2j, j) are walked from j to j+1 by their ratios.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    total = Fraction(0)
-    for j in range(n + 1):
-        total += Fraction(
-            comb(5 * n + 1, n - j) * comb(5 * n + 2 * j, j), 5 * n + j + 1
+    den = lcm(*range(5 * n + 1, 6 * n + 2))
+    first, second = comb(5 * n + 1, n), 1
+    total = den // (5 * n + 1) * first
+    for j in range(n):
+        m = 5 * n + 2 * j
+        first = exact_div(first * (n - j), 4 * n + j + 2, "duchon_d")
+        second = exact_div(
+            second * (m + 1) * (m + 2), (j + 1) * (5 * n + j + 1), "duchon_d"
         )
-    return exact_div(total.numerator, total.denominator, "duchon_d")
+        total += den // (5 * n + j + 2) * first * second
+    return exact_div(total, den, "duchon_d")
 
 
 def duchon_alt_first(n: int) -> int:

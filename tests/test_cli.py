@@ -8,7 +8,8 @@ import pytest
 
 import colored_dyck
 from colored_dyck.cli import main, parse_color_spec
-from colored_dyck.model import ColorSequence
+from colored_dyck.counting import count_recurrence
+from colored_dyck.model import ColorSequence, PathParams
 
 
 @pytest.fixture
@@ -70,6 +71,37 @@ class TestCount:
             {"n": 1, "value": 1},
             {"n": 2, "value": 2},
         ]
+
+    @pytest.mark.parametrize("fmt", ["plain", "jsonl"])
+    def test_count_of_any_size(self, run, fmt):
+        # y_50 with every c_j = 10^100 has more than 4300 digits, the
+        # interpreter's default limit for int-to-str conversion.
+        const = 10**100
+        has_limit = hasattr(sys, "get_int_max_str_digits")
+        limit = sys.get_int_max_str_digits() if has_limit else None
+        code, out, _ = run(
+            "count", "--a", "1", "--b", "0", "--colors", f"const:{const}",
+            "--N", "50", "--format", fmt,
+        )
+        assert code == 0
+        if has_limit:
+            assert sys.get_int_max_str_digits() == limit
+        last = out.splitlines()[-1]
+        if fmt == "jsonl":
+            prefix = '{"n":50,"value":'
+            assert last.startswith(prefix) and last.endswith("}")
+            last = last[len(prefix) : -1]
+        value = count_recurrence(
+            PathParams(1, 0), ColorSequence.constant(const), 50
+        )[50]
+        if has_limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert last == str(value)
+        finally:
+            if has_limit:
+                sys.set_int_max_str_digits(limit)
+        assert len(last) > 4300
 
     def test_single_route(self, run):
         for route in ("recurrence", "bell"):

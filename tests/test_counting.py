@@ -12,9 +12,9 @@ from colored_dyck import (
     peak_table,
     peaks,
 )
-from colored_dyck import bell
+from colored_dyck import bell, counting
 from colored_dyck.bijection import enumerate_all
-from colored_dyck.sequences import narayana
+from colored_dyck.sequences import duchon_d, fuss_catalan, narayana
 
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
@@ -44,6 +44,75 @@ class TestRecurrence:
     def test_negative_N_rejected(self, route):
         with pytest.raises(ValueError):
             route(PathParams(1, 0), ColorSequence.ones(), -1)
+
+
+# Colorings the conftest grid lacks: a zero first color, a gap before
+# the last nonzero color, and no color at all.
+SPARSE_COLORS = [
+    ColorSequence.explicit((0, 1)),
+    ColorSequence.explicit((0, 0, 2)),
+    ColorSequence.explicit(()),
+]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The index of every call to the recurrence's convolution kernel."""
+    calls = []
+    kernel = counting._conv_at
+
+    def counted(u, v, i):
+        calls.append(i)
+        return kernel(u, v, i)
+
+    monkeypatch.setattr(counting, "_conv_at", counted)
+    return calls
+
+
+class TestChain:
+    @pytest.mark.parametrize(
+        "sparse", SPARSE_COLORS, ids=["0,1", "0,0,2", "none"]
+    )
+    def test_routes_agree_at_40(self, params, sparse):
+        assert count_recurrence(params, sparse, 40) == count_bell(params, sparse, 40)
+
+    def test_no_color_counts_only_the_empty_word(self, params):
+        s = count_recurrence(params, ColorSequence.explicit(()), 10)
+        assert s.values == (1,) + (0,) * 10
+
+    def test_ternary_to_120(self):
+        s = count_recurrence(PathParams(2, 0), ColorSequence.ones(), 120)
+        assert s.values == tuple(fuss_catalan(2, n) for n in range(121))
+
+    def test_duchon_to_60(self):
+        s = count_recurrence(PathParams(5, 0), ColorSequence.catalan_pair_sum(), 60)
+        assert s.values[1:] == tuple(duchon_d(n) for n in range(1, 61))
+
+    def test_rows_stop_at_last_color(self, kernel_calls):
+        # With c_l = 0 for l > 2 only the chain rows y^1 and y^2 are
+        # read, so only y^2 is convolved: one kernel call per index.
+        N = 100
+        count_recurrence(PathParams(1, 0), ColorSequence.explicit((1, 1)), N)
+        assert len(kernel_calls) <= N
+
+    @pytest.mark.parametrize("a, b", [(5, 0), (2, 3), (0, 4), (3, 1)])
+    def test_at_most_N_plus_max_ab_rows(self, kernel_calls, a, b):
+        # Each row is filled through index N-1 at most, one kernel call
+        # per entry.
+        N = 30
+        count_recurrence(PathParams(a, b), ColorSequence.ones(), N)
+        assert len(kernel_calls) <= (N + max(a, b)) * N
+
+    def test_independent_of_bell_route(self, monkeypatch):
+        params, colors = PathParams(2, 1), ColorSequence.catalan_pair_sum()
+        expected = count_bell(params, colors, 20)
+
+        def forbidden(*args):
+            raise AssertionError("Bell triangle read by the recurrence route")
+
+        monkeypatch.setattr(bell, "partial_bell_triangle", forbidden)
+        monkeypatch.setattr(counting, "partial_bell_triangle", forbidden)
+        assert count_recurrence(params, colors, 20) == expected
 
 
 class TestBellRoute:

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb
+
 import pytest
 
 from colored_dyck import (
@@ -7,6 +10,7 @@ from colored_dyck import (
     count_bell,
     peak_table,
 )
+from colored_dyck.bell import binomial, exact_div
 from colored_dyck.errors import InvalidIndex
 from colored_dyck.sequences import (
     a052709_closed,
@@ -26,6 +30,64 @@ from colored_dyck.sequences import (
     schroeder_little,
     step_lattice_count,
 )
+
+
+# Reference forms: each closed form summed term by term as its formula
+# is written, with Fraction terms where a term need not be an integer.
+# The integer sums in colored_dyck.sequences must equal them.
+
+
+def motzkin_colored_reference(c1, c2, n):
+    return sum(
+        comb(n, 2 * k) * catalan(k) * c1 ** (n - 2 * k) * c2**k
+        for k in range(n // 2 + 1)
+    )
+
+
+def a052709_reference(n):
+    total = Fraction(0)
+    for k in range((n + 1) // 2, n + 1):
+        total += Fraction(binomial(2 * k, k - 1) * binomial(k, n - k), k)
+    return exact_div(total.numerator, total.denominator, "a052709")
+
+
+def a186997_reference(n):
+    total = Fraction(0)
+    for k in range((n + 1) // 2, n + 1):
+        total += Fraction(binomial(n + 2 * k, k - 1) * binomial(k, n - k), k)
+    return exact_div(total.numerator, total.denominator, "a186997")
+
+
+def duchon_d_reference(n):
+    total = Fraction(0)
+    for j in range(n + 1):
+        total += Fraction(
+            comb(5 * n + 1, n - j) * comb(5 * n + 2 * j, j), 5 * n + j + 1
+        )
+    return exact_div(total.numerator, total.denominator, "duchon_d")
+
+
+class TestIntegerSums:
+    @pytest.mark.parametrize(
+        "form, reference",
+        [
+            (a052709_closed, a052709_reference),
+            (a186997_closed, a186997_reference),
+            (duchon_d, duchon_d_reference),
+        ],
+        ids=["a052709", "a186997", "duchon_d"],
+    )
+    def test_equal_to_fraction_sum(self, form, reference):
+        for n in range(1, 151):
+            assert form(n) == reference(n), n
+
+    @pytest.mark.parametrize("c1", range(4))
+    @pytest.mark.parametrize("c2", range(4))
+    def test_motzkin_equal_to_term_sum(self, c1, c2):
+        for n in range(151):
+            assert motzkin_colored(c1, c2, n) == motzkin_colored_reference(
+                c1, c2, n
+            ), n
 
 
 class TestNarayana:
