@@ -7,6 +7,7 @@ from .bell import (
     partial_bell_rec,
     partial_bell_sum,
     partial_bell_triangle,
+    power_triangle,
     scaled_colors,
 )
 from .bijection import (

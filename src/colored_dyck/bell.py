@@ -1,15 +1,25 @@
 """Exact big-integer combinatorial primitives.
 
-Partial Bell polynomials are evaluated by the standard recurrence,
-one whole triangle B_{n,k}, n <= N, at a time (partial_bell_triangle);
-partial_bell_rec reads one cell of it.  The partition sum
-(partial_bell_sum, over partitions_into_parts) is an independent,
-exponential-time oracle that only the tests call.
+The paper writes its counts with the partial Bell polynomials
+B_{n,k}(1!c_1, 2!c_2, ...).  By Comtet (Advanced Combinatorics, 1974,
+section 3.3),
+
+    B_{n,k}(1!c_1, 2!c_2, ...) = n!/k! * [t^n] C(t)^k,
+    C(t) = c_1 t + c_2 t^2 + ...,
+
+so the counting routes read the power triangle P_{k,n} = [t^n] C(t)^k
+(power_triangle), which carries no factorials.  The Bell polynomials
+themselves are evaluated by the standard recurrence, one whole
+triangle B_{n,k}, n <= N, at a time (partial_bell_triangle);
+partial_bell_rec reads one cell of it.  These, scaled_colors and the
+exponential partition sum (partial_bell_sum, over
+partitions_into_parts) are oracles that only the tests call.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from .errors import InvalidIndex, NonIntegerTerm
 from .model import ColorSequence
@@ -22,6 +32,7 @@ __all__ = [
     "partial_bell_sum",
     "partial_bell_rec",
     "partial_bell_triangle",
+    "power_triangle",
     "scaled_colors",
 ]
 
@@ -49,11 +60,22 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
+def _int_text(v: int) -> str:
+    """v in decimal, or its bit length if it has more digits than the
+    interpreter converts to text (4300 by default)."""
+    try:
+        return str(v)
+    except ValueError:
+        return f"<{'-' if v < 0 else ''}{v.bit_length()}-bit integer>"
+
+
 def exact_div(num: int, den: int, context: str) -> int:
     """num / den, raising NonIntegerTerm unless it is an integer."""
     q, rem = divmod(num, den)
     if rem:
-        raise NonIntegerTerm(f"non-integer value in {context}: {num}/{den}")
+        raise NonIntegerTerm(
+            f"non-integer value in {context}: {_int_text(num)}/{_int_text(den)}"
+        )
     return q
 
 
@@ -138,6 +160,34 @@ def partial_bell_triangle(N: int, x) -> list[list[int]]:
             if w:
                 for k, value in enumerate(rows[n - j], start=1):
                     row[k] += w * value
+        rows.append(row)
+    return rows
+
+
+def power_triangle(N: int, c) -> list[list[int]]:
+    """The rows P[k][n] = [t^n] C(t)^k, 0 <= k, n <= N, of the powers of
+    C(t) = c_1 t + c_2 t^2 + ... for c = (c_1, ..., c_N), by
+
+        P_{k,n} = sum_j c_j * P_{k-1,n-j},  P_{0,0} = 1,
+
+    in O(N^3) integer products.  P_{k,n} = 0 for n < k; otherwise it
+    is the weighted count of compositions of n into k parts, a part j
+    weighing c_j, and equals k!/n! * B_{n,k}(1!c_1, 2!c_2, ...).
+    """
+    if N < 0:
+        raise InvalidIndex(f"need N >= 0, got N={N}")
+    if len(c) < N:
+        raise InvalidIndex(f"need at least N = {N} arguments, got {len(c)}")
+    rows = [[1] + [0] * N]
+    for k in range(1, N + 1):
+        # rev[N - m] = P_{k-1,m}, so that P_{k-1,n-j} for j = 1..n-k+1
+        # is the slice rev[N-n+1 : N-k+2], read forwards against c.
+        rev = rows[-1][::-1]
+        row = [0] * k
+        row += (
+            sum(map(mul, c[: n - k + 1], rev[N - n + 1 : N - k + 2]))
+            for n in range(k, N + 1)
+        )
         rows.append(row)
     return rows
 

@@ -8,6 +8,7 @@ Output formats: plain, bfile ("n value" per line, no header), jsonl
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,11 +41,21 @@ def parse_color_spec(spec: str) -> model.ColorSequence:
     raise argparse.ArgumentTypeError(f"bad color spec: {spec!r}")
 
 
+def _color_spec_arg(spec: str) -> model.ColorSequence:
+    # The parser is built once per process; looking parse_color_spec up
+    # at call time lets a wrapper installed later (a tracer) see it.
+    return parse_color_spec(spec)
+
+
+# argparse names the type function in its "invalid ... value" message.
+_color_spec_arg.__name__ = "parse_color_spec"
+
+
 def _add_common(parser):
     parser.add_argument("--a", type=int, required=True)
     parser.add_argument("--b", type=int, required=True)
     parser.add_argument(
-        "--colors", type=parse_color_spec, default=model.ColorSequence.ones()
+        "--colors", type=_color_spec_arg, default=model.ColorSequence.ones()
     )
 
 
@@ -165,35 +176,36 @@ def _cmd_preset(args):
     if args.name == "mary":
         params = model.PathParams(args.m, 0)
 
+    # Each row is an index followed by values that must all be equal.
     if args.name == "narayana":
         n = args.n if args.n is not None else args.N
         table = counting.peak_table(params, colors, n)
-        with _int_text_unlimited():
-            for k in range(1, n + 1):
-                print(f"{k} {sequences.narayana(n, k)} {table[k]}")
-        return 0
-
-    N = args.N
-    colored = counting.count_bell(params, colors, N)
-    if args.name == "duchon":
-        with _int_text_unlimited():
-            for n in range(1, N + 1):
-                print(
-                    f"{n} {sequences.duchon_d(n)} "
-                    f"{sequences.duchon_alt(n)} {colored[n]}"
-                )
-        return 0
-    if args.name == "mary":
-        closed = lambda n: sequences.fuss_catalan(args.m, n)
+        rows = [(k, sequences.narayana(n, k), table[k]) for k in range(1, n + 1)]
+        where = f"n={n}, k="
     else:
-        closed = spec.closed_form
+        N = args.N
+        colored = counting.count_bell(params, colors, N)
+        if args.name == "duchon":
+            closed = lambda n: (sequences.duchon_d(n), sequences.duchon_alt(n))
+        elif args.name == "mary":
+            closed = lambda n: (sequences.fuss_catalan(args.m, n),)
+        else:
+            closed = lambda n: (spec.closed_form(n),)
+        rows = [(n, *closed(n), colored[n]) for n in range(1, N + 1)]
+        where = "n="
     with _int_text_unlimited():
-        for n in range(1, N + 1):
-            print(f"{n} {closed(n)} {colored[n]}")
+        for row in rows:
+            print(" ".join(map(str, row)))
+    bad = [row[0] for row in rows if len(set(row[1:])) > 1]
+    if bad:
+        print(f"closed form disagreement at {where}{bad[0]}", file=sys.stderr)
+        return 1
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and then shared."""
     parser = argparse.ArgumentParser(
         prog="colored-dyck",
         description="Count, generate, validate, and decompose colored Dyck paths.",

@@ -5,16 +5,26 @@ count_recurrence evaluates the convolution recurrence
     y_0 = 1,
     y_n = sum_l c_l * [x^(n-l)] y(x)^(a*l+b),
 
-while count_bell evaluates the closed form
+while count_bell evaluates the paper's closed form
 
     y_n = sum_k C(a*n + b*k, k-1) * (k-1)!/n! * B_{n,k}(1!c_1, 2!c_2, ...).
+
+By Comtet's identity B_{n,k}(1!c_1, 2!c_2, ...) = n!/k! * P_{k,n}, with
+P_{k,n} = [t^n] C(t)^k and C(t) = sum_j c_j t^j (Advanced
+Combinatorics, 1974, section 3.3), each term is
+
+    C(a*n + b*k, k-1) * P_{k,n} / k,
+
+and count_bell reads every P_{k,n} from one power triangle built once
+up to N (bell.power_triangle): no factorial and no binomial weight
+in any cell.
 
 Both routes are polynomial in N.  The recurrence reads only the powers
 y^(a*l+b), l = 1..N, and builds them by pairwise convolution along the
 chain y^b * (y^a)^l: y^1 .. y^max(a,b) from y, then each chain row
 from the one below it, at most N + max(a, b) rows in all.  The closed
-form reads every B_{n,k} from one partial Bell triangle built once up
-to N.  Neither route reads the other's tables.
+form raises the coloring series C to powers and never reads y.
+Neither route reads the other's tables.
 
 Each formula term is an exact integer quotient; a nonzero remainder
 raises NonIntegerTerm and certifies a bug, since integrality is a
@@ -24,10 +34,9 @@ theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 from operator import mul
 
-from .bell import binomial, exact_div, partial_bell_triangle, scaled_colors
+from .bell import binomial, exact_div, power_triangle
 from .model import ColorSequence, PathParams
 
 __all__ = [
@@ -140,25 +149,21 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
     return CountSeries(tuple(y))
 
 
-def _bell_row(colors, n):
-    """Row n of the Bell triangle at (1!c_1, 2!c_2, ..., n!c_n)."""
-    return partial_bell_triangle(n, scaled_colors(colors, n))[n]
-
-
-def _bell_terms(params, row, r=1):
-    """The exact terms r * C(a*n + b*k + r - 1, k-1) * (k-1)!/n! * B_{n,k}
-    for k = 1..n, with B_{n,k} = row[k] from row n of the Bell triangle."""
+def _bell_terms(params, rows, n, r=1):
+    """The exact terms r * C(a*n + b*k + r - 1, k-1) * P_{k,n} / k for
+    k = 1..n, with P_{k,n} = rows[k][n] from the power triangle.  A
+    failed division names n and r; its denominator is k."""
     a, b = params.a, params.b
-    n = len(row) - 1
-    n_fact = factorial(n)
+    context = f"Bell term n={n}, r={r}"
     return [
-        exact_div(
-            r * binomial(a * n + b * k + r - 1, k - 1) * factorial(k - 1) * row[k],
-            n_fact,
-            f"Bell term n={n}, k={k}, r={r}",
-        )
+        exact_div(r * binomial(a * n + b * k + r - 1, k - 1) * rows[k][n], k, context)
         for k in range(1, n + 1)
     ]
+
+
+def _power_rows(colors, N):
+    """The power triangle of C(t) = sum_j c_j t^j up to N."""
+    return power_triangle(N, [colors.at(j) for j in range(1, N + 1)])
 
 
 def count_bell(params: PathParams, colors: ColorSequence, N: int) -> CountSeries:
@@ -167,8 +172,8 @@ def count_bell(params: PathParams, colors: ColorSequence, N: int) -> CountSeries
         raise ValueError("need N >= 0")
     values = [1]
     if N:
-        rows = partial_bell_triangle(N, scaled_colors(colors, N))
-        values += (sum(_bell_terms(params, row)) for row in rows[1:])
+        rows = _power_rows(colors, N)
+        values += (sum(_bell_terms(params, rows, n)) for n in range(1, N + 1))
     return CountSeries(tuple(values))
 
 
@@ -190,14 +195,15 @@ def convolution_power_closed(
     params: PathParams, colors: ColorSequence, r: int, n: int
 ) -> int:
     """Closed form for the r-fold convolution power at index n >= 1:
-    r * sum_k C(a*n + b*k + r - 1, k-1) * (k-1)!/n! * B_{n,k}(1!c_1, ...)."""
+    r * sum_k C(a*n + b*k + r - 1, k-1) * (k-1)!/n! * B_{n,k}(1!c_1, ...),
+    summed as r * sum_k C(a*n + b*k + r - 1, k-1) * P_{k,n} / k."""
     if r < 1 or n < 1:
         raise ValueError("need r >= 1 and n >= 1")
-    return sum(_bell_terms(params, _bell_row(colors, n), r))
+    return sum(_bell_terms(params, _power_rows(colors, n), n, r))
 
 
 def peak_table(params: PathParams, colors: ColorSequence, n: int) -> PeakTable:
     """Counts of words of index n refined by their number of peaks."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return PeakTable(n, _bell_terms(params, _bell_row(colors, n)))
+    return PeakTable(n, _bell_terms(params, _power_rows(colors, n), n))

@@ -13,6 +13,7 @@ from colored_dyck import (
     partial_bell_rec,
     partial_bell_sum,
     partial_bell_triangle,
+    power_triangle,
     scaled_colors,
 )
 from colored_dyck.bell import exact_div, partitions_into_parts
@@ -51,6 +52,12 @@ class TestPrimitives:
         assert exact_div(6, 3, "x") == 2
         with pytest.raises(NonIntegerTerm):
             exact_div(7, 2, "x")
+
+    def test_exact_div_of_huge_operands(self):
+        # 10^5000 + 1 has more digits than the interpreter converts to
+        # text by default, so the message gives its bit length.
+        with pytest.raises(NonIntegerTerm, match="16610-bit integer>/10$"):
+            exact_div(10**5000 + 1, 10, "x")
 
 
 class TestPartitions:
@@ -189,6 +196,38 @@ class TestBellTriangle:
             partial_bell_triangle(-1, ())
         with pytest.raises(InvalidIndex):
             partial_bell_triangle(3, (1, 1))
+
+
+class TestPowerTriangle:
+    @pytest.mark.parametrize("c", TRIANGLE_ARGS)
+    def test_comtet_identity(self, c):
+        # B_{n,k}(1!c_1, 2!c_2, ...) = n!/k! * [t^n] C(t)^k
+        x = tuple(math.factorial(j) * cj for j, cj in enumerate(c, start=1))
+        bell_rows = partial_bell_triangle(12, x)
+        power_rows = power_triangle(12, c)
+        assert [len(row) for row in power_rows] == [13] * 13
+        for k in range(13):
+            assert power_rows[k][:k] == [0] * k
+        for n in range(13):
+            for k in range(n + 1):
+                scale = math.factorial(n) // math.factorial(k)
+                assert bell_rows[n][k] == scale * power_rows[k][n]
+
+    def test_compositions(self):
+        # c_j = 1: P_{k,n} = C(n-1, k-1) compositions of n into k parts
+        rows = power_triangle(9, (1,) * 9)
+        for k in range(1, 10):
+            for n in range(k, 10):
+                assert rows[k][n] == math.comb(n - 1, k - 1)
+
+    def test_empty(self):
+        assert power_triangle(0, ()) == [[1]]
+
+    def test_invalid_arguments(self):
+        with pytest.raises(InvalidIndex):
+            power_triangle(-1, ())
+        with pytest.raises(InvalidIndex):
+            power_triangle(3, (1, 1))
 
 
 class TestConvolutionIdentities:

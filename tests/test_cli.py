@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import colored_dyck
-from colored_dyck.cli import main, parse_color_spec
+from colored_dyck import cli, sequences
+from colored_dyck.cli import build_parser, main, parse_color_spec
 from colored_dyck.counting import count_recurrence
 from colored_dyck.model import ColorSequence, PathParams
 
@@ -246,6 +248,85 @@ class TestPreset:
             for line in out.splitlines():
                 fields = line.split()
                 assert fields[1] == fields[2], (name, line)
+
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (("preset", "motzkin", "--N", "6"), "motzkin_colored"),
+            (("preset", "mary", "--m", "3", "--N", "6"), "fuss_catalan"),
+            (("preset", "duchon", "--N", "6"), "duchon_alt"),
+            (("preset", "narayana", "--n", "6"), "narayana"),
+        ],
+        ids=["motzkin", "mary", "duchon", "narayana"],
+    )
+    def test_disagreement_exits_1(self, run, monkeypatch, argv, target):
+        _, good, _ = run(*argv)
+        closed = getattr(sequences, target)
+
+        def off_by_one(*args):
+            return closed(*args) + (args[-1] == 3)
+
+        monkeypatch.setattr(sequences, target, off_by_one)
+        code, out, err = run(*argv)
+        assert code == 1
+        assert len(out.splitlines()) == len(good.splitlines())
+        where = "n=6, k=3" if target == "narayana" else "n=3"
+        assert err == f"closed form disagreement at {where}\n"
+
+
+class TestParser:
+    def test_built_once(self, run, monkeypatch):
+        # _add_common runs once per subcommand that takes --a/--b/--colors
+        # each time the parser is built.
+        build_parser.cache_clear()
+        calls = []
+        add_common = cli._add_common
+
+        def counted(parser):
+            calls.append(parser.prog)
+            add_common(parser)
+
+        monkeypatch.setattr(cli, "_add_common", counted)
+        for _ in range(3):
+            assert run("count", "--a", "1", "--b", "0", "--N", "2")[0] == 0
+        assert run("preset", "motzkin", "--N", "2")[0] == 0
+        assert len(calls) == 5
+
+    def test_no_state_between_calls(self, run):
+        code, out, _ = run(
+            "count", "--a", "1", "--b", "0", "--N", "4", "--colors", "pow2"
+        )
+        assert (code, out.split()) == (0, ["1", "1", "3", "11", "45"])
+        code, out, _ = run("count", "--a", "1", "--b", "0", "--N", "4")
+        assert (code, out.split()) == (0, ["1", "1", "2", "5", "14"])
+
+    def test_usage_error_then_good_call(self, run, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--a", "1", "--b", "0", "--N", "3", "--colors", "const:x"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: colored-dyck count ")
+        assert captured.err.endswith(
+            "error: argument --colors: invalid parse_color_spec value: 'const:x'\n"
+        )
+        code, out, err = run("count", "--a", "1", "--b", "0", "--N", "3")
+        assert (code, out, err) == (0, "1\n1\n2\n5\n", "")
+
+    def test_colors_read_through_module_attribute(self, run, monkeypatch):
+        # A wrapper put on cli.parse_color_spec after the parser was
+        # built is the one --colors calls.
+        assert run("count", "--a", "1", "--b", "0", "--N", "2")[0] == 0
+        seen = []
+
+        def spy(spec):
+            seen.append(spec)
+            return parse_color_spec(spec)
+
+        monkeypatch.setattr(cli, "parse_color_spec", spy)
+        assert run("count", "--a", "1", "--b", "0", "--N", "2", "--colors", "pow2")[0] == 0
+        assert seen == ["pow2"]
 
 
 class TestDeterminism:

@@ -108,10 +108,11 @@ class TestChain:
         expected = count_bell(params, colors, 20)
 
         def forbidden(*args):
-            raise AssertionError("Bell triangle read by the recurrence route")
+            raise AssertionError("Bell route table read by the recurrence route")
 
+        monkeypatch.setattr(bell, "power_triangle", forbidden)
+        monkeypatch.setattr(counting, "power_triangle", forbidden)
         monkeypatch.setattr(bell, "partial_bell_triangle", forbidden)
-        monkeypatch.setattr(counting, "partial_bell_triangle", forbidden)
         assert count_recurrence(params, colors, 20) == expected
 
 
@@ -138,6 +139,30 @@ class TestBellRoute:
 
     def test_y0_is_one(self, params, colors):
         assert count_bell(params, colors, 0).values == (1,)
+
+    @pytest.mark.parametrize(
+        "a, b, colors",
+        [
+            (1, 0, ColorSequence.ones()),
+            (2, 1, ColorSequence.catalan_pair_sum()),
+            (5, 0, ColorSequence.catalan_pair_sum()),
+        ],
+        ids=["a1b0-ones", "a2b1-catpair", "a5b0-catpair"],
+    )
+    def test_routes_agree_at_200(self, a, b, colors):
+        params = PathParams(a, b)
+        assert count_bell(params, colors, 200) == count_recurrence(params, colors, 200)
+
+    def test_independent_of_recurrence_route(self, monkeypatch):
+        params, colors = PathParams(2, 1), ColorSequence.catalan_pair_sum()
+        expected = count_recurrence(params, colors, 20)
+
+        def forbidden(*args):
+            raise AssertionError("recurrence route called by the Bell route")
+
+        monkeypatch.setattr(counting, "count_recurrence", forbidden)
+        assert count_bell(params, colors, 20) == expected
+        assert peak_table(params, colors, 8).total() == expected[8]
 
     def test_partition_oracles_off_the_hot_path(self, monkeypatch):
         def forbidden(*args):
