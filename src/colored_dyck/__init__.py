@@ -3,12 +3,9 @@
 from .bell import (
     binomial,
     catalan,
-    factorial,
-    partial_bell_rec,
     partial_bell_sum,
     partial_bell_triangle,
     power_triangle,
-    scaled_colors,
 )
 from .bijection import (
     DecompositionTuple,

@@ -10,9 +10,8 @@ section 3.3),
 so the counting routes read the power triangle P_{k,n} = [t^n] C(t)^k
 (power_triangle), which carries no factorials.  The Bell polynomials
 themselves are evaluated by the standard recurrence, one whole
-triangle B_{n,k}, n <= N, at a time (partial_bell_triangle);
-partial_bell_rec reads one cell of it.  These, scaled_colors and the
-exponential partition sum (partial_bell_sum, over
+triangle B_{n,k}, n <= N, at a time (partial_bell_triangle); that
+triangle and the exponential partition sum (partial_bell_sum, over
 partitions_into_parts) are oracles that only the tests call.
 """
 
@@ -22,26 +21,15 @@ import math
 from operator import mul
 
 from .errors import InvalidIndex, NonIntegerTerm
-from .model import ColorSequence
 
 __all__ = [
-    "factorial",
     "binomial",
     "catalan",
     "partitions_into_parts",
     "partial_bell_sum",
-    "partial_bell_rec",
     "partial_bell_triangle",
     "power_triangle",
-    "scaled_colors",
 ]
-
-
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    if n < 0:
-        raise ValueError("factorial of a negative number")
-    return math.factorial(n)
 
 
 def binomial(m: int, r: int) -> int:
@@ -109,15 +97,6 @@ def partitions_into_parts(n: int, k: int):
         yield tuple(alpha)
 
 
-def _check_bell_args(n, k, x):
-    if k < 1 or k > n:
-        raise InvalidIndex(f"need 1 <= k <= n, got n={n}, k={k}")
-    if len(x) < n - k + 1:
-        raise InvalidIndex(
-            f"need at least n-k+1 = {n - k + 1} arguments, got {len(x)}"
-        )
-
-
 def partial_bell_sum(n: int, k: int, x) -> int:
     """B_{n,k}(x_1, ..., x_{n-k+1}) by the partition sum.
 
@@ -125,7 +104,12 @@ def partial_bell_sum(n: int, k: int, x) -> int:
     is a multinomial and therefore an exact integer; the division is
     performed in integer arithmetic.
     """
-    _check_bell_args(n, k, x)
+    if k < 1 or k > n:
+        raise InvalidIndex(f"need 1 <= k <= n, got n={n}, k={k}")
+    if len(x) < n - k + 1:
+        raise InvalidIndex(
+            f"need at least n-k+1 = {n - k + 1} arguments, got {len(x)}"
+        )
     total = 0
     n_fact = math.factorial(n)
     for alpha in partitions_into_parts(n, k):
@@ -190,21 +174,3 @@ def power_triangle(N: int, c) -> list[list[int]]:
         )
         rows.append(row)
     return rows
-
-
-def partial_bell_rec(n: int, k: int, x) -> int:
-    """B_{n,k} as one cell of partial_bell_triangle.
-
-    Independent of partial_bell_sum; used as a cross-check oracle.
-    """
-    _check_bell_args(n, k, x)
-    # B_{n,k} reads only x_1..x_{n-k+1}; the zeros fill the row length.
-    return partial_bell_triangle(n, tuple(x) + (0,) * (n - len(x)))[n][k]
-
-
-def scaled_colors(colors: ColorSequence, n: int):
-    """The argument sequence (1!*c_1, 2!*c_2, ..., n!*c_n) fed to the
-    Bell polynomials in the counting formulas."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return tuple(math.factorial(j) * colors.at(j) for j in range(1, n + 1))

@@ -36,7 +36,7 @@ def parse_color_spec(spec: str) -> model.ColorSequence:
         if "+tail:" in body:
             body, tail_part = body.split("+tail:", 1)
             tail = int(tail_part)
-        prefix = tuple(int(c) for c in body.split(",") if c != "")
+        prefix = tuple(int(c) for c in body.split(",")) if body else ()
         return model.ColorSequence.explicit(prefix, tail)
     raise argparse.ArgumentTypeError(f"bad color spec: {spec!r}")
 

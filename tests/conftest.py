@@ -2,7 +2,8 @@ import pytest
 
 from colored_dyck import ColorSequence, PathParams
 
-# (a, b) grid used by the cross-route and enumeration checks.
+# (a, b) and color grids of the cross-route and enumeration checks;
+# tests/test_acceptance.py imports both.
 PARAM_GRID = [
     PathParams(a, b)
     for a in range(4)

@@ -15,8 +15,8 @@ from colored_dyck import (
     count_bell,
     count_recurrence,
     enumerate_all,
-    partial_bell_rec,
     partial_bell_sum,
+    partial_bell_triangle,
     peak_table,
     peaks,
 )
@@ -39,17 +39,7 @@ from colored_dyck.sequences import (
     step_lattice_count,
 )
 
-GRID_PARAMS = [
-    PathParams(a, b) for a in range(4) for b in range(4) if a + b >= 1
-]
-GRID_COLORS = [
-    ColorSequence.ones(),
-    ColorSequence.powers_of_two(),
-    ColorSequence.catalan_pair_sum(),
-    ColorSequence.explicit((1, 1)),
-    ColorSequence.explicit((2, 0, 1)),
-    ColorSequence.constant(3),
-]
+from conftest import COLOR_GRID, PARAM_GRID
 
 
 def report(criterion, ok):
@@ -59,8 +49,8 @@ def report(criterion, ok):
 
 def test_criterion_1_dual_route_equality():
     ok = True
-    for params in GRID_PARAMS:
-        for colors in GRID_COLORS:
+    for params in PARAM_GRID:
+        for colors in COLOR_GRID:
             rec = count_recurrence(params, colors, 12)
             bell = count_bell(params, colors, 12)
             ok = ok and rec.values == bell.values
@@ -68,8 +58,8 @@ def test_criterion_1_dual_route_equality():
 
 
 def _enumeration_points():
-    for params in GRID_PARAMS:
-        for colors in GRID_COLORS:
+    for params in PARAM_GRID:
+        for colors in COLOR_GRID:
             for n in range(7 // params.period + 1):
                 yield params, colors, n
 
@@ -106,8 +96,8 @@ def test_criterion_3_bijection_round_trip():
 
 def test_criterion_4_convolution_lemma():
     ok = True
-    for params in GRID_PARAMS:
-        for colors in GRID_COLORS:
+    for params in PARAM_GRID:
+        for colors in COLOR_GRID:
             series = count_recurrence(params, colors, 8)
             for r in range(1, 9):
                 for n in range(1, 9):
@@ -128,7 +118,8 @@ def test_criterion_5_bell_engine_identities():
         n = rng.randint(1, 10)
         k = rng.randint(1, n)
         x = tuple(rng.randint(-5, 5) for _ in range(n - k + 1))
-        ok = ok and partial_bell_sum(n, k, x) == partial_bell_rec(n, k, x)
+        cell = partial_bell_triangle(n, x + (0,) * (k - 1))[n][k]
+        ok = ok and partial_bell_sum(n, k, x) == cell
 
     def bell_or_base(m, q, x):
         if q == 0:
@@ -246,8 +237,8 @@ def test_criterion_8_no_integrality_failures():
     # criteria 1-7 exercise every rational-intermediate formula; here we
     # rerun a broad sweep and require that no NonIntegerTerm escapes
     try:
-        for params in GRID_PARAMS:
-            for colors in GRID_COLORS:
+        for params in PARAM_GRID:
+            for colors in COLOR_GRID:
                 count_bell(params, colors, 12)
                 for n in range(1, 9):
                     peak_table(params, colors, n)

@@ -1,20 +1,19 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colored_dyck import (
-    ColorSequence,
+    bell,
     binomial,
     catalan,
-    factorial,
-    partial_bell_rec,
     partial_bell_sum,
     partial_bell_triangle,
     power_triangle,
-    scaled_colors,
 )
 from colored_dyck.bell import exact_div, partitions_into_parts
 from colored_dyck.errors import InvalidIndex, NonIntegerTerm
@@ -22,19 +21,10 @@ from colored_dyck.errors import InvalidIndex, NonIntegerTerm
 
 def bell_or_base(n, k, x):
     """B_{n,k} extended to the k = 0 and k > n boundary cases."""
-    if k == 0:
-        return 1 if n == 0 else 0
-    if k > n:
-        return 0
-    return partial_bell_rec(n, k, x)
+    return partial_bell_triangle(n, x)[n][k] if k <= n else 0
 
 
 class TestPrimitives:
-    def test_factorial(self):
-        assert factorial(0) == 1
-        assert factorial(1) == 1
-        assert factorial(6) == 720
-
     def test_binomial(self):
         assert binomial(5, 0) == 1
         assert binomial(5, -1) == 0
@@ -100,25 +90,24 @@ class TestBellEvaluators:
         assert partial_bell_sum(3, 2, (5, 7)) == 3 * 5 * 7
 
     def test_rec_base(self):
-        assert partial_bell_rec(1, 1, (9,)) == 9
-        assert partial_bell_rec(4, 4, (2,)) == 16
+        assert partial_bell_triangle(1, (9,))[1][1] == 9
+        assert partial_bell_triangle(4, (2, 0, 0, 0))[4][4] == 16
 
     def test_invalid_index(self):
         with pytest.raises(InvalidIndex):
             partial_bell_sum(3, 4, (1, 1, 1))
-        with pytest.raises(InvalidIndex):
-            partial_bell_rec(3, 0, (1, 1, 1))
 
     def test_factorial_arguments_give_lah_like_values(self):
         # B_{n,k}(1!, 2!, 3!, ...) = (n!/k!) * C(n-1, k-1)
         for n in range(1, 9):
             x = tuple(math.factorial(i) for i in range(1, n + 1))
+            row = partial_bell_triangle(n, x)[n]
             for k in range(1, n + 1):
                 expected = math.factorial(n) // math.factorial(k) * math.comb(
                     n - 1, k - 1
                 )
                 assert partial_bell_sum(n, k, x) == expected
-                assert partial_bell_rec(n, k, x) == expected
+                assert row[k] == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -130,7 +119,9 @@ class TestBellEvaluators:
         x = tuple(
             data.draw(st.integers(-6, 6)) for _ in range(n - k + 1)
         )
-        assert partial_bell_sum(n, k, x) == partial_bell_rec(n, k, x)
+        # the triangle reads x_1..x_n; B_{n,k} reads only x_1..x_{n-k+1}
+        cell = partial_bell_triangle(n, x + (0,) * (k - 1))[n][k]
+        assert partial_bell_sum(n, k, x) == cell
 
     def test_homogeneity(self):
         rng = random.Random(7)
@@ -150,12 +141,13 @@ class TestBellEvaluators:
         # only parts 1 and 2 available: B_{n,k} = 0 for k < ceil(n/2)
         for n in range(1, 11):
             x = (1, 4) + (0,) * max(0, n - 2)
+            row = partial_bell_triangle(n, x)[n]
             for k in range(1, n + 1):
                 value = partial_bell_sum(n, k, x)
                 if k < (n + 1) // 2:
                     assert value == 0
                 else:
-                    assert value == partial_bell_rec(n, k, x)
+                    assert value == row[k]
 
 
 # Argument sequences of the evaluator tests above, extended to 12 terms.
@@ -164,8 +156,12 @@ TRIANGLE_ARGS = [
     tuple(math.factorial(i) for i in range(1, 13)),
     (1, 4) + (0,) * 10,
     (2, -3, 0, 5, -1, 6, 4, -6, 1, 0, -2, 3),
-    scaled_colors(ColorSequence.ones(), 12),
-    scaled_colors(ColorSequence.powers_of_two(), 12),
+    # (j! * c_j) for c_j = 1 and for c_j = 2^(j-1)
+    (1, 2, 6, 24, 120, 720, 5040, 40320, 362880, 3628800, 39916800, 479001600),
+    (
+        1, 4, 24, 192, 1920, 23040, 322560, 5160960, 92897280, 1857945600,
+        40874803200, 980995276800,
+    ),
 ]
 
 
@@ -271,12 +267,15 @@ class TestConvolutionIdentities:
                 assert lhs == b * k * partial_bell_sum(n, k, x)
 
 
-class TestScaledColors:
-    def test_ones(self):
-        assert scaled_colors(ColorSequence.ones(), 3) == (1, 2, 6)
-
-    def test_powers_of_two(self):
-        assert scaled_colors(ColorSequence.powers_of_two(), 3) == (1, 4, 24)
-
-    def test_explicit_tail_zero(self):
-        assert scaled_colors(ColorSequence.explicit((1, 1)), 4) == (1, 2, 0, 0)
+def test_bell_imports_only_errors_from_the_package():
+    # bell is a leaf module: the counting routes and the tests build on
+    # it, and it builds on nothing of the package but its errors.
+    tree = ast.parse(Path(bell.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    package = {m for m in imported if m.startswith((".", "colored_dyck"))}
+    assert package == {".errors"}

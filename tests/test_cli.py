@@ -38,12 +38,29 @@ class TestColorSpecGrammar:
         assert parse_color_spec(
             "explicit:2,0,1+tail:3"
         ) == ColorSequence.explicit((2, 0, 1), tail=3)
+        # an empty body is the all-zero coloring
+        assert parse_color_spec("explicit:") == ColorSequence.explicit(())
 
     def test_bad_spec(self):
         import argparse
 
         with pytest.raises(argparse.ArgumentTypeError):
             parse_color_spec("rainbow")
+
+    @pytest.mark.parametrize(
+        "spec", ["explicit:1,,2", "explicit:,1", "explicit:1,2,", "explicit:,"]
+    )
+    def test_explicit_empty_field_is_a_usage_error(self, capsys, spec):
+        with pytest.raises(ValueError):
+            parse_color_spec(spec)
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--a", "1", "--b", "0", "--colors", spec, "--N", "4"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument --colors: invalid parse_color_spec value: '{spec}'\n"
+        )
 
 
 class TestCount:
