@@ -5,7 +5,9 @@ A nonempty word of index n corresponds uniquely to a tuple
 ell with its color, followed by the children words separated by single
 down steps.  compose builds the word from the tuple, decompose inverts
 it via the excess procedure, and enumerate_all lists the whole set in
-a fixed deterministic order.
+a fixed deterministic order.  The enumeration is one walk over
+block-code strings (one character per block), which the CLI streams
+as text without building a word object.
 """
 
 from __future__ import annotations
@@ -152,6 +154,110 @@ def weak_compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+# chr() names each integer below 0x110000, so the walk has at most
+# this many codes: DOWN and the distinct rises below the top index.
+_CODE_LIMIT = 0x110000
+
+
+def _walk(params: PathParams, colors: ColorSequence, n: int, cap: int):
+    """The words of index n, streamed as block-code strings.
+
+    A code string holds one character per block: chr(0) for a down
+    step and chr(k) for rises[k], the k-th distinct Rise met below
+    index n.  Returns (rises, groups); groups yields pairs (head,
+    tails) in enumeration order, where head is the block tuple
+    (Rise(ell, color),) (the empty tuple at n = 0) and tails a list of
+    code strings: the words are head followed by each tail in turn.
+
+    Every lower index is memoized as code strings, and every index is
+    counted against the cap, before this returns; nothing is yielded
+    from an index over the cap.  Index n is never held: each group is
+    the children of one composition, built when it is reached.  Heads
+    at index n get no code, since they may have more colors than there
+    are characters.
+    """
+    if n < 0:
+        raise ValueError("need n >= 0")
+    if cap < 0:
+        raise ValueError("need cap >= 0")
+    rises = [DOWN]
+    first_code: dict[int, int] = {}  # ell -> code of Rise(ell, 1)
+    # memo[m]: the code of every word of index m, in order;
+    # after_down[m]: the same, each preceded by a separating down step.
+    memo: dict[int, list[str]] = {0: [""]}
+    after_down: dict[int, list[str]] = {}
+
+    def separated(i):
+        if i not in after_down:
+            after_down[i] = ["\0" + child for child in memo[i]]
+        return after_down[i]
+
+    def tails(comp):
+        # D_1 ++ d ++ D_2 ++ ... ++ d ++ D_r for every choice of
+        # children, in product order.
+        part = memo[comp[0]]
+        for i in comp[1:]:
+            seps = separated(i)
+            part = [head + tail for head in part for tail in seps]
+        return part
+
+    def plan(m):
+        """(ell, c_ell, compositions with words) for each head size
+        with words at index m, after building every child index and
+        counting the words of index m against the cap."""
+        heads = []
+        total = 0
+        for ell in range(1, m + 1):
+            n_colors = colors.at(ell)
+            if n_colors < 1:
+                continue
+            # Every child index is built before any word of this ell
+            # is counted, so a lower index over the cap is the one
+            # reported.
+            comps = list(weak_compositions(m - ell, params.a * ell + params.b))
+            for comp in comps:
+                for i in comp:
+                    build(i)
+            comps = [comp for comp in comps if all(memo[i] for i in comp)]
+            total += n_colors * sum(prod(len(memo[i]) for i in comp) for comp in comps)
+            if total > cap:
+                raise ResourceLimit(f"more than {cap} words at index {m}")
+            if comps:  # else no word has this head, however many colors
+                heads.append((ell, n_colors, comps))
+        return heads
+
+    def build(m):
+        if m in memo:
+            return
+        words = []
+        for ell, n_colors, comps in plan(m):
+            if ell not in first_code:
+                if len(rises) + n_colors > _CODE_LIMIT:
+                    raise ResourceLimit(
+                        f"more than {_CODE_LIMIT - 1} distinct rise blocks "
+                        f"below index {n}"
+                    )
+                first_code[ell] = len(rises)
+                rises.extend(Rise(ell, color) for color in range(1, n_colors + 1))
+            parts = [tails(comp) for comp in comps]
+            for k in range(first_code[ell], first_code[ell] + n_colors):
+                code = chr(k)
+                for part in parts:
+                    words.extend([code + tail for tail in part])
+        memo[m] = words
+
+    def groups(heads):
+        for ell, n_colors, comps in heads:
+            for color in range(1, n_colors + 1):
+                head = (Rise(ell, color),)
+                for comp in comps:
+                    yield head, tails(comp)
+
+    if n == 0:
+        return rises, iter([((), memo[0])])
+    return rises, groups(plan(n))
+
+
 def enumerate_all(
     params: PathParams,
     colors: ColorSequence,
@@ -165,57 +271,15 @@ def enumerate_all(
     recursively in this same order.  Exceeding the output cap is an
     error, not truncation.
 
-    Words are assembled as block tuples straight from the tuple
-    (ell, color; D_1, ..., D_r) and are not re-validated: the head
-    leaves balance r - 1, the r - 1 separators close it, every child is
+    The words are those of the walk over block-code strings, each
+    decoded into its block tuple and not re-validated: the head leaves
+    balance r - 1, the r - 1 separators close it, every child is
     balanced, and color <= c_ell by the loop bounds.
     """
-    if n < 0:
-        raise ValueError("need n >= 0")
-    if cap < 0:
-        raise ValueError("need cap >= 0")
-    # memo[m]: the block tuple of every word of index m, in order;
-    # after_down[m]: the same, each preceded by a separating down step.
-    memo: dict[int, tuple[tuple, ...]] = {0: ((),)}
-    after_down: dict[int, tuple[tuple, ...]] = {}
-    separator = (DOWN,)
-
-    def separated(i):
-        if i not in after_down:
-            after_down[i] = tuple([separator + child for child in memo[i]])
-        return after_down[i]
-
-    def build(m):
-        if m not in memo:
-            words = []
-            for ell in range(1, m + 1):
-                n_colors = colors.at(ell)
-                if n_colors < 1:
-                    continue
-                r = params.a * ell + params.b
-                # Every child index is built before any word of this ell
-                # is counted, so a lower index over the cap is the one
-                # reported.
-                comps = list(weak_compositions(m - ell, r))
-                child_sets = [[build(i) for i in comp] for comp in comps]
-                # D_1 ++ d ++ D_2 ++ ... ++ d ++ D_r for every choice
-                # of children, in composition then product order.
-                tails = []
-                for comp, sets in zip(comps, child_sets):
-                    size = prod(map(len, sets))
-                    if len(words) + n_colors * (len(tails) + size) > cap:
-                        raise ResourceLimit(f"more than {cap} words at index {m}")
-                    if not size:
-                        continue  # some child index has no words
-                    part = sets[0]
-                    for i in comp[1:]:
-                        seps = separated(i)
-                        part = [head + tail for head in part for tail in seps]
-                    tails.extend(part)
-                for color in range(1, n_colors + 1):
-                    rise = (Rise(ell, color),)
-                    words.extend([rise + tail for tail in tails])
-            memo[m] = tuple(words)
-        return memo[m]
-
-    return tuple([_trusted_word(params, blocks, n) for blocks in build(n)])
+    rises, groups = _walk(params, colors, n, cap)
+    decode = rises.__getitem__
+    return tuple([
+        _trusted_word(params, head + tuple(map(decode, map(ord, tail))), n)
+        for head, tails in groups
+        for tail in tails
+    ])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -20,8 +21,17 @@ from .errors import ColoredDyckError, NonIntegerTerm
 __all__ = ["main", "parse_color_spec"]
 
 
+def _plain_int(text: str) -> int:
+    """A count as the grammar writes it: ASCII digits only, no sign,
+    blank or underscore."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a plain integer: {text!r}")
+    return int(text)
+
+
 def parse_color_spec(spec: str) -> model.ColorSequence:
-    """Grammar: ones | pow2 | catpair | const:V | explicit:c1,c2,...[+tail:T]."""
+    """Grammar: ones | pow2 | catpair | const:V | explicit:c1,c2,...[+tail:T],
+    each number written in ASCII digits."""
     if spec == "ones":
         return model.ColorSequence.ones()
     if spec == "pow2":
@@ -29,14 +39,14 @@ def parse_color_spec(spec: str) -> model.ColorSequence:
     if spec == "catpair":
         return model.ColorSequence.catalan_pair_sum()
     if spec.startswith("const:"):
-        return model.ColorSequence.constant(int(spec[len("const:"):]))
+        return model.ColorSequence.constant(_plain_int(spec[len("const:"):]))
     if spec.startswith("explicit:"):
         body = spec[len("explicit:"):]
         tail = 0
         if "+tail:" in body:
             body, tail_part = body.split("+tail:", 1)
-            tail = int(tail_part)
-        prefix = tuple(int(c) for c in body.split(",")) if body else ()
+            tail = _plain_int(tail_part)
+        prefix = tuple(map(_plain_int, body.split(","))) if body else ()
         return model.ColorSequence.explicit(prefix, tail)
     raise argparse.ArgumentTypeError(f"bad color spec: {spec!r}")
 
@@ -123,32 +133,47 @@ def _cmd_peaks(args):
     return 0
 
 
-def _word_record(word):
-    blocks = []
-    n_peaks = 0
-    for block in word.blocks:
-        if isinstance(block, model.Rise):
-            blocks.append({"type": "rise", "j": block.j, "color": block.color})
-            n_peaks += 1
-        else:
-            blocks.append({"type": "down"})
-    record = {
-        "n": word.n,
-        "blocks": blocks,
-        "peaks": n_peaks,
-        "steps": model.to_steps(word),
-    }
-    return json.dumps(record, separators=(",", ":"))
+# Output is written in pieces of about this many characters.
+_WRITE_CHARS = 1 << 16
+
+
+def _block_json(block) -> str:
+    if isinstance(block, model.Rise):
+        return f'{{"type":"rise","j":{block.j},"color":{block.color}}}'
+    return '{"type":"down"}'
 
 
 def _cmd_enumerate(args):
     params = model.PathParams(args.a, args.b)
-    words = bijection.enumerate_all(params, args.colors, args.n, cap=args.cap)
-    for word in words:
-        if args.format == "jsonl":
-            print(_word_record(word))
-        else:
-            print(model.to_steps(word))
+    # The cap is checked here, before any line is written.
+    rises, groups = bijection._walk(params, args.colors, args.n, args.cap)
+    steps = model._step_texts(params, rises)
+    if args.format == "jsonl":
+        blocks = ["," + _block_json(block) for block in rises]
+        down = chr(0)  # the code of a down step; every other code is a peak
+
+        def lines(head, text, tails):
+            pre = f'{{"n":{args.n},"blocks":[' + "".join(map(_block_json, head))
+            return (
+                f'{pre}{tail.translate(blocks)}],"peaks":'
+                f'{len(head) + len(tail) - tail.count(down)},'
+                f'"steps":"{text}{tail.translate(steps)}"}}\n'
+                for tail in tails
+            )
+    else:
+
+        def lines(head, text, tails):
+            return (f"{text}{tail.translate(steps)}\n" for tail in tails)
+
+    out = itertools.chain.from_iterable(
+        lines(head, "".join(model._step_texts(params, head)), tails)
+        for head, tails in groups
+    )
+    first = next(out, "")
+    sys.stdout.write(first)
+    per_write = max(1, _WRITE_CHARS // max(1, len(first)))
+    while chunk := "".join(itertools.islice(out, per_write)):
+        sys.stdout.write(chunk)
     return 0
 
 

@@ -241,22 +241,24 @@ def validate_colors(word: ColoredDyckWord, colors: ColorSequence) -> None:
             _check_color(block.j, block.color, colors)
 
 
+def _step_texts(params: PathParams, blocks) -> list[str]:
+    """The step text of each block, in order; to_steps joins them."""
+    period, b = params.a + params.b, params.b
+    return [
+        f"{'u' * (period * block.j)}[{block.color}]{'d' * (b * (block.j - 1) + 1)}"
+        if isinstance(block, Rise)
+        else "d"
+        for block in blocks
+    ]
+
+
 def to_steps(word: ColoredDyckWord) -> str:
     """Serialize to step text over {u, d}.
 
     The color annotation "[k]" sits at the ascent/descent boundary of
     each Rise block and is always emitted.
     """
-    p = word.params
-    period, b = p.a + p.b, p.b
-    parts = []
-    for block in word.blocks:
-        if isinstance(block, Rise):
-            j = block.j
-            parts.append(f"{'u' * (period * j)}[{block.color}]{'d' * (b * (j - 1) + 1)}")
-        else:
-            parts.append("d")
-    return "".join(parts)
+    return "".join(_step_texts(word.params, word.blocks))
 
 
 _TOKEN = re.compile(r"u+|d+|\[\d+\]|.", re.DOTALL)

@@ -156,8 +156,11 @@ TRIANGLE_ARGS = [
     tuple(math.factorial(i) for i in range(1, 13)),
     (1, 4) + (0,) * 10,
     (2, -3, 0, 5, -1, 6, 4, -6, 1, 0, -2, 3),
-    # (j! * c_j) for c_j = 1 and for c_j = 2^(j-1)
-    (1, 2, 6, 24, 120, 720, 5040, 40320, 362880, 3628800, 39916800, 479001600),
+    # (j! * c_j) for c_j = C_{j-1} + C_j and for c_j = 2^(j-1)
+    (
+        2, 6, 42, 456, 6720, 125280, 2827440, 74954880, 2283240960,
+        78592550400, 3016991577600, 127796668876800,
+    ),
     (
         1, 4, 24, 192, 1920, 23040, 322560, 5160960, 92897280, 1857945600,
         40874803200, 980995276800,

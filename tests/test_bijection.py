@@ -15,6 +15,7 @@ from colored_dyck import (
     to_steps,
     validate_colors,
 )
+from colored_dyck import bijection
 from colored_dyck.bijection import weak_compositions
 from colored_dyck.errors import EmptyWord, InvalidTuple, MalformedWord, ResourceLimit
 
@@ -182,6 +183,31 @@ class TestEnumeration:
         assert len(enumerate_all(PathParams(1, 0), pow2, 3, cap=11)) == 11
         with pytest.raises(ResourceLimit, match="more than 10 words at index 3"):
             enumerate_all(PathParams(1, 0), pow2, 3, cap=10)
+
+    def test_head_without_children_is_not_walked_per_color(self):
+        # c_2 = 10^12, but with c_1 = 0 no word of index 3 has head size
+        # 2 (its children sum to 1); index 3 has no words at all
+        colors = ColorSequence.explicit((0, 10**12))
+        assert enumerate_all(PathParams(1, 0), colors, 3) == ()
+        with pytest.raises(ResourceLimit, match="at index 2"):
+            enumerate_all(PathParams(1, 0), colors, 4)
+
+    def test_heads_of_index_n_take_no_code(self, monkeypatch):
+        # with no code but the down step's, index 1 is still listed
+        monkeypatch.setattr(bijection, "_CODE_LIMIT", 1)
+        words = enumerate_all(PathParams(1, 0), ColorSequence.constant(5), 1)
+        assert [w.blocks for w in words] == [(Rise(1, c),) for c in range(1, 6)]
+
+    def test_codes_past_the_limit(self, monkeypatch):
+        # below index 3, pow2 has Rise(1, 1), Rise(2, 1) and Rise(2, 2)
+        pow2 = ColorSequence.powers_of_two()
+        monkeypatch.setattr(bijection, "_CODE_LIMIT", 4)
+        assert len(enumerate_all(PathParams(1, 0), pow2, 3)) == 11
+        monkeypatch.setattr(bijection, "_CODE_LIMIT", 3)
+        with pytest.raises(
+            ResourceLimit, match="more than 2 distinct rise blocks below index 3"
+        ):
+            enumerate_all(PathParams(1, 0), pow2, 3)
 
     def test_words_equal_checked_construction(self, params, colors):
         # enumerate_all builds its words without the structural walk

@@ -8,10 +8,13 @@ from pathlib import Path
 import pytest
 
 import colored_dyck
-from colored_dyck import cli, sequences
+from colored_dyck import bijection, cli, sequences
+from colored_dyck.bijection import enumerate_all
 from colored_dyck.cli import build_parser, main, parse_color_spec
 from colored_dyck.counting import count_recurrence
-from colored_dyck.model import ColorSequence, PathParams
+from colored_dyck.errors import ResourceLimit
+from colored_dyck.model import ColorSequence, PathParams, Rise, to_steps
+from conftest import COLOR_GRID
 
 
 @pytest.fixture
@@ -51,16 +54,32 @@ class TestColorSpecGrammar:
         "spec", ["explicit:1,,2", "explicit:,1", "explicit:1,2,", "explicit:,"]
     )
     def test_explicit_empty_field_is_a_usage_error(self, capsys, spec):
-        with pytest.raises(ValueError):
-            parse_color_spec(spec)
-        with pytest.raises(SystemExit) as exc:
-            main(["count", "--a", "1", "--b", "0", "--colors", spec, "--N", "4"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.endswith(
-            f"error: argument --colors: invalid parse_color_spec value: '{spec}'\n"
-        )
+        assert_color_usage_error(capsys, spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "explicit: 1, 2", "explicit:1, 2", "explicit:1_0", "explicit:+1",
+            "explicit:1+tail: 3", "explicit:1+tail:1_0", "const:1_0",
+            "const: 3", "const:+3", "const:\u0663",
+        ],
+    )
+    def test_number_not_in_ascii_digits_is_a_usage_error(self, capsys, spec):
+        # int() would read each of these; the grammar lists plain digits
+        assert_color_usage_error(capsys, spec)
+
+
+def assert_color_usage_error(capsys, spec):
+    with pytest.raises(ValueError):
+        parse_color_spec(spec)
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--a", "1", "--b", "0", "--colors", spec, "--N", "4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument --colors: invalid parse_color_spec value: '{spec}'\n"
+    )
 
 
 class TestCount:
@@ -208,6 +227,104 @@ class TestEnumerate:
         for record in records:
             assert list(record) == ["n", "blocks", "peaks", "steps"]
             assert record["n"] == 2
+
+
+# The conftest colorings as --colors specs, then two with zero counts.
+STREAM_SPECS = [
+    "ones", "pow2", "catpair", "explicit:1,1", "explicit:2,0,1", "const:3",
+    "explicit:0,1", "explicit:",
+]
+
+
+def word_record(word):
+    """The jsonl record of one word, as json.dumps wrote it before the
+    output was streamed: the reference for the streamed records."""
+    blocks = []
+    n_peaks = 0
+    for block in word.blocks:
+        if isinstance(block, Rise):
+            blocks.append({"type": "rise", "j": block.j, "color": block.color})
+            n_peaks += 1
+        else:
+            blocks.append({"type": "down"})
+    record = {
+        "n": word.n,
+        "blocks": blocks,
+        "peaks": n_peaks,
+        "steps": to_steps(word),
+    }
+    return json.dumps(record, separators=(",", ":"))
+
+
+def enumerate_argv(params, spec, n, *rest):
+    return (
+        "enumerate", "--a", str(params.a), "--b", str(params.b),
+        "--colors", spec, "--n", str(n), *rest,
+    )
+
+
+class TestEnumerateStream:
+    def test_specs_cover_the_color_grid(self):
+        assert [parse_color_spec(s) for s in STREAM_SPECS[:6]] == COLOR_GRID
+
+    @pytest.mark.parametrize("spec", STREAM_SPECS)
+    def test_lines_are_the_words_of_enumerate_all(self, run, params, spec):
+        colors = parse_color_spec(spec)
+        for n in range(7 // params.period + 1):
+            words = enumerate_all(params, colors, n)
+            argv = enumerate_argv(params, spec, n)
+            plain = "".join(to_steps(w) + "\n" for w in words)
+            assert run(*argv) == (0, plain, "")
+            jsonl = "".join(word_record(w) + "\n" for w in words)
+            assert run(*argv, "--format", "jsonl") == (0, jsonl, "")
+
+    @pytest.mark.parametrize("spec", STREAM_SPECS)
+    def test_cap_agrees_with_enumerate_all(self, run, params, spec):
+        # Caps at and one below y_m for every m <= n: the CLI fails
+        # exactly where enumerate_all does, before printing anything.
+        colors = parse_color_spec(spec)
+        for n in range(7 // params.period + 1):
+            y = count_recurrence(params, colors, n).values
+            for cap in sorted({c for v in y for c in (v - 1, v) if c >= 0}):
+                try:
+                    words = enumerate_all(params, colors, n, cap=cap)
+                    expected = (0, "".join(to_steps(w) + "\n" for w in words), "")
+                except ResourceLimit as exc:
+                    expected = (1, "", f"ResourceLimit: {exc}\n")
+                argv = enumerate_argv(params, spec, n, "--cap", str(cap))
+                assert run(*argv) == expected, cap
+
+    def test_cap_over_the_top_index_prints_nothing(self, run):
+        # y_5 = 8 and y_6 = 13 under (a, b) = (0, 1), c_1 = c_2 = 1
+        argv = enumerate_argv(PathParams(0, 1), "explicit:1,1", 6, "--cap", "10")
+        assert run(*argv) == (1, "", "ResourceLimit: more than 10 words at index 6\n")
+
+    def test_too_many_codes_is_a_resource_limit(self, run, monkeypatch):
+        # below index 3, pow2 has Rise(1, 1), Rise(2, 1) and Rise(2, 2)
+        monkeypatch.setattr(bijection, "_CODE_LIMIT", 3)
+        argv = enumerate_argv(PathParams(1, 0), "pow2", 3)
+        assert run(*argv) == (
+            1, "", "ResourceLimit: more than 2 distinct rise blocks below index 3\n"
+        )
+
+    def test_writes_about_64_kib(self, monkeypatch):
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(list(enumerate_argv(PathParams(1, 0), "ones", 10))) == 0
+        words = enumerate_all(PathParams(1, 0), ColorSequence.ones(), 10)
+        assert "".join(writes) == "".join(to_steps(w) + "\n" for w in words)
+        # the first line goes out on its own, then pieces of 32-128 KiB
+        assert writes[0] == to_steps(words[0]) + "\n"
+        assert all(1 << 15 <= len(text) <= 1 << 17 for text in writes[1:-1])
+        assert len(writes) > 3
 
 
 class TestDecomposeValidate:
