@@ -20,7 +20,6 @@ from .model import (
     DOWN,
     ColoredDyckWord,
     ColorSequence,
-    DownStep,
     PathParams,
     Rise,
     _block_net,
@@ -95,10 +94,16 @@ def decompose(
     """Invert compose by the excess procedure.
 
     After stripping the leading Rise block, the remainder has an excess
-    of a*ell+b-1 down steps.  Scanning left to right, a DownStep block
-    met at balance zero is a separator; each one closes a child and
-    reduces the excess by one.  The word must be built for `params`:
-    read under other (a, b) its blocks do not balance.
+    of a*ell+b-1 down steps.  Scanning left to right, a down step met
+    at balance zero is a separator; each one closes a child and reduces
+    the excess by one.  The word must be built for `params`: read under
+    other (a, b) its blocks do not balance.
+
+    Every word that passed the checked constructor factors: it starts
+    with a Rise (a down step first goes below zero), no child goes
+    below zero (a rise nets a*j+b-1 >= 0, and a down step at child
+    balance zero separates), and as each separator needs word balance
+    >= 1 and the word ends at zero, there are a*ell+b-1 separators.
     """
     if w.params != params:
         raise MalformedWord(
@@ -109,33 +114,21 @@ def decompose(
     if not w.blocks:
         raise EmptyWord("cannot decompose the empty word")
     head = w.blocks[0]
-    if not isinstance(head, Rise):
-        raise MalformedWord("word does not start with an ascent")
 
-    # Each closed child balances with no negative prefix; with the
-    # child count right, so does the last one, since w balances.
     children = []
     current: list = []
     balance = size = 0
     for block in w.blocks[1:]:
         if isinstance(block, Rise):
             size += block.j
-        elif balance == 0 and isinstance(block, DownStep):
+        elif balance == 0:
             children.append(_trusted_word(params, tuple(current), size))
             current = []
             size = 0
             continue
         current.append(block)
         balance += _block_net(block, params)
-        if balance < 0:
-            raise MalformedWord("negative balance inside a child")
     children.append(_trusted_word(params, tuple(current), size))
-
-    expected = params.a * head.j + params.b
-    if len(children) != expected:
-        raise MalformedWord(
-            f"expected {expected} children, found {len(children)}"
-        )
     return DecompositionTuple(head.j, head.color, tuple(children))
 
 

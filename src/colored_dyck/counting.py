@@ -34,9 +34,10 @@ theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from operator import mul
 
-from .bell import binomial, exact_div, power_triangle
+from .bell import exact_div, power_triangle
 from .model import ColorSequence, PathParams
 
 __all__ = [
@@ -151,12 +152,13 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
 
 def _bell_terms(params, rows, n, r=1):
     """The exact terms r * C(a*n + b*k + r - 1, k-1) * P_{k,n} / k for
-    k = 1..n, with P_{k,n} = rows[k][n] from the power triangle.  A
+    k = 1..n, with P_{k,n} = rows[k][n] from the power triangle.  The
+    binomial needs no range check: its top is at least k-1 >= 0.  A
     failed division names n and r; its denominator is k."""
     a, b = params.a, params.b
     context = f"Bell term n={n}, r={r}"
     return [
-        exact_div(r * binomial(a * n + b * k + r - 1, k - 1) * rows[k][n], k, context)
+        exact_div(r * comb(a * n + b * k + r - 1, k - 1) * rows[k][n], k, context)
         for k in range(1, n + 1)
     ]
 

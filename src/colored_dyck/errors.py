@@ -46,7 +46,8 @@ class EmptyWord(ColoredDyckError):
 
 
 class MalformedWord(ColoredDyckError):
-    """A word failed structural validation during decomposition."""
+    """A word has an item that is not a block (ColoredDyckWord), or is
+    built for another (a, b) than it is read under (decompose)."""
 
 
 class ResourceLimit(ColoredDyckError):

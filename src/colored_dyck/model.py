@@ -17,6 +17,7 @@ from .errors import (
     BadAscent,
     ColorOutOfRange,
     MalformedAnnotation,
+    MalformedWord,
     NotDyck,
     TruncatedDescent,
 )
@@ -127,9 +128,6 @@ class ColorSequence:
 class DownStep:
     """The block P_0, a single down step."""
 
-    def __repr__(self):
-        return "DownStep()"
-
 
 @dataclass(frozen=True)
 class Rise:
@@ -152,7 +150,8 @@ Block = DownStep | Rise
 
 
 def _block_net(block: Block, params: PathParams) -> int:
-    """Net balance of one block: a*j+b-1 for Rise(j), -1 for a down step."""
+    """Net balance of one block: a*j+b-1 for Rise(j), -1 for a down step,
+    which is any other block, since every word's blocks are typed."""
     if isinstance(block, Rise):
         return params.a * block.j + params.b - 1
     return -1
@@ -163,9 +162,12 @@ class ColoredDyckWord:
     """A colored Dyck word as an ordered block sequence.
 
     Construction checks the structural invariants of a block tuple a
-    caller supplies: every prefix has nonnegative balance and the whole
-    word balances, so its expansion is a Dyck word of index n = sum of
-    the rise sizes.  Words the package builds itself (parse_steps,
+    caller supplies: every item is a Rise or a DownStep (MalformedWord
+    otherwise), every prefix has nonnegative balance and the whole word
+    balances (NotDyck otherwise), so its expansion is a Dyck word of
+    index n = sum of the rise sizes.  This is the one structural check
+    of a word: the factorization decompose reads off cannot fail on a
+    word that passed it.  Words the package builds itself (parse_steps,
     compose, decompose, enumerate_all) come from ``_trusted_word``
     instead, with n taken from a pass already made.  Color-range checks
     against a ColorSequence are separate (validate_colors), so that
@@ -184,6 +186,8 @@ class ColoredDyckWord:
         for block in blocks:
             if isinstance(block, Rise):
                 n += block.j
+            elif not isinstance(block, DownStep):
+                raise MalformedWord(f"{block!r} is not a block")
             balance += _block_net(block, self.params)
             if balance < 0:
                 raise NotDyck("prefix has more d's than u's")
@@ -261,7 +265,8 @@ def to_steps(word: ColoredDyckWord) -> str:
     return "".join(_step_texts(word.params, word.blocks))
 
 
-_TOKEN = re.compile(r"u+|d+|\[\d+\]|.", re.DOTALL)
+# [0-9], since \d matches every Unicode decimal digit.
+_TOKEN = re.compile(r"u+|d+|\[[0-9]+\]|.", re.DOTALL)
 
 
 def _tokenize(text: str):
@@ -270,7 +275,7 @@ def _tokenize(text: str):
         tok = m.group()
         if tok[0] in "ud":
             tokens.append((tok[0], len(tok)))
-        elif tok.startswith("["):
+        elif len(tok) > 1:  # "[k]"; a lone "[" is an unexpected character
             tokens.append(("color", int(tok[1:-1])))
         else:
             raise MalformedAnnotation(f"unexpected character {tok!r}")

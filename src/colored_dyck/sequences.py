@@ -241,22 +241,15 @@ def _slope32_ok(x: int, y: int) -> bool:
 
 
 def rational_dyck_count(n: int) -> int:
-    """Number of slope-3/2 Dyck words of length 5n, by grid DP."""
+    """Number of slope-3/2 Dyck words of length 5n, by the lattice DP.
+
+    An east step raises the height h = 3x - 2y by 3 and a north step
+    lowers it by 2, and h >= 0 is the condition 2y <= 3x: the words
+    are the height paths of 5n steps from 0 back to 0.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    width, height = 2 * n, 3 * n
-    counts = [[0] * (height + 1) for _ in range(width + 1)]
-    counts[0][0] = 1
-    for x in range(width + 1):
-        for y in range(height + 1):
-            c = counts[x][y]
-            if not c:
-                continue
-            if x + 1 <= width:
-                counts[x + 1][y] += c
-            if y + 1 <= height and _slope32_ok(x, y + 1):
-                counts[x][y + 1] += c
-    return counts[width][height]
+    return step_lattice_count({(1, 3), (1, -2)}, 5 * n)
 
 
 def rational_dyck_words(n: int, cap: int = 10**6):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from colored_dyck import (
@@ -17,7 +19,13 @@ from colored_dyck import (
 )
 from colored_dyck import bijection
 from colored_dyck.bijection import weak_compositions
-from colored_dyck.errors import EmptyWord, InvalidTuple, MalformedWord, ResourceLimit
+from colored_dyck.errors import (
+    EmptyWord,
+    InvalidTuple,
+    MalformedWord,
+    NotDyck,
+    ResourceLimit,
+)
 
 
 ONES = ColorSequence.ones()
@@ -130,6 +138,28 @@ class TestDecompose:
         w = ColoredDyckWord(PathParams(0, 1), (Rise(1, 1),))
         with pytest.raises(MalformedWord):
             decompose(w, PathParams(1, 0), ONES)
+
+    def test_every_checked_word_factors(self):
+        # random block tuples: each one the checked constructor accepts
+        # decomposes into a*ell+b children and composes back
+        rng = random.Random(10)
+        colors = ColorSequence.constant(2)
+        blocks = [DOWN] + [Rise(j, c) for j in (1, 2, 3) for c in (1, 2)]
+        all_params = [PathParams(a, b) for a, b in
+                      [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (2, 1), (1, 2), (3, 0)]]
+        factored = 0
+        for _ in range(20000):
+            params = rng.choice(all_params)
+            items = rng.choices(blocks, k=rng.randint(1, 10))
+            try:
+                w = ColoredDyckWord(params, items)
+            except NotDyck:
+                continue
+            t = decompose(w, params, colors)
+            assert len(t.children) == params.a * t.ell + params.b
+            assert compose(t, params, colors) == w
+            factored += 1
+        assert factored > 1000
 
     def test_excess_bookkeeping(self, params):
         # after the head block, each child closes with one separator,

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import colored_dyck
-from colored_dyck import bijection, cli, sequences
+from colored_dyck import bijection, cli, counting, sequences
 from colored_dyck.bijection import enumerate_all
 from colored_dyck.cli import build_parser, main, parse_color_spec
-from colored_dyck.counting import count_recurrence
+from colored_dyck.counting import CountSeries, count_recurrence
 from colored_dyck.errors import ResourceLimit
 from colored_dyck.model import ColorSequence, PathParams, Rise, to_steps
 from conftest import COLOR_GRID
@@ -140,6 +140,15 @@ class TestCount:
             if has_limit:
                 sys.set_int_max_str_digits(limit)
         assert len(last) > 4300
+
+    def test_route_disagreement_exits_1(self, run, monkeypatch):
+        monkeypatch.setattr(
+            counting, "count_bell", lambda *args: CountSeries((1, 1, 2, 6))
+        )
+        code, out, err = run("count", "--a", "1", "--b", "0", "--N", "3")
+        assert code == 1
+        assert out == ""
+        assert err == "route disagreement: recurrence=[1, 1, 2, 5] bell=[1, 1, 2, 6]\n"
 
     def test_single_route(self, run):
         for route in ("recurrence", "bell"):
@@ -341,6 +350,15 @@ class TestDecomposeValidate:
         )
         assert code == 1
         assert "NotDyck" in err
+
+    @pytest.mark.parametrize("text", ["u[\u0662]d", "u[\uff12]d", "ud[\u0662]"])
+    def test_validate_non_ascii_digit(self, run, text):
+        code, out, err = run(
+            "validate", "--a", "1", "--b", "0", "--colors", "const:3", text
+        )
+        assert code == 1
+        assert out == ""
+        assert "MalformedAnnotation" in err
 
     def test_validate_bad_ascent(self, run):
         code, _, err = run(

@@ -19,6 +19,7 @@ from colored_dyck.errors import (
     BadAscent,
     ColorOutOfRange,
     MalformedAnnotation,
+    MalformedWord,
     NotDyck,
     TruncatedDescent,
 )
@@ -76,6 +77,15 @@ class TestWordStructure:
     def test_unbalanced_rejected(self):
         with pytest.raises(NotDyck):
             ColoredDyckWord(PathParams(1, 0), (Rise(2, 1),))
+
+    @pytest.mark.parametrize("item", ["x", None, 1, (Rise(1, 1),)])
+    def test_non_block_rejected(self, item):
+        # read as a down step, "x" would balance Rise(1) under (2, 0)
+        with pytest.raises(MalformedWord):
+            ColoredDyckWord(PathParams(2, 0), (Rise(1, 1), item))
+
+    def test_down_step_repr(self):
+        assert repr(DOWN) == "DownStep()"
 
     def test_semilength_examples(self):
         w = ColoredDyckWord(PathParams(1, 2), (Rise(1, 1), DOWN, DOWN))
@@ -164,6 +174,22 @@ class TestSerialization:
     def test_parse_misplaced_annotation(self):
         with pytest.raises(MalformedAnnotation):
             parse_steps("[1]uudd", PathParams(1, 0), ColorSequence.ones())
+
+    @pytest.mark.parametrize("text", ["u[0]d", "ud[0]"])
+    def test_parse_zero_annotation(self, text):
+        # at the ascent/descent boundary, and after the descent run
+        with pytest.raises(MalformedAnnotation, match="must be positive"):
+            parse_steps(text, PathParams(1, 0), ColorSequence.constant(3))
+
+    @pytest.mark.parametrize(
+        "text",
+        # [k] takes ASCII digits only (not Arabic-Indic, fullwidth or
+        # Devanagari ones), and a lone or empty bracket is no annotation
+        ["u[\u0662]d", "u[\uff12]d", "u[\u0967]d", "ud[\u0662]", "u[d", "u[]d", "ud["],
+    )
+    def test_parse_malformed_annotation(self, text):
+        with pytest.raises(MalformedAnnotation, match="unexpected character"):
+            parse_steps(text, PathParams(1, 0), ColorSequence.constant(3))
 
 
 class TestRoundTrip:
