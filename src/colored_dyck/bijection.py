@@ -13,7 +13,9 @@ as text without building a word object.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import prod
+from operator import sub
 
 from .errors import EmptyWord, InvalidTuple, MalformedWord, ResourceLimit
 from .model import (
@@ -23,8 +25,8 @@ from .model import (
     PathParams,
     Rise,
     _block_net,
+    _check_color,
     _trusted_word,
-    validate_colors,
 )
 
 __all__ = [
@@ -82,10 +84,12 @@ def compose(
             blocks.append(DOWN)
         blocks.extend(child.blocks)
         n += child.n
+    # The head color is checked above; the children's rises in order.
+    for block in blocks[1:]:
+        if isinstance(block, Rise):
+            _check_color(block.j, block.color, colors)
     # The head leaves balance a*ell+b-1, which the separators close.
-    word = _trusted_word(params, tuple(blocks), n)
-    validate_colors(word, colors)
-    return word
+    return _trusted_word(params, tuple(blocks), n)
 
 
 def decompose(
@@ -110,16 +114,17 @@ def decompose(
             f"word is built for (a, b) = ({w.params.a}, {w.params.b}), "
             f"not ({params.a}, {params.b})"
         )
-    validate_colors(w, colors)
     if not w.blocks:
         raise EmptyWord("cannot decompose the empty word")
     head = w.blocks[0]
+    _check_color(head.j, head.color, colors)
 
     children = []
     current: list = []
     balance = size = 0
     for block in w.blocks[1:]:
         if isinstance(block, Rise):
+            _check_color(block.j, block.color, colors)
             size += block.j
         elif balance == 0:
             children.append(_trusted_word(params, tuple(current), size))
@@ -134,17 +139,14 @@ def decompose(
 
 def weak_compositions(total: int, parts: int):
     """Yield weak compositions of `total` into `parts` nonnegative
-    integers in lexicographic order."""
+    integers in lexicographic order: stars and bars, cutting 0..total
+    at each nondecreasing choice of parts - 1 points in turn."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, (*cuts, total), (0, *cuts)))
 
 
 # chr() names each integer below 0x110000, so the walk has at most
@@ -247,6 +249,8 @@ def _walk(params: PathParams, colors: ColorSequence, n: int, cap: int):
                     yield head, tails(comp)
 
     if n == 0:
+        if cap < 1:
+            raise ResourceLimit(f"more than {cap} words at index 0")
         return rises, iter([((), memo[0])])
     return rises, groups(plan(n))
 

@@ -265,21 +265,23 @@ def to_steps(word: ColoredDyckWord) -> str:
     return "".join(_step_texts(word.params, word.blocks))
 
 
-# [0-9], since \d matches every Unicode decimal digit.
-_TOKEN = re.compile(r"u+|d+|\[[0-9]+\]|.", re.DOTALL)
+# One match per piece of step text: a rise (ascent, boundary annotation,
+# down run, annotation after the run), a down run, a misplaced
+# annotation, or any other character ([0-9]: \d takes any Unicode digit).
+_PIECE = re.compile(
+    r"(u+)(?:\[([0-9]+)\])?(d*)(?:\[([0-9]+)\])?|(d+)|(\[[0-9]+\])|(.)", re.DOTALL
+)
 
 
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        tok = m.group()
-        if tok[0] in "ud":
-            tokens.append((tok[0], len(tok)))
-        elif len(tok) > 1:  # "[k]"; a lone "[" is an unexpected character
-            tokens.append(("color", int(tok[1:-1])))
-        else:
-            raise MalformedAnnotation(f"unexpected character {tok!r}")
-    return tokens
+def _positive(digits: str) -> int:
+    """The color an annotation's digits name."""
+    try:
+        color = int(digits)
+    except ValueError:  # more digits than the int-to-str limit
+        raise MalformedAnnotation("color annotation has too many digits") from None
+    if color < 1:
+        raise MalformedAnnotation("color annotation must be positive")
+    return color
 
 
 def parse_steps(text: str, params: PathParams, colors: ColorSequence) -> ColoredDyckWord:
@@ -288,72 +290,50 @@ def parse_steps(text: str, params: PathParams, colors: ColorSequence) -> Colored
     The parse is forced: every maximal ascent of length L needs
     (a+b) | L, the next b*(j-1)+1 down steps belong to that Rise block,
     and the remaining down steps before the next ascent are DownStep
-    blocks.  An absent annotation means color 1.
+    blocks.  An absent annotation means color 1.  Errors come in a
+    fixed order: an unexpected character anywhere (MalformedAnnotation),
+    then the letter balance (NotDyck), then the blocks in text order.
     """
-    tokens = _tokenize(text.strip())
+    pieces = []
+    for m in _PIECE.finditer(text.strip()):
+        if m[7]:
+            raise MalformedAnnotation(f"unexpected character {m[7]!r}")
+        pieces.append(m.groups(""))
 
     # Dyck property on the bare letters, before any grammar checks.
-    balance = ups = 0
-    for kind, value in tokens:
-        if kind == "u":
-            balance += value
-            ups += value
-        elif kind == "d":
-            balance -= value
-            if balance < 0:
-                raise NotDyck("prefix has more d's than u's")
+    balance = 0
+    for ups, _, downs, _, run, _, _ in pieces:
+        balance += len(ups) - len(downs) - len(run)
+        if balance < 0:
+            raise NotDyck("prefix has more d's than u's")
     if balance != 0:
         raise NotDyck("unbalanced word")
 
-    p = params
-    blocks: list[Block] = []
-    i = 0
-    while i < len(tokens):
-        kind, value = tokens[i]
-        if kind == "color":
+    period = params.period
+    blocks, n = [], 0
+    for ups, boundary, downs, late, run, misplaced, _ in pieces:
+        if ups:  # a maximal ascent
+            if len(ups) % period != 0:
+                raise BadAscent(f"ascent length {len(ups)} not divisible by a+b = {period}")
+            j = len(ups) // period
+            color = _positive(boundary) if boundary else 1
+            need = params.descent_run(j)
+            extra = len(downs) - need
+            if extra < 0:
+                raise TruncatedDescent(
+                    f"ascent of size {j} requires {need} following down steps"
+                )
+            # Tolerated input variant: the annotation directly after the
+            # descent run instead of at the ascent/descent boundary.
+            if late and not boundary and extra == 0:
+                color, late = _positive(late), ""
+            _check_color(j, color, colors)
+            blocks.append(Rise(j, color))
+            blocks.extend([DOWN] * extra)
+            n += j
+        blocks.extend([DOWN] * len(run))
+        if late or misplaced:
             raise MalformedAnnotation("annotation not at an ascent/descent boundary")
-        if kind == "d":
-            blocks.extend([DOWN] * value)
-            i += 1
-            continue
-        # Maximal ascent of length `value`.
-        if value % p.period != 0:
-            raise BadAscent(
-                f"ascent length {value} not divisible by a+b = {p.period}"
-            )
-        j = value // p.period
-        i += 1
-        color = None
-        if i < len(tokens) and tokens[i][0] == "color":
-            color = tokens[i][1]
-            if color < 1:
-                raise MalformedAnnotation("color annotation must be positive")
-            i += 1
-        need = p.descent_run(j)
-        if i >= len(tokens) or tokens[i][0] != "d" or tokens[i][1] < need:
-            raise TruncatedDescent(
-                f"ascent of size {j} requires {need} following down steps"
-            )
-        extra = tokens[i][1] - need
-        i += 1
-        # Tolerated input variant: annotation directly after the block's
-        # descent run instead of at the ascent/descent boundary.
-        if (
-            color is None
-            and extra == 0
-            and i < len(tokens)
-            and tokens[i][0] == "color"
-        ):
-            color = tokens[i][1]
-            if color < 1:
-                raise MalformedAnnotation("color annotation must be positive")
-            i += 1
-        if color is None:
-            color = 1
-        _check_color(j, color, colors)
-        blocks.append(Rise(j, color))
-        blocks.extend([DOWN] * extra)
 
-    # The blocks expand to the letters just checked, and every ascent
-    # is a whole number of periods.
-    return _trusted_word(params, tuple(blocks), ups // p.period)
+    # The blocks expand to the letters just checked.
+    return _trusted_word(params, tuple(blocks), n)

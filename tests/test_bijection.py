@@ -20,6 +20,7 @@ from colored_dyck import (
 from colored_dyck import bijection
 from colored_dyck.bijection import weak_compositions
 from colored_dyck.errors import (
+    ColorOutOfRange,
     EmptyWord,
     InvalidTuple,
     MalformedWord,
@@ -52,6 +53,21 @@ class TestWeakCompositions:
                 got = list(weak_compositions(total, parts))
                 assert len(got) == comb(total + parts - 1, parts - 1)
                 assert got == sorted(got)
+
+    def test_order_of_the_recursive_definition(self):
+        def recursive(total, parts):
+            if parts == 0:
+                return [()] if total == 0 else []
+            return [(first,) + rest for first in range(total + 1)
+                    for rest in recursive(total - first, parts - 1)]
+
+        for total in range(10):
+            for parts in range(8):
+                assert list(weak_compositions(total, parts)) == recursive(total, parts)
+
+    def test_many_parts_need_no_deep_recursion(self):
+        assert list(weak_compositions(0, 5000)) == [(0,) * 5000]
+        assert len(list(weak_compositions(1, 5000))) == 5000
 
 
 class TestCompose:
@@ -108,6 +124,14 @@ class TestCompose:
         with pytest.raises(InvalidTuple):
             compose(DecompositionTuple(1, 1, ((),)), PathParams(1, 0), ONES)
 
+    def test_first_bad_child_rise_is_reported(self):
+        params = PathParams(1, 0)
+        first = ColoredDyckWord(params, (Rise(2, 1), DOWN, Rise(1, 3)))
+        second = ColoredDyckWord(params, (Rise(1, 4),))
+        t = DecompositionTuple(2, 1, (second, first))
+        with pytest.raises(ColorOutOfRange, match="color 4 out of range"):
+            compose(t, params, ColorSequence.constant(2))
+
 
 class TestDecompose:
     def test_minimal(self):
@@ -161,6 +185,38 @@ class TestDecompose:
             factored += 1
         assert factored > 1000
 
+    def test_color_errors_match_validate_colors(self):
+        # decompose, and compose after its head check, name the first
+        # rise out of range, as validate_colors does
+        rng = random.Random(11)
+        colors = ColorSequence.explicit((2, 1), tail=1)
+        blocks = [DOWN] + [Rise(j, c) for j in (1, 2) for c in (1, 2, 3)]
+        params = PathParams(1, 0)
+        bad = 0
+        for _ in range(20000):
+            try:
+                w = ColoredDyckWord(params, rng.choices(blocks, k=rng.randint(1, 10)))
+            except NotDyck:
+                continue
+            try:
+                validate_colors(w, colors)
+                continue
+            except ColorOutOfRange as exc:
+                expected = str(exc)
+            bad += 1
+            with pytest.raises(ColorOutOfRange) as got:
+                decompose(w, params, colors)
+            assert str(got.value) == expected
+            t = decompose(w, params, ColorSequence.constant(3))
+            if t.color > colors.at(t.ell):
+                with pytest.raises(InvalidTuple):
+                    compose(t, params, colors)
+                continue
+            with pytest.raises(ColorOutOfRange) as got:
+                compose(t, params, colors)
+            assert str(got.value) == expected
+        assert bad > 1000
+
     def test_excess_bookkeeping(self, params):
         # after the head block, each child closes with one separator,
         # so the child count always equals a*ell + b
@@ -206,6 +262,13 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ResourceLimit):
             enumerate_all(PathParams(1, 0), ONES, 6, cap=10)
+
+    def test_cap_counts_the_empty_word(self):
+        assert enumerate_all(PathParams(1, 0), ONES, 0, cap=1) == (
+            ColoredDyckWord(PathParams(1, 0), ()),
+        )
+        with pytest.raises(ResourceLimit, match="more than 0 words at index 0"):
+            enumerate_all(PathParams(1, 0), ONES, 0, cap=0)
 
     def test_cap_counts_every_color(self):
         # y_3 = 11 under c_j = 2^(j-1); only 5 of them use color 1 alone

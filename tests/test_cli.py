@@ -169,6 +169,8 @@ CONTRACT_PROBES = [
     (("preset", "narayana", "--N", "0"), 2, None),
     (("enumerate", "--a", "1", "--b", "0", "--n", "3", "--cap", "-1"), 2, None),
     (("count", "--a", "1500", "--b", "0", "--N", "3"), 0, "1\n1\n1501\n3378751\n"),
+    (("enumerate", "--a", "1500", "--b", "0", "--n", "1"), 0,
+     "u" * 1500 + "[1]" + "d" * 1500 + "\n"),
 ]
 
 
@@ -308,6 +310,10 @@ class TestEnumerateStream:
         argv = enumerate_argv(PathParams(0, 1), "explicit:1,1", 6, "--cap", "10")
         assert run(*argv) == (1, "", "ResourceLimit: more than 10 words at index 6\n")
 
+    def test_cap_zero_at_index_zero(self, run):
+        argv = enumerate_argv(PathParams(1, 0), "ones", 0, "--cap", "0")
+        assert run(*argv) == (1, "", "ResourceLimit: more than 0 words at index 0\n")
+
     def test_too_many_codes_is_a_resource_limit(self, run, monkeypatch):
         # below index 3, pow2 has Rise(1, 1), Rise(2, 1) and Rise(2, 2)
         monkeypatch.setattr(bijection, "_CODE_LIMIT", 3)
@@ -359,6 +365,17 @@ class TestDecomposeValidate:
         assert code == 1
         assert out == ""
         assert "MalformedAnnotation" in err
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no int-to-str limit",
+    )
+    @pytest.mark.parametrize("command", ["validate", "decompose"])
+    def test_annotation_past_the_digit_limit(self, run, command):
+        text = "u[" + "1" * (sys.get_int_max_str_digits() + 1) + "]d"
+        assert run(command, "--a", "1", "--b", "0", text) == (
+            1, "", "MalformedAnnotation: color annotation has too many digits\n"
+        )
 
     def test_validate_bad_ascent(self, run):
         code, _, err = run(

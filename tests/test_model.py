@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,12 +20,18 @@ from colored_dyck import (
 from colored_dyck.bijection import enumerate_all
 from colored_dyck.errors import (
     BadAscent,
+    ColoredDyckError,
     ColorOutOfRange,
     MalformedAnnotation,
     MalformedWord,
     NotDyck,
     TruncatedDescent,
 )
+from colored_dyck.model import Block, _check_color, _trusted_word
+from conftest import COLOR_GRID, PARAM_GRID
+
+
+ONES = ColorSequence.ones()
 
 
 class TestColorSequence:
@@ -191,6 +200,49 @@ class TestSerialization:
         with pytest.raises(MalformedAnnotation, match="unexpected character"):
             parse_steps(text, PathParams(1, 0), ColorSequence.constant(3))
 
+    @pytest.mark.parametrize(
+        "text, ab, colors, error, message",
+        [
+            # an unexpected character anywhere comes before the balance
+            ("dux", (1, 0), ONES, MalformedAnnotation, "unexpected character 'x'"),
+            # a block's ascent comes before its boundary annotation ...
+            ("uuu[0]ddd", (2, 0), ONES, BadAscent, "ascent length 3 not divisible"),
+            # ... which comes before its descent run ...
+            ("uuuu[0]dduddd", (0, 2), ONES, MalformedAnnotation, "must be positive"),
+            # ... which comes before an annotation after the run
+            ("uuuudd[0]dd", (0, 2), ONES, TruncatedDescent, "size 2 requires 3"),
+            ("ud[4]", (1, 0), ColorSequence.constant(3), ColorOutOfRange, "color 4"),
+            # the rise's color comes before a misplaced annotation
+            ("uu[1]d[2]d", (1, 0), ONES, MalformedAnnotation, "not at an ascent"),
+            ("uu[2]d[1]d", (1, 0), ONES, ColorOutOfRange, "color 2"),
+            # an annotation after extra down steps is misplaced
+            ("uuudd[1]d", (1, 0), ONES, MalformedAnnotation, "not at an ascent"),
+            ("uuudd[1]d", (1, 0), ColorSequence.explicit((1, 1, 0)),
+             ColorOutOfRange, "color 1 out of range for ascent size 3"),
+        ],
+    )
+    def test_parse_error_precedence(self, text, ab, colors, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            parse_steps(text, PathParams(*ab), colors)
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no int-to-str limit",
+    )
+    @pytest.mark.parametrize(
+        "template, error, message",
+        [
+            ("u[{}]d", MalformedAnnotation, "color annotation has too many digits"),
+            ("ud[{}]", MalformedAnnotation, "color annotation has too many digits"),
+            ("[{}]ud", MalformedAnnotation, "not at an ascent/descent boundary"),
+            ("u[{}]", NotDyck, "unbalanced word"),
+        ],
+    )
+    def test_parse_annotation_past_the_digit_limit(self, template, error, message):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(error, match=message):
+            parse_steps(template.format(digits), PathParams(1, 0), ONES)
+
 
 class TestRoundTrip:
     def test_round_trip_grid(self, params, colors):
@@ -291,3 +343,148 @@ class TestStepsProperty:
         assert again == checked
         assert hash(again) == hash(checked)
         assert again.n == checked.n
+
+
+# The token-stream parser that the one-pattern parse_steps replaced,
+# kept verbatim as the oracle of the differential test below.
+_TOKEN = re.compile(r"u+|d+|\[[0-9]+\]|.", re.DOTALL)
+
+
+def _tokenize(text: str):
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok[0] in "ud":
+            tokens.append((tok[0], len(tok)))
+        elif len(tok) > 1:  # "[k]"; a lone "[" is an unexpected character
+            tokens.append(("color", int(tok[1:-1])))
+        else:
+            raise MalformedAnnotation(f"unexpected character {tok!r}")
+    return tokens
+
+
+def reference_parse_steps(
+    text: str, params: PathParams, colors: ColorSequence
+) -> ColoredDyckWord:
+    """Parse step text into its unique block sequence.
+
+    The parse is forced: every maximal ascent of length L needs
+    (a+b) | L, the next b*(j-1)+1 down steps belong to that Rise block,
+    and the remaining down steps before the next ascent are DownStep
+    blocks.  An absent annotation means color 1.
+    """
+    tokens = _tokenize(text.strip())
+
+    # Dyck property on the bare letters, before any grammar checks.
+    balance = ups = 0
+    for kind, value in tokens:
+        if kind == "u":
+            balance += value
+            ups += value
+        elif kind == "d":
+            balance -= value
+            if balance < 0:
+                raise NotDyck("prefix has more d's than u's")
+    if balance != 0:
+        raise NotDyck("unbalanced word")
+
+    p = params
+    blocks: list[Block] = []
+    i = 0
+    while i < len(tokens):
+        kind, value = tokens[i]
+        if kind == "color":
+            raise MalformedAnnotation("annotation not at an ascent/descent boundary")
+        if kind == "d":
+            blocks.extend([DOWN] * value)
+            i += 1
+            continue
+        # Maximal ascent of length `value`.
+        if value % p.period != 0:
+            raise BadAscent(
+                f"ascent length {value} not divisible by a+b = {p.period}"
+            )
+        j = value // p.period
+        i += 1
+        color = None
+        if i < len(tokens) and tokens[i][0] == "color":
+            color = tokens[i][1]
+            if color < 1:
+                raise MalformedAnnotation("color annotation must be positive")
+            i += 1
+        need = p.descent_run(j)
+        if i >= len(tokens) or tokens[i][0] != "d" or tokens[i][1] < need:
+            raise TruncatedDescent(
+                f"ascent of size {j} requires {need} following down steps"
+            )
+        extra = tokens[i][1] - need
+        i += 1
+        # Tolerated input variant: annotation directly after the block's
+        # descent run instead of at the ascent/descent boundary.
+        if (
+            color is None
+            and extra == 0
+            and i < len(tokens)
+            and tokens[i][0] == "color"
+        ):
+            color = tokens[i][1]
+            if color < 1:
+                raise MalformedAnnotation("color annotation must be positive")
+            i += 1
+        if color is None:
+            color = 1
+        _check_color(j, color, colors)
+        blocks.append(Rise(j, color))
+        blocks.extend([DOWN] * extra)
+
+    # The blocks expand to the letters just checked, and every ascent
+    # is a whole number of periods.
+    return _trusted_word(params, tuple(blocks), ups // p.period)
+
+
+ANNOTATIONS = ["[1]", "[2]", "[3]", "[0]", "[007]"]
+STRAYS = ["[", "]", "7", "x", " ", "\n", "\t", "[\u0662]"]
+
+
+@st.composite
+def step_texts(draw):
+    """Step text on the conftest grid: rises of size 1-3, each with an
+    ascent (maybe one step short), a descent run (maybe one step long
+    or short) and annotations (maybe none) at and after that run, among
+    loose letters and annotations; half of the time one stray
+    character, and half of the time the letters balanced at the end."""
+    params = draw(st.sampled_from(PARAM_GRID))
+    colors = draw(st.sampled_from(COLOR_GRID))
+    ascents = [params.period * j + k for j in (1, 2, 3) for k in (0, 0, -1)]
+    descents = [params.descent_run(j) + k for j in (1, 2, 3) for k in (0, 0, 1, -1)]
+    maybe = st.sampled_from(["", "", ""] + ANNOTATIONS)
+    rise = st.builds(
+        lambda up, at, down, after: "u" * up + at + "d" * down + after,
+        st.sampled_from(ascents), maybe, st.sampled_from(descents), maybe,
+    )
+    loose = st.sampled_from(["u", "d"] + ANNOTATIONS)
+    pieces = draw(st.lists(st.one_of(rise, rise, loose), max_size=10))
+    if draw(st.booleans()):
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(STRAYS)))
+    text = "".join(pieces)
+    if draw(st.booleans()):
+        text += "d" * (text.count("u") - text.count("d"))
+    return text, params, colors
+
+
+def _outcome(parse, text, params, colors):
+    try:
+        word = parse(text, params, colors)
+    except ColoredDyckError as exc:
+        return type(exc), str(exc)
+    return word, word.n
+
+
+class TestParseDifferential:
+    @settings(max_examples=1000, deadline=None)
+    @given(step_texts())
+    def test_same_word_or_same_error_as_the_token_parser(self, case):
+        text, params, colors = case
+        assert _outcome(parse_steps, text, params, colors) == _outcome(
+            reference_parse_steps, text, params, colors
+        )
