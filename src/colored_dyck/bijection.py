@@ -164,12 +164,13 @@ def _walk(params: PathParams, colors: ColorSequence, n: int, cap: int):
     (Rise(ell, color),) (the empty tuple at n = 0) and tails a list of
     code strings: the words are head followed by each tail in turn.
 
-    Every lower index is memoized as code strings, and every index is
-    counted against the cap, before this returns; nothing is yielded
-    from an index over the cap.  Index n is never held: each group is
-    the children of one composition, built when it is reached.  Heads
-    at index n get no code, since they may have more colors than there
-    are characters.
+    Every index that a word of index n can hold as a child is memoized
+    as code strings and counted against the cap, lowest first, before
+    this returns, so the lowest index over the cap is the one reported;
+    no other index is built or counted.  Nothing is yielded from an
+    index over the cap.  Index n is never held: each group is the
+    children of one composition, built when it is reached.  Heads at
+    index n get no code: they may have more colors than characters.
     """
     if n < 0:
         raise ValueError("need n >= 0")
@@ -177,42 +178,27 @@ def _walk(params: PathParams, colors: ColorSequence, n: int, cap: int):
         raise ValueError("need cap >= 0")
     rises = [DOWN]
     first_code: dict[int, int] = {}  # ell -> code of Rise(ell, 1)
-    # memo[m]: the code of every word of index m, in order;
-    # after_down[m]: the same, each preceded by a separating down step.
+    # memo[m]: the code of every word of index m, in order.
     memo: dict[int, list[str]] = {0: [""]}
-    after_down: dict[int, list[str]] = {}
-
-    def separated(i):
-        if i not in after_down:
-            after_down[i] = ["\0" + child for child in memo[i]]
-        return after_down[i]
 
     def tails(comp):
         # D_1 ++ d ++ D_2 ++ ... ++ d ++ D_r for every choice of
         # children, in product order.
         part = memo[comp[0]]
         for i in comp[1:]:
-            seps = separated(i)
-            part = [head + tail for head in part for tail in seps]
+            part = [f"{head}\0{tail}" for head in part for tail in memo[i]]
         return part
 
     def plan(m):
         """(ell, c_ell, compositions with words) for each head size
-        with words at index m, after building every child index and
-        counting the words of index m against the cap."""
+        with words at index m, whose child indices are all built."""
         heads = []
         total = 0
         for ell in range(1, m + 1):
             n_colors = colors.at(ell)
             if n_colors < 1:
                 continue
-            # Every child index is built before any word of this ell
-            # is counted, so a lower index over the cap is the one
-            # reported.
-            comps = list(weak_compositions(m - ell, params.a * ell + params.b))
-            for comp in comps:
-                for i in comp:
-                    build(i)
+            comps = weak_compositions(m - ell, params.a * ell + params.b)
             comps = [comp for comp in comps if all(memo[i] for i in comp)]
             total += n_colors * sum(prod(len(memo[i]) for i in comp) for comp in comps)
             if total > cap:
@@ -221,9 +207,23 @@ def _walk(params: PathParams, colors: ColorSequence, n: int, cap: int):
                 heads.append((ell, n_colors, comps))
         return heads
 
-    def build(m):
-        if m in memo:
-            return
+    # The child indices, found from n down: every index up to top, and
+    # those in single.  A head of size ell leaves children summing to
+    # m - ell: any of 0..m - ell with two or more children, or at ell = 1
+    # (its child may have a size-1 head), which covers larger heads too.
+    top, single, m = 0, {n}, n
+    while m > top:
+        if m in single:
+            for ell in range(1, m + 1):
+                if colors.at(ell) > 0:
+                    if params.a * ell + params.b > 1 or ell == 1:
+                        top = max(top, m - ell)
+                        break
+                    single.add(m - ell)
+        m -= 1
+    for m in range(1, n):
+        if m > top and m not in single:
+            continue
         words = []
         for ell, n_colors, comps in plan(m):
             if ell not in first_code:

@@ -221,19 +221,23 @@ def duchon_alt_mid(n: int) -> int:
 
 def duchon_alt(n: int) -> int:
     """Final rewriting:
-    sum_k C(5n, k-1) sum_j ((-1)^j/n) [C(k-1,j) - C(k-1,j-1)] C(2n+k-2j-1, n-1)."""
+    sum_k C(5n, k-1) sum_j ((-1)^j/n) [C(k-1,j) - C(k-1,j-1)] C(2n+k-2j-1, n-1).
+
+    Every term but the 1/n is an integer: they are summed as integers
+    and the sum is divided by n once.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    total = Fraction(0)
+    total = 0
     for k in range(1, n + 1):
         for j in range(k + 1):
             total += (
-                comb(5 * n, k - 1)
-                * Fraction((-1) ** j, n)
+                (-1) ** j
+                * comb(5 * n, k - 1)
                 * (binomial(k - 1, j) - binomial(k - 1, j - 1))
                 * binomial(2 * n + k - 2 * j - 1, n - 1)
             )
-    return exact_div(total.numerator, total.denominator, "duchon_alt")
+    return exact_div(total, n, "duchon_alt")
 
 
 def _slope32_ok(x: int, y: int) -> bool:

@@ -285,6 +285,39 @@ class TestEnumeration:
         with pytest.raises(ResourceLimit, match="at index 2"):
             enumerate_all(PathParams(1, 0), colors, 4)
 
+    def test_deep_chain_of_indices_needs_no_recursion(self):
+        # at (0, 1) with c_1 = 0 every head has one child two indices
+        # lower: the one word of index 1200 nests 600 levels deep
+        colors = ColorSequence.explicit((0, 1))
+        words = enumerate_all(PathParams(0, 1), colors, 1200)
+        assert [w.blocks for w in words] == [(Rise(2, 1),) * 600]
+
+    def test_long_chain_stops_at_the_cap(self):
+        colors = ColorSequence.explicit((0, 2))
+        with pytest.raises(ResourceLimit, match="more than 1000000 words at index 18$"):
+            enumerate_all(PathParams(1, 0), colors, 2001)
+
+    def test_lowest_index_over_the_cap_is_reported(self):
+        # index 2 has the word of Rise(2, 1); index 3 (Rise(3, 1)) and
+        # index 5 are both over the cap too
+        colors = ColorSequence.explicit((0, 1), tail=1)
+        with pytest.raises(ResourceLimit, match="more than 0 words at index 2$"):
+            enumerate_all(PathParams(1, 0), colors, 5, cap=0)
+
+    def test_index_no_word_can_hold_is_not_counted(self):
+        # index 3 has 100 words, over the cap, but a word of index 4
+        # holds children of indices summing to 2 (head size 2) or 1
+        # (head size 3), never 3
+        colors = ColorSequence.explicit((0, 1, 100))
+        words = enumerate_all(PathParams(1, 0), colors, 4, cap=50)
+        assert len(words) == 2
+
+    def test_only_the_chain_below_n_is_built(self):
+        # at (0, 1) with c = (0, 5) a word of odd index n holds a child
+        # of index n - 2 only; even index 20 (5^10 words) is never built
+        colors = ColorSequence.explicit((0, 5))
+        assert enumerate_all(PathParams(0, 1), colors, 21) == ()
+
     def test_heads_of_index_n_take_no_code(self, monkeypatch):
         # with no code but the down step's, index 1 is still listed
         monkeypatch.setattr(bijection, "_CODE_LIMIT", 1)

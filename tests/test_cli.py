@@ -171,6 +171,9 @@ CONTRACT_PROBES = [
     (("count", "--a", "1500", "--b", "0", "--N", "3"), 0, "1\n1\n1501\n3378751\n"),
     (("enumerate", "--a", "1500", "--b", "0", "--n", "1"), 0,
      "u" * 1500 + "[1]" + "d" * 1500 + "\n"),
+    (("enumerate", "--a", "0", "--b", "1", "--colors", "explicit:0,1", "--n", "1200"),
+     0, "uu[1]dd" * 600 + "\n"),
+    (("enumerate", "--a", "1", "--b", "0", "--n", "100000000"), 1, None),
 ]
 
 

@@ -67,18 +67,32 @@ def duchon_d_reference(n):
     return exact_div(total.numerator, total.denominator, "duchon_d")
 
 
+def duchon_alt_reference(n):
+    total = Fraction(0)
+    for k in range(1, n + 1):
+        for j in range(k + 1):
+            total += (
+                comb(5 * n, k - 1)
+                * Fraction((-1) ** j, n)
+                * (binomial(k - 1, j) - binomial(k - 1, j - 1))
+                * binomial(2 * n + k - 2 * j - 1, n - 1)
+            )
+    return exact_div(total.numerator, total.denominator, "duchon_alt")
+
+
 class TestIntegerSums:
     @pytest.mark.parametrize(
-        "form, reference",
+        "form, reference, top",
         [
-            (a052709_closed, a052709_reference),
-            (a186997_closed, a186997_reference),
-            (duchon_d, duchon_d_reference),
+            (a052709_closed, a052709_reference, 150),
+            (a186997_closed, a186997_reference, 150),
+            (duchon_d, duchon_d_reference, 150),
+            (duchon_alt, duchon_alt_reference, 100),
         ],
-        ids=["a052709", "a186997", "duchon_d"],
+        ids=["a052709", "a186997", "duchon_d", "duchon_alt"],
     )
-    def test_equal_to_fraction_sum(self, form, reference):
-        for n in range(1, 151):
+    def test_equal_to_fraction_sum(self, form, reference, top):
+        for n in range(1, top + 1):
             assert form(n) == reference(n), n
 
     @pytest.mark.parametrize("c1", range(4))
