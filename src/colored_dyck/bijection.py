@@ -176,6 +176,9 @@ def _walk(params: PathParams, colors: ColorSequence, n: int, cap: int):
         raise ValueError("need n >= 0")
     if cap < 0:
         raise ValueError("need cap >= 0")
+    # No head is larger than the last color of a tail-0 prefix.
+    form = colors.geometric()
+    most = len(form[0]) if form is not None and not form[1] else n
     rises = [DOWN]
     first_code: dict[int, int] = {}  # ell -> code of Rise(ell, 1)
     # memo[m]: the code of every word of index m, in order.
@@ -194,7 +197,7 @@ def _walk(params: PathParams, colors: ColorSequence, n: int, cap: int):
         with words at index m, whose child indices are all built."""
         heads = []
         total = 0
-        for ell in range(1, m + 1):
+        for ell in range(1, min(m, most) + 1):
             n_colors = colors.at(ell)
             if n_colors < 1:
                 continue
@@ -214,7 +217,7 @@ def _walk(params: PathParams, colors: ColorSequence, n: int, cap: int):
     top, single, m = 0, {n}, n
     while m > top:
         if m in single:
-            for ell in range(1, m + 1):
+            for ell in range(1, min(m, most) + 1):
                 if colors.at(ell) > 0:
                     if params.a * ell + params.b > 1 or ell == 1:
                         top = max(top, m - ell)

@@ -19,11 +19,27 @@ and count_bell reads every P_{k,n} from one power triangle built once
 up to N (bell.power_triangle): no factorial and no binomial weight
 in any cell.
 
-Both routes are polynomial in N.  The recurrence reads only the powers
-y^(a*l+b), l = 1..N, and builds them by pairwise convolution along the
-chain y^b * (y^a)^l: y^1 .. y^max(a,b) from y, then each chain row
-from the one below it, at most N + max(a, b) rows in all.  The closed
-form raises the coloring series C to powers and never reads y.
+Both routes are polynomial in N.  Summed over l, the recurrence is the
+functional equation
+
+    y = 1 + y^b * C(x * y^a),
+
+and count_recurrence folds the colors past a short prefix through C's
+own equation (ColorSequence.geometric describes C).  Where
+c_l = T * r^(l-L-1) for l > L, the tail S = sum_(l>L) c_l x^l y^(a*l+b)
+satisfies
+
+    S = T * x^(L+1) * y^(a*(L+1)+b) + r * x * y^a * S;
+
+for catpair, C(t) = (1+t) * K(t) - 1 with K = 1 + t * K^2, so the
+Catalan series K(x * y^a) satisfies
+
+    K = 1 + x * y^a * K^2.
+
+Besides S or K, the recurrence builds y^1 .. y^max(a,b) from y and the
+chain rows y^(a*l+b) = y^b * (y^a)^l for l <= L+1, each from the one
+below it: max(a, b) + L + 1 rows, each by pairwise convolution.  The
+closed form raises the coloring series C to powers and never reads y.
 Neither route reads the other's tables.
 
 Each formula term is an exact integer quotient; a nonzero remainder
@@ -108,23 +124,63 @@ def _conv_at(u, v, i: int) -> int:
 def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> CountSeries:
     """Evaluate the convolution recurrence up to index N.
 
-    The recurrence reads the powers y^(a*l+b) only, so they are built
-    along the chain y^b * (y^a)^l: first y^1 .. y^max(a,b) from y, then
-    chain row l = y^(a*l+b) as row l-1 convolved with y^a (row 0 is
-    y^b, or the unit series 1 when b = 0).  Rows stop at the largest
-    l <= N with c_l != 0, so at most N + max(a, b) rows are built, and
-    every row is extended online, one entry per new term of y.  Inner
-    sums over weak compositions are never enumerated.
+    Summed over l, the recurrence is y = 1 + y^b * C(x * y^a), with
+    C(t) = sum_l c_l t^l, and it is evaluated from the description of
+    C (ColorSequence.geometric):
+
+    - c_l = T * r^(l-L-1) for l > L, with T != 0 and L < N: the chain
+      rows y^(a*l+b) for l <= L+1 and one tail series
+      S = sum_(l>L) c_l x^l y^(a*l+b), which satisfies
+      S = T * x^(L+1) * y^(a*(L+1)+b) + r * x * y^a * S;
+    - no color past c_L (T = 0), or none reached below index N+1: the
+      chain rows up to the last nonzero c_l <= N, and no S;
+    - catpair, C(t) = (1+t) * K(t) - 1 with K = 1 + t * K^2 the Catalan
+      series: K(x * y^a) and its square.
+
+    The chain rows are built along y^b * (y^a)^l: first y^1 .. y^max(a,b)
+    from y, then chain row l as row l-1 convolved with y^a (row 0 is
+    y^b, or the unit series 1 when b = 0).  So max(a, b) + L + 1 rows
+    are built, plus S or the catpair rows, and every row is extended
+    online, one entry per new term of y: O(N^2) products for every
+    coloring with a short prefix.  Inner sums over weak compositions
+    are never enumerated.
     """
     if N < 0:
         raise ValueError("need N >= 0")
     a, b = params.a, params.b
-    cs = [colors.at(ell) for ell in range(1, N + 1)]
-    last = max((ell for ell, c in enumerate(cs, start=1) if c), default=0)
+    form = colors.geometric()
+    if form is not None:
+        cs, tail, ratio = form
+        if not tail or len(cs) >= N:  # no tail term below index N+1
+            last = max((ell for ell, c in enumerate(cs[:N], 1) if c), default=0)
+            cs, tail = cs[:last], 0
     y = [1]
     # powers[k] = y^k for 1 <= k <= max(a, b), none past y when every
-    # c_l is zero; each is filled through index n-1 before y_n is formed.
-    powers = [None, y] + [[] for _ in range(2, max(a, b) + 1 if last else 2)]
+    # c_l is zero; each is filled through index n-1 before y_n is
+    # formed.  powers[0] is None: the unit series y^0 is never stored.
+    used = form is None or cs or tail
+    powers = [None, y] + [[] for _ in range(2, max(a, b) + 1 if used else 2)]
+    if form is None:
+        term = _catpair_terms(a, b, powers)
+    else:
+        term = _chain_terms(a, b, powers, cs, tail, ratio)
+    for n in range(1, N + 1):
+        for k in range(2, len(powers)):
+            powers[k].append(_conv_at(powers[k - 1], y, n - 1))
+        y.append(term(n))
+    return CountSeries(tuple(y))
+
+
+def _chain_terms(a, b, powers, cs, tail, ratio):
+    """y_n = sum_(l<=L) c_l * [x^(n-l)] y^(a*l+b) + S_n as a function of
+    n, with cs = (c_1..c_L), where S_n = 0 when tail = 0 and otherwise
+
+        S_n = T * [x^(n-L-1)] y^(a*(L+1)+b) + r * sum_(i<n) (y^a)_i * S_(n-1-i),
+
+    the sum reading S_(n-1) alone at a = 0, where y^a is the unit
+    series."""
+    L = len(cs)
+    last = L + 1 if tail else L
     # chain[l] = y^(a*l+b), filled through index n-l before y_n is
     # formed.  A row that is one of the powers (a = 0, or l = 1 and
     # b = 0) is shared; own lists the others, each with the row below.
@@ -136,18 +192,48 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
         else:
             chain[ell] = [1]
             own.append((ell, chain[ell], chain[ell - 1] if ell > 1 else powers[b]))
-    y_a = powers[a] if own else None
-    for n in range(1, N + 1):
-        for k in range(2, len(powers)):
-            powers[k].append(_conv_at(powers[k - 1], y, n - 1))
+    y_a = powers[a] if last else None
+    S = [0] * (L + 1)  # S_n = 0 for n <= L
+
+    def term(n):
         for ell, row, below in own:
             if ell >= n:
                 break
             row.append(_conv_at(below, y_a, n - ell))
-        y.append(
-            sum(cs[ell - 1] * chain[ell][n - ell] for ell in range(1, min(last, n) + 1))
-        )
-    return CountSeries(tuple(y))
+        value = sum(cs[ell - 1] * chain[ell][n - ell] for ell in range(1, min(L, n) + 1))
+        if tail and n > L:
+            folded = _conv_at(y_a, S, n - 1) if a else S[n - 1]
+            S.append(tail * chain[L + 1][n - L - 1] + ratio * folded)
+            value += S[n]
+        return value
+
+    return term
+
+
+def _catpair_terms(a, b, powers):
+    """y_n for c_l = C_(l-1) + C_l as a function of n.  With Z = y^a
+    and K the Catalan series K(x * Z), K = 1 + x * Z * K^2 and
+    y = 1 + y^b * W with W = (1 + x * Z) * K - 1, so
+
+        K_n = (Z * K^2)_(n-1),  W_n = (Z * K)_(n-1) + K_n,
+        y_n = sum_(i<n) (y^b)_i * W_(n-i),
+
+    Z * u reading u alone at a = 0 and y^b * W reading W_n alone at
+    b = 0, where either power is the unit series."""
+    z = powers[a]
+    K, K2 = [1], []
+    W = []  # W[i] = W_(i+1); W_0 = 0
+
+    def times_z(u, i):
+        return _conv_at(z, u, i) if a else u[i]
+
+    def term(n):
+        K2.append(_conv_at(K, K, n - 1))
+        K.append(times_z(K2, n - 1))
+        W.append(times_z(K, n - 1) + K[n])
+        return _conv_at(powers[b], W, n - 1) if b else W[n - 1]
+
+    return term
 
 
 def _bell_terms(params, rows, n, r=1):

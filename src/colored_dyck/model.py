@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from math import comb
 
+from .bell import catalan
 from .errors import (
     BadAscent,
     ColorOutOfRange,
@@ -35,10 +35,6 @@ __all__ = [
     "semilength",
     "validate_colors",
 ]
-
-
-def _catalan(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
 
 
 @dataclass(frozen=True)
@@ -76,6 +72,8 @@ class ColorSequence:
     kind: str
     prefix: tuple[int, ...] = ()
     tail: int = 0
+    # geometric()'s description, built once: at reads it on every call.
+    _form: tuple | None = field(init=False, repr=False, compare=False)
 
     _KINDS = ("explicit", "ones", "pow2", "catpair", "const")
 
@@ -84,6 +82,13 @@ class ColorSequence:
             raise ValueError(f"unknown color sequence kind: {self.kind!r}")
         if any(c < 0 for c in self.prefix) or self.tail < 0:
             raise ValueError("color counts must be nonnegative")
+        form = {
+            "explicit": (self.prefix, self.tail, 1),
+            "ones": ((), 1, 1),
+            "pow2": ((), 1, 2),
+            "const": ((), self.tail, 1),
+        }.get(self.kind)
+        object.__setattr__(self, "_form", form)
 
     @classmethod
     def ones(cls) -> "ColorSequence":
@@ -107,21 +112,23 @@ class ColorSequence:
     def explicit(cls, prefix, tail: int = 0) -> "ColorSequence":
         return cls("explicit", prefix=tuple(prefix), tail=tail)
 
+    def geometric(self) -> tuple[tuple[int, ...], int, int] | None:
+        """(c_1..c_L, T, r) such that c_l = T * r^(l-L-1) for every
+        l > L, or None for catpair, whose tail is not geometric."""
+        return self._form
+
     def at(self, j: int) -> int:
         """Evaluate c_j for j >= 1."""
         if j < 1:
             raise ValueError("color index must be positive")
-        if self.kind == "ones":
-            return 1
-        if self.kind == "pow2":
-            return 2 ** (j - 1)
-        if self.kind == "catpair":
-            return _catalan(j - 1) + _catalan(j)
-        if self.kind == "const":
-            return self.tail
-        if j <= len(self.prefix):
-            return self.prefix[j - 1]
-        return self.tail
+        if self._form is None:
+            return catalan(j - 1) + catalan(j)
+        prefix, tail, ratio = self._form
+        if j <= len(prefix):
+            return prefix[j - 1]
+        if ratio == 1:
+            return tail
+        return tail * ratio ** (j - len(prefix) - 1)
 
 
 @dataclass(frozen=True)

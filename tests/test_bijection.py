@@ -292,6 +292,22 @@ class TestEnumeration:
         words = enumerate_all(PathParams(0, 1), colors, 1200)
         assert [w.blocks for w in words] == [(Rise(2, 1),) * 600]
 
+    def test_heads_stop_at_the_last_color(self, monkeypatch):
+        # c_l = 0 past a tail-0 prefix, so no head size past it is read:
+        # about 2 reads per needed index, not one per head size up to it
+        reads = []
+        at = ColorSequence.at
+
+        def counted(self, j):
+            reads.append(j)
+            return at(self, j)
+
+        monkeypatch.setattr(ColorSequence, "at", counted)
+        words = enumerate_all(PathParams(0, 1), ColorSequence.explicit((0, 1)), 600)
+        assert [w.blocks for w in words] == [(Rise(2, 1),) * 300]
+        assert max(reads) == 2
+        assert len(reads) <= 4 * 600
+
     def test_long_chain_stops_at_the_cap(self):
         colors = ColorSequence.explicit((0, 2))
         with pytest.raises(ResourceLimit, match="more than 1000000 words at index 18$"):

@@ -15,6 +15,7 @@ from colored_dyck import (
 from colored_dyck import bell, counting
 from colored_dyck.bijection import enumerate_all
 from colored_dyck.sequences import duchon_d, fuss_catalan, narayana
+from conftest import COLOR_GRID, PARAM_GRID
 
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
@@ -103,6 +104,24 @@ class TestChain:
         count_recurrence(PathParams(a, b), ColorSequence.ones(), N)
         assert len(kernel_calls) <= (N + max(a, b)) * N
 
+    @pytest.mark.parametrize("a, b", [(1, 0), (2, 1), (0, 3), (5, 0)])
+    @pytest.mark.parametrize(
+        "colors",
+        [
+            ColorSequence.ones(),
+            ColorSequence.powers_of_two(),
+            ColorSequence.constant(3),
+            ColorSequence.catalan_pair_sum(),
+        ],
+        ids=lambda c: c.kind,
+    )
+    def test_color_tail_is_quadratic(self, kernel_calls, a, b, colors):
+        # The tail (or the catpair rows) adds at most 4 rows to the
+        # powers of y, one kernel call per row and index.
+        N = 200
+        count_recurrence(PathParams(a, b), colors, N)
+        assert len(kernel_calls) <= (max(a, b) + 4) * N
+
     def test_independent_of_bell_route(self, monkeypatch):
         params, colors = PathParams(2, 1), ColorSequence.catalan_pair_sum()
         expected = count_bell(params, colors, 20)
@@ -114,6 +133,36 @@ class TestChain:
         monkeypatch.setattr(counting, "power_triangle", forbidden)
         monkeypatch.setattr(bell, "partial_bell_triangle", forbidden)
         assert count_recurrence(params, colors, 20) == expected
+
+
+# Every coloring against its own first N colors as a tail-0 prefix,
+# which takes the plain chain: the tail series and the catpair rows
+# must add up to the sum over the colors one by one.
+PREFIX_CASES = [
+    (params, colors)
+    for params in PARAM_GRID
+    for colors in COLOR_GRID
+    + [ColorSequence.explicit((1, 2), 3), ColorSequence.explicit((0, 0, 1), 1)]
+] + [(PathParams(5, 0), ColorSequence.catalan_pair_sum())]
+
+
+def _spec(colors):
+    """The coloring's CLI spec, kind name for a preset."""
+    if colors.kind != "explicit":
+        return colors.kind
+    tail = f"+tail:{colors.tail}" if colors.tail else ""
+    return "explicit:" + ",".join(map(str, colors.prefix)) + tail
+
+
+@pytest.mark.parametrize(
+    "params, colors",
+    PREFIX_CASES,
+    ids=[f"a{p.a}b{p.b}-{_spec(c)}" for p, c in PREFIX_CASES],
+)
+def test_recurrence_equals_its_explicit_prefix(params, colors):
+    for N in (1, 2, 3, 4, 60):
+        prefix = ColorSequence.explicit([colors.at(j) for j in range(1, N + 1)])
+        assert count_recurrence(params, colors, N) == count_recurrence(params, prefix, N)
 
 
 class TestBellRoute:

@@ -1,5 +1,6 @@
 import re
 import sys
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,29 @@ class TestColorSequence:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             ColorSequence.explicit((1, -1))
+
+    # Both count routes read the colorings through their description
+    # (ColorSequence.geometric), so each kind is pinned here against a
+    # formula written out independently of it.
+    @pytest.mark.parametrize(
+        "colors, formula",
+        [
+            (ColorSequence.ones(), lambda j: 1),
+            (ColorSequence.powers_of_two(), lambda j: 2 ** (j - 1)),
+            (
+                ColorSequence.catalan_pair_sum(),
+                lambda j: comb(2 * j - 2, j - 1) // j + comb(2 * j, j) // (j + 1),
+            ),
+            (ColorSequence.constant(3), lambda j: 3),
+            (ColorSequence.explicit((2, 0, 1), 5), lambda j: (2, 0, 1, 5)[min(j, 4) - 1]),
+            (ColorSequence.explicit((1, 1)), lambda j: int(j <= 2)),
+        ],
+        ids=["ones", "pow2", "catpair", "const", "explicit-tail", "explicit"],
+    )
+    def test_at_matches_its_formula_to_500(self, colors, formula):
+        assert [colors.at(j) for j in range(1, 501)] == [
+            formula(j) for j in range(1, 501)
+        ]
 
 
 class TestPathParams:
