@@ -16,8 +16,21 @@ Combinatorics, 1974, section 3.3), each term is
     C(a*n + b*k, k-1) * P_{k,n} / k,
 
 and count_bell reads every P_{k,n} from one power triangle built once
-up to N (bell.power_triangle): no factorial and no binomial weight
-in any cell.
+up to N, by C's own equation (ColorSequence.geometric describes C):
+for c_l = T * r^(l-L-1) past a prefix c_1..c_L, C = p / (1 - r t) with
+
+    p(t) = (1 - r t) * sum_(l<=L) c_l t^l + T t^(L+1),
+
+so P_k * (1 - r t) = P_(k-1) * p (bell.geometric_power_triangle; a
+tail-0 prefix is p = c with r = 0); for catpair,
+C = t * (2 + t + C + C^2), so
+
+    P_{k+1,n} = P_{k,n+1} - P_{k,n} - 2 P_{k-1,n} - P_{k-1,n-1}
+
+(bell.catpair_power_triangle).  Either way the triangle costs O(N^2)
+products per nonzero p_i, so O(N^2) for every built-in coloring, with
+no factorial and no binomial weight in any cell.  The route then makes
+one math.comb and one checked division for each of its N(N+1)/2 terms.
 
 Both routes are polynomial in N.  Summed over l, the recurrence is the
 functional equation
@@ -53,7 +66,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import mul
 
-from .bell import exact_div, power_triangle
+from .bell import catpair_power_triangle, exact_div, geometric_power_triangle
 from .model import ColorSequence, PathParams
 
 __all__ = [
@@ -239,19 +252,29 @@ def _catpair_terms(a, b, powers):
 def _bell_terms(params, rows, n, r=1):
     """The exact terms r * C(a*n + b*k + r - 1, k-1) * P_{k,n} / k for
     k = 1..n, with P_{k,n} = rows[k][n] from the power triangle.  The
-    binomial needs no range check: its top is at least k-1 >= 0.  A
-    failed division names n and r; its denominator is k."""
+    binomial needs no range check: its top is at least k-1 >= 0.  Each
+    term is divided in place; on a remainder exact_div raises
+    NonIntegerTerm, naming n, r and both operands."""
     a, b = params.a, params.b
-    context = f"Bell term n={n}, r={r}"
-    return [
-        exact_div(r * comb(a * n + b * k + r - 1, k - 1) * rows[k][n], k, context)
-        for k in range(1, n + 1)
-    ]
+    top = a * n + r - 1
+    terms = []
+    for k in range(1, n + 1):
+        num = r * comb(top + b * k, k - 1) * rows[k][n]
+        q, rem = divmod(num, k)
+        if rem:
+            exact_div(num, k, f"Bell term n={n}, r={r}")
+        terms.append(q)
+    return terms
 
 
 def _power_rows(colors, N):
-    """The power triangle of C(t) = sum_j c_j t^j up to N."""
-    return power_triangle(N, [colors.at(j) for j in range(1, N + 1)])
+    """The power triangle of C(t) = sum_j c_j t^j up to N, by C's own
+    equation: rational for the geometric description, the Catalan
+    equation for catpair."""
+    form = colors.geometric()
+    if form is None:
+        return catpair_power_triangle(N)
+    return geometric_power_triangle(N, *form)
 
 
 def count_bell(params: PathParams, colors: ColorSequence, N: int) -> CountSeries:

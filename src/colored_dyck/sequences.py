@@ -70,10 +70,19 @@ def motzkin_colored(c1: int, c2: int, n: int) -> int:
 
 
 def schroeder_little(n: int) -> int:
-    """The n-th little Schroeder number, sum_k N(n,k) * 2^(n-k)."""
+    """The n-th little Schroeder number, sum_k N(n,k) * 2^(n-k).
+
+    The Narayana number is walked from N(n, 1) = 1 by
+    N(n, k+1) = N(n,k) * (n-k)(n-k+1) / (k(k+1)), and the sum by
+    Horner's rule in 2.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    return sum(narayana(n, k) * 2 ** (n - k) for k in range(1, n + 1))
+    t = total = 1
+    for k in range(1, n):
+        t = exact_div(t * (n - k) * (n - k + 1), k * (k + 1), "schroeder_little")
+        total = 2 * total + t
+    return total
 
 
 def fuss_catalan(m: int, n: int) -> int:

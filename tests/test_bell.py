@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colored_dyck import (
+    ColorSequence,
     bell,
     binomial,
     catalan,
@@ -15,7 +16,12 @@ from colored_dyck import (
     partial_bell_triangle,
     power_triangle,
 )
-from colored_dyck.bell import exact_div, partitions_into_parts
+from colored_dyck.bell import (
+    catpair_power_triangle,
+    exact_div,
+    geometric_power_triangle,
+    partitions_into_parts,
+)
 from colored_dyck.errors import InvalidIndex, NonIntegerTerm
 
 
@@ -227,6 +233,75 @@ class TestPowerTriangle:
             power_triangle(-1, ())
         with pytest.raises(InvalidIndex):
             power_triangle(3, (1, 1))
+
+
+# One coloring of every kind, as its description would reach the
+# triangle rules: the four geometric kinds, a tail-0 prefix with a gap,
+# prefixes with a tail (one whose p has a zero top coefficient), a
+# prefix longer than every N below, and catpair.
+KIND_CASES = [
+    ColorSequence.ones(),
+    ColorSequence.powers_of_two(),
+    ColorSequence.constant(3),
+    ColorSequence.constant(0),
+    ColorSequence.explicit((2, 0, 1)),
+    ColorSequence.explicit((1, 2), 3),
+    ColorSequence.explicit((0, 0, 1), 1),
+    ColorSequence.explicit(tuple(range(1, 66)), 4),
+    ColorSequence.catalan_pair_sum(),
+]
+KIND_IDS = [
+    "ones", "pow2", "const:3", "const:0", "explicit:2,0,1", "explicit:1,2+tail:3",
+    "explicit:0,0,1+tail:1", "explicit:1..65+tail:4", "catpair",
+]
+
+
+class TestEquationRules:
+    """The rules from C's own equation against the plain product rule,
+    power_triangle (q = 1), on the coloring's first N colors."""
+
+    @pytest.mark.parametrize("colors", KIND_CASES, ids=KIND_IDS)
+    def test_equal_plain_rule(self, colors):
+        form = colors.geometric()
+        for N in range(61):
+            plain = power_triangle(N, [colors.at(j) for j in range(1, N + 1)])
+            if form is None:
+                rows = catpair_power_triangle(N)
+            else:
+                rows = geometric_power_triangle(N, *form)
+            assert rows == plain, N
+
+    def test_catpair_last_cells(self):
+        # P_{k,N} for k near N reads the long rows at their far end:
+        # P_{N,N} = c_1^N and P_{N-1,N} = (N-1) * c_1^(N-2) * c_2, with
+        # c_1 = 2 and c_2 = 3.
+        N = 60
+        rows = catpair_power_triangle(N)
+        assert rows[N][N] == 2**N
+        assert rows[N - 1][N] == (N - 1) * 2 ** (N - 2) * 3
+
+    def test_rational_tail(self):
+        # c_j = 3 * 2^(j-1): C = 3t / (1 - 2t), so P_{k,n} =
+        # 3^k * 2^(n-k) * C(n-1, k-1).
+        rows = geometric_power_triangle(12, (), 3, 2)
+        for k in range(1, 13):
+            for n in range(k, 13):
+                assert rows[k][n] == 3**k * 2 ** (n - k) * math.comb(n - 1, k - 1)
+
+    def test_prefix_before_a_ratio(self):
+        # No coloring kind has both; the rule takes any description.
+        prefix, tail, ratio = (1, 0, 5), 3, 2
+        c = list(prefix) + [tail * ratio**i for i in range(20)]
+        for N in range(21):
+            assert geometric_power_triangle(N, prefix, tail, ratio) == power_triangle(N, c[:N])
+
+    def test_empty(self):
+        assert catpair_power_triangle(0) == [[1]]
+        assert geometric_power_triangle(0, (), 1, 1) == [[1]]
+        with pytest.raises(InvalidIndex):
+            catpair_power_triangle(-1)
+        with pytest.raises(InvalidIndex):
+            geometric_power_triangle(-1, (), 1, 1)
 
 
 class TestConvolutionIdentities:

@@ -14,6 +14,7 @@ from colored_dyck import (
 )
 from colored_dyck import bell, counting
 from colored_dyck.bijection import enumerate_all
+from colored_dyck.errors import NonIntegerTerm
 from colored_dyck.sequences import duchon_d, fuss_catalan, narayana
 from conftest import COLOR_GRID, PARAM_GRID
 
@@ -70,6 +71,16 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+# Every triangle evaluator in bell, and the rows rule they share.
+TRIANGLE_EVALUATORS = (
+    "power_triangle",
+    "geometric_power_triangle",
+    "catpair_power_triangle",
+    "_rational_rows",
+    "partial_bell_triangle",
+)
+
+
 class TestChain:
     @pytest.mark.parametrize(
         "sparse", SPARSE_COLORS, ids=["0,1", "0,0,2", "none"]
@@ -123,16 +134,26 @@ class TestChain:
         assert len(kernel_calls) <= (max(a, b) + 4) * N
 
     def test_independent_of_bell_route(self, monkeypatch):
-        params, colors = PathParams(2, 1), ColorSequence.catalan_pair_sum()
-        expected = count_bell(params, colors, 20)
+        # One coloring per triangle rule: tail, no tail, catpair.
+        params = PathParams(2, 1)
+        colorings = [
+            ColorSequence.explicit((1, 2), 3),
+            ColorSequence.explicit((2, 0, 1)),
+            ColorSequence.catalan_pair_sum(),
+        ]
+        expected = [count_bell(params, colors, 20) for colors in colorings]
 
         def forbidden(*args):
             raise AssertionError("Bell route table read by the recurrence route")
 
-        monkeypatch.setattr(bell, "power_triangle", forbidden)
-        monkeypatch.setattr(counting, "power_triangle", forbidden)
-        monkeypatch.setattr(bell, "partial_bell_triangle", forbidden)
-        assert count_recurrence(params, colors, 20) == expected
+        for name in TRIANGLE_EVALUATORS:
+            monkeypatch.setattr(bell, name, forbidden)
+            if hasattr(counting, name):
+                monkeypatch.setattr(counting, name, forbidden)
+        monkeypatch.setattr(counting, "_power_rows", forbidden)
+        monkeypatch.setattr(counting, "_bell_terms", forbidden)
+        for colors, series in zip(colorings, expected):
+            assert count_recurrence(params, colors, 20) == series
 
 
 # Every coloring against its own first N colors as a tail-0 prefix,
@@ -212,6 +233,33 @@ class TestBellRoute:
         monkeypatch.setattr(counting, "count_recurrence", forbidden)
         assert count_bell(params, colors, 20) == expected
         assert peak_table(params, colors, 8).total() == expected[8]
+
+    def test_reads_no_recurrence_kernel(self, monkeypatch):
+        params = PathParams(2, 1)
+        colorings = [ColorSequence.explicit((1, 2), 3), ColorSequence.catalan_pair_sum()]
+        expected = [count_recurrence(params, colors, 20) for colors in colorings]
+
+        def forbidden(*args):
+            raise AssertionError("recurrence kernel called by the Bell route")
+
+        monkeypatch.setattr(counting, "_conv_at", forbidden)
+        for colors, series in zip(colorings, expected):
+            assert count_bell(params, colors, 20) == series
+            assert peak_table(params, colors, 8).total() == series[8]
+
+    def test_odd_triangle_cell_raises(self, monkeypatch):
+        # At (1, 0), n = 3, k = 2 the term is C(3, 1) * P_{2,3} / 2, and
+        # ones has P_{2,3} = 2; a cell of 1 leaves 3/2.
+        power_rows = counting._power_rows
+
+        def odd(colors, N):
+            rows = power_rows(colors, N)
+            rows[2][3] = 1
+            return rows
+
+        monkeypatch.setattr(counting, "_power_rows", odd)
+        with pytest.raises(NonIntegerTerm, match=r"Bell term n=3, r=1: 3/2$"):
+            count_bell(PathParams(1, 0), ColorSequence.ones(), 5)
 
     def test_partition_oracles_off_the_hot_path(self, monkeypatch):
         def forbidden(*args):

@@ -165,6 +165,13 @@ class TestSchroeder:
         for n in range(1, 11):
             assert series[n] == schroeder_little(n)
 
+    def test_matches_narayana_sum(self):
+        # the walked form against its definition, one narayana per term
+        for n in range(1, 121):
+            assert schroeder_little(n) == sum(
+                narayana(n, k) * 2 ** (n - k) for k in range(1, n + 1)
+            )
+
 
 class TestFussCatalan:
     def test_index_zero(self):
