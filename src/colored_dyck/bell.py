@@ -8,17 +8,20 @@ section 3.3),
     C(t) = c_1 t + c_2 t^2 + ...,
 
 so the counting routes read the power triangle P_{k,n} = [t^n] C(t)^k,
-which carries no factorials.  Each row is built from the rows below it
-by an equation C satisfies, with whole-row list operations:
+which carries no factorials.  power_rows is its one entry point: it
+yields the rows k = 1..N in turn, each built from the rows below it by
+an equation C satisfies, with whole-row list operations, so only two
+rows are held at a time:
 
-- C = p / (1 - r t), a polynomial p over a geometric tail
-  (geometric_power_triangle): C^k * (1 - r t) = C^(k-1) * p, so
+- C = p / (1 - r t), a polynomial p over a geometric tail:
+  C^k * (1 - r t) = C^(k-1) * p, so
 
       P_{k,n} = sum_i p_i * P_{k-1,n-i} + r * P_{k,n-1},
 
   O(N^2) products per nonzero p_i.  A polynomial C is the case r = 0,
-  and power_triangle, for any c_1..c_N, is that case with p = c.
-- C_j = Catalan(j-1) + Catalan(j) (catpair_power_triangle):
+  and power_triangle, for any c_1..c_N, stores that case with p = c
+  as a whole triangle, the oracle of the tests.
+- C_j = Catalan(j-1) + Catalan(j) (catpair):
   C = t * (2 + t + C + C^2), so
 
       P_{k+1,n} = P_{k,n+1} - P_{k,n} - 2 P_{k-1,n} - P_{k-1,n-1},
@@ -35,7 +38,7 @@ only the tests call.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, pairwise, starmap
 from operator import add, sub
 
 from .errors import InvalidIndex, NonIntegerTerm
@@ -47,8 +50,7 @@ __all__ = [
     "partial_bell_sum",
     "partial_bell_triangle",
     "power_triangle",
-    "geometric_power_triangle",
-    "catpair_power_triangle",
+    "power_rows",
 ]
 
 
@@ -176,50 +178,59 @@ def power_triangle(N: int, c) -> list[list[int]]:
 
     P_{k,n} = 0 for n < k; otherwise it is the weighted count of
     compositions of n into k parts, a part j weighing c_j, and equals
-    k!/n! * B_{n,k}(1!c_1, 2!c_2, ...).  This is the case r = 0 of
-    _rational_rows: one whole-row product per nonzero c_j in each row,
-    O(N^2) integer products per nonzero color.
+    k!/n! * B_{n,k}(1!c_1, 2!c_2, ...).  This is power_rows on the
+    tail-0 description (c_1..c_N, 0, 1), each row padded with its
+    k zeros: the whole triangle, stored, for the tests to compare with.
     """
-    if N < 0:
-        raise InvalidIndex(f"need N >= 0, got N={N}")
     if len(c) < N:
         raise InvalidIndex(f"need at least N = {N} arguments, got {len(c)}")
-    return _rational_rows(N, c[:N], 0)
+    rows = power_rows(N, (c, 0, 1))
+    return [[1] + [0] * N] + [[0] * k + row for k, row in enumerate(rows, 1)]
 
 
-def geometric_power_triangle(N: int, prefix, tail: int, ratio: int) -> list[list[int]]:
-    """power_triangle(N, (c_1, ..., c_N)) for the coloring with
-    c_j = prefix[j-1] for j <= L = len(prefix) and c_j = T * r^(j-L-1)
-    past it (tail T, ratio r).  With a tail, C is rational:
+def power_rows(N: int, form):
+    """The rows P_{k,k..N} of the power triangle P_{k,n} = [t^n] C(t)^k,
+    for k = 1..N in turn (row 0 is the unit series 1), of the coloring
+    series C(t) = sum_j c_j t^j.  form is the coloring's description
+    (c_1..c_L, T, r), with c_j = T * r^(j-L-1) for j > L
+    (ColorSequence.geometric), or None for catpair.
 
-        C(t) = p(t) / (1 - r t),
-        p(t) = (1 - r t) * sum_(j<=L) c_j t^j + T t^(L+1),
+    Each row is built from the rows below it by an equation C
+    satisfies, so only two rows are held at a time:
 
-    so C^k * (1 - r t) = C^(k-1) * p, and each row is the row below
-    times p, divided by 1 - r t: O(N^2) products per nonzero p_i.
-    Without a tail, or with L >= N, C is the polynomial c_1..c_min(L,N).
+    - a geometric tail with L < N, C = p / (1 - r t) with
+      p = (1 - r t) * sum_(j<=L) c_j t^j + T t^(L+1);
+    - otherwise the polynomial C = c_1 t + ... + c_min(L,N) t^min(L,N),
+      the case p = c, r = 0 of the same rule (_rational_rows);
+    - catpair, C = t * (2 + t + C + C^2) (_catpair_rows).
+
+    N is checked here, at the call, not when the first row is read.
     """
     if N < 0:
         raise InvalidIndex(f"need N >= 0, got N={N}")
+    if form is None:
+        return _catpair_rows(N)
+    prefix, tail, ratio = form
     if tail and len(prefix) < N:
         p = [c - ratio * below for c, below in zip((*prefix, tail), (0, *prefix))]
         return _rational_rows(N, p, ratio)
     return _rational_rows(N, prefix[:N], 0)
 
 
-def _rational_rows(N: int, p, r: int) -> list[list[int]]:
-    """The rows P[k][n] = [t^n] C(t)^k, 0 <= k, n <= N, of
+def _rational_rows(N: int, p, r: int):
+    """Yield P_{k,k..N}, k = 1..N, for
     C(t) = (p_1 t + p_2 t^2 + ...) / (1 - r t), p = (p_1, p_2, ...), by
 
+        C^k * (1 - r t) = C^(k-1) * p,
         P_{k,n} = sum_i p_i * P_{k-1,n-i} + r * P_{k,n-1}.
 
     Row k is zero below n = k, so only its part from k on is built:
     one map over the row below per nonzero p_i, then one accumulate
-    for the division by 1 - r t (none when r = 0).
+    for the division by 1 - r t (none when r = 0).  O(N^2) products
+    per nonzero p_i.
     """
     terms = [(i, pi) for i, pi in enumerate(p, 1) if pi]
-    rows = [[1] + [0] * N]
-    below = rows[0]  # P_{k-1,n} for n >= k-1
+    below = [1] + [0] * N  # P_{k-1,n} for n >= k-1
     for k in range(1, N + 1):
         # acc[m] = sum_i p_i * P_{k-1,k+m-i}, m = 0..N-k, reading
         # below[m+1-i]: p_i contributes from m = i-1 on.
@@ -233,14 +244,13 @@ def _rational_rows(N: int, p, r: int) -> list[list[int]]:
             acc = list(accumulate(acc))
         elif r:
             acc = list(accumulate(acc, lambda s, v: r * s + v))
-        rows.append([0] * k + acc)
+        yield acc
         below = acc
-    return rows
 
 
-def catpair_power_triangle(N: int) -> list[list[int]]:
-    """power_triangle(N, (c_1, ..., c_N)) for c_j = C_(j-1) + C_j, the
-    Catalan pair sums.  C(t) = sum_j c_j t^j satisfies
+def _catpair_rows(N: int):
+    """Yield P_{k,k..N}, k = 1..N, for c_j = C_(j-1) + C_j, the Catalan
+    pair sums.  C(t) = sum_j c_j t^j satisfies
 
         C = t * (2 + t + C + C^2),
 
@@ -249,24 +259,17 @@ def catpair_power_triangle(N: int) -> list[list[int]]:
         P_{k+1,n} = P_{k,n+1} - P_{k,n} - 2 P_{k-1,n} - P_{k-1,n-1}:
 
     O(1) additions per cell, O(N^2) in all.  Row k+1 through index N
-    needs row k through N+1, so row k is built through index 2N-k;
-    only the two working rows are kept that long, and each row is
-    stored through index N.
+    needs row k through N+1, so the two working rows run through index
+    2N-k, and each row is yielded through index N.
     """
-    if N < 0:
-        raise InvalidIndex(f"need N >= 0, got N={N}")
-    rows = [[1] + [0] * N]
-    if not N:
-        return rows
     # low[m] = P_{k-1,k-1+m} and high[m] = P_{k,k+m}: rows k-1 and k
     # from their first nonzero cell on; high runs through index 2N-k.
-    cat = [catalan(j) for j in range(2 * N)]
-    low, high = [1] + [0] * (2 * N), list(map(add, cat, cat[1:]))
+    low = [1] + [0] * (2 * N)
+    high = list(starmap(add, pairwise(map(catalan, range(2 * N)))))
     for k in range(1, N + 1):
-        rows.append([0] * k + high[: N - k + 1])
+        yield high[: N - k + 1]
         # P_{k+1,k+1+m} = high[m+2] - high[m+1] - 2 low[m+2] - low[m+1]
         m = len(high) - 2
         step = map(sub, high[2:], high[1:-1])
         twice = map(add, low[2 : m + 2], low[1 : m + 1])
         low, high = high, list(map(sub, map(sub, step, twice), low[2 : m + 2]))
-    return rows

@@ -15,22 +15,15 @@ Combinatorics, 1974, section 3.3), each term is
 
     C(a*n + b*k, k-1) * P_{k,n} / k,
 
-and count_bell reads every P_{k,n} from one power triangle built once
-up to N, by C's own equation (ColorSequence.geometric describes C):
-for c_l = T * r^(l-L-1) past a prefix c_1..c_L, C = p / (1 - r t) with
-
-    p(t) = (1 - r t) * sum_(l<=L) c_l t^l + T t^(L+1),
-
-so P_k * (1 - r t) = P_(k-1) * p (bell.geometric_power_triangle; a
-tail-0 prefix is p = c with r = 0); for catpair,
-C = t * (2 + t + C + C^2), so
-
-    P_{k+1,n} = P_{k,n+1} - P_{k,n} - 2 P_{k-1,n} - P_{k-1,n-1}
-
-(bell.catpair_power_triangle).  Either way the triangle costs O(N^2)
-products per nonzero p_i, so O(N^2) for every built-in coloring, with
-no factorial and no binomial weight in any cell.  The route then makes
-one math.comb and one checked division for each of its N(N+1)/2 terms.
+and count_bell reads the rows of that power triangle from
+bell.power_rows, which builds each row from the ones below it by C's
+own equation (ColorSequence.geometric describes C; bell gives the
+rules) in O(N^2) products for every built-in coloring, with no
+factorial and no binomial weight in any cell.  count_bell adds each
+row's terms into the counts as the row arrives, so it holds two rows
+at a time, never the triangle.  The route makes one math.comb and one
+checked division for each of its N(N+1)/2 terms; peak_table and
+convolution_power_closed read one cell P_{k,n} of each row.
 
 Both routes are polynomial in N.  Summed over l, the recurrence is the
 functional equation
@@ -49,9 +42,10 @@ Catalan series K(x * y^a) satisfies
 
     K = 1 + x * y^a * K^2.
 
-Besides S or K, the recurrence builds y^1 .. y^max(a,b) from y and the
-chain rows y^(a*l+b) = y^b * (y^a)^l for l <= L+1, each from the one
-below it: max(a, b) + L + 1 rows, each by pairwise convolution.  The
+Besides S or K, the recurrence keeps every power of y it reads in one
+table keyed by exponent: y^1 .. y^max(a,b) from y, and the chain rows
+y^(a*l+b) = y^b * (y^a)^l for l <= L+1, each from the one below it, at
+most max(a, b) + L + 1 rows, each by pairwise convolution.  The
 closed form raises the coloring series C to powers and never reads y.
 Neither route reads the other's tables.
 
@@ -66,7 +60,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import mul
 
-from .bell import catpair_power_triangle, exact_div, geometric_power_triangle
+from .bell import exact_div, power_rows
 from .model import ColorSequence, PathParams
 
 __all__ = [
@@ -150,116 +144,114 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
     - catpair, C(t) = (1+t) * K(t) - 1 with K = 1 + t * K^2 the Catalan
       series: K(x * y^a) and its square.
 
-    The chain rows are built along y^b * (y^a)^l: first y^1 .. y^max(a,b)
-    from y, then chain row l as row l-1 convolved with y^a (row 0 is
-    y^b, or the unit series 1 when b = 0).  So max(a, b) + L + 1 rows
-    are built, plus S or the catpair rows, and every row is extended
-    online, one entry per new term of y: O(N^2) products for every
-    coloring with a short prefix.  Inner sums over weak compositions
-    are never enumerated.
+    Every power of y that is read is one row of a table keyed by its
+    exponent: the ladder y^1 .. y^max(a,b), each the one below times
+    y, and the chain rows y^(a*l+b), each the row a exponents below
+    times y^a.  So at most max(a, b) + L + 1 rows are built, plus S or
+    the catpair rows, and every row is extended online, one entry per
+    new term of y: O(N^2) products for every coloring with a short
+    prefix.  Inner sums over weak compositions are never enumerated.
     """
     if N < 0:
         raise ValueError("need N >= 0")
     a, b = params.a, params.b
     form = colors.geometric()
+    chain = ()  # the l of every chain row
     if form is not None:
         cs, tail, ratio = form
         if not tail or len(cs) >= N:  # no tail term below index N+1
             last = max((ell for ell, c in enumerate(cs[:N], 1) if c), default=0)
             cs, tail = cs[:last], 0
+        chain = range(1, len(cs) + (2 if tail else 1))
     y = [1]
-    # powers[k] = y^k for 1 <= k <= max(a, b), none past y when every
-    # c_l is zero; each is filled through index n-1 before y_n is
-    # formed.  powers[0] is None: the unit series y^0 is never stored.
-    used = form is None or cs or tail
-    powers = [None, y] + [[] for _ in range(2, max(a, b) + 1 if used else 2)]
+    # rows[e] = y^e.  A row that is both a ladder power and a chain
+    # row is one entry.  Each step (lag, row, left, right) fills
+    # row = left * right through index n - lag before y_n is formed:
+    # n-1 for the ladder, n-l for chain row l, the last index read.
+    # The lags ascend.
+    rows = {1: y}
+    steps = []
+    top = max(a, b) if form is None or chain else 1  # no color: y alone
+    for e in range(2, top + 1):
+        rows[e] = [1]
+        steps.append((1, rows[e], rows[e - 1], y))
+    for ell in chain:
+        e = a * ell + b
+        if e not in rows:
+            rows[e] = [1]
+            steps.append((ell, rows[e], rows[e - a], rows[a]))
     if form is None:
-        term = _catpair_terms(a, b, powers)
+        term = _catpair_terms(a, b, rows)
     else:
-        term = _chain_terms(a, b, powers, cs, tail, ratio)
+        term = _chain_terms(a, b, rows, cs, tail, ratio)
     for n in range(1, N + 1):
-        for k in range(2, len(powers)):
-            powers[k].append(_conv_at(powers[k - 1], y, n - 1))
+        for lag, row, left, right in steps:
+            if lag >= n:
+                break
+            row.append(_conv_at(left, right, n - lag))
         y.append(term(n))
     return CountSeries(tuple(y))
 
 
-def _chain_terms(a, b, powers, cs, tail, ratio):
+def _chain_terms(a, b, rows, cs, tail, ratio):
     """y_n = sum_(l<=L) c_l * [x^(n-l)] y^(a*l+b) + S_n as a function of
-    n, with cs = (c_1..c_L), where S_n = 0 when tail = 0 and otherwise
+    n, with cs = (c_1..c_L) and rows[e] = y^e, where S_n = 0 when
+    tail = 0 and otherwise
 
         S_n = T * [x^(n-L-1)] y^(a*(L+1)+b) + r * sum_(i<n) (y^a)_i * S_(n-1-i),
 
     the sum reading S_(n-1) alone at a = 0, where y^a is the unit
     series."""
     L = len(cs)
-    last = L + 1 if tail else L
-    # chain[l] = y^(a*l+b), filled through index n-l before y_n is
-    # formed.  A row that is one of the powers (a = 0, or l = 1 and
-    # b = 0) is shared; own lists the others, each with the row below.
-    chain = [None] * (last + 1)
-    own = []
-    for ell in range(1, last + 1):
-        if a == 0 or (ell == 1 and b == 0):
-            chain[ell] = powers[a * ell + b]
-        else:
-            chain[ell] = [1]
-            own.append((ell, chain[ell], chain[ell - 1] if ell > 1 else powers[b]))
-    y_a = powers[a] if last else None
     S = [0] * (L + 1)  # S_n = 0 for n <= L
 
     def term(n):
-        for ell, row, below in own:
-            if ell >= n:
-                break
-            row.append(_conv_at(below, y_a, n - ell))
-        value = sum(cs[ell - 1] * chain[ell][n - ell] for ell in range(1, min(L, n) + 1))
+        value = sum(cs[ell - 1] * rows[a * ell + b][n - ell] for ell in range(1, min(L, n) + 1))
         if tail and n > L:
-            folded = _conv_at(y_a, S, n - 1) if a else S[n - 1]
-            S.append(tail * chain[L + 1][n - L - 1] + ratio * folded)
+            folded = _conv_at(rows[a], S, n - 1) if a else S[n - 1]
+            S.append(tail * rows[a * (L + 1) + b][n - L - 1] + ratio * folded)
             value += S[n]
         return value
 
     return term
 
 
-def _catpair_terms(a, b, powers):
-    """y_n for c_l = C_(l-1) + C_l as a function of n.  With Z = y^a
-    and K the Catalan series K(x * Z), K = 1 + x * Z * K^2 and
-    y = 1 + y^b * W with W = (1 + x * Z) * K - 1, so
+def _catpair_terms(a, b, rows):
+    """y_n for c_l = C_(l-1) + C_l as a function of n, with
+    rows[e] = y^e.  With Z = y^a and K the Catalan series K(x * Z),
+    K = 1 + x * Z * K^2 and y = 1 + y^b * W with W = (1 + x * Z) * K - 1,
+    so
 
         K_n = (Z * K^2)_(n-1),  W_n = (Z * K)_(n-1) + K_n,
         y_n = sum_(i<n) (y^b)_i * W_(n-i),
 
     Z * u reading u alone at a = 0 and y^b * W reading W_n alone at
     b = 0, where either power is the unit series."""
-    z = powers[a]
     K, K2 = [1], []
     W = []  # W[i] = W_(i+1); W_0 = 0
 
     def times_z(u, i):
-        return _conv_at(z, u, i) if a else u[i]
+        return _conv_at(rows[a], u, i) if a else u[i]
 
     def term(n):
         K2.append(_conv_at(K, K, n - 1))
         K.append(times_z(K2, n - 1))
         W.append(times_z(K, n - 1) + K[n])
-        return _conv_at(powers[b], W, n - 1) if b else W[n - 1]
+        return _conv_at(rows[b], W, n - 1) if b else W[n - 1]
 
     return term
 
 
-def _bell_terms(params, rows, n, r=1):
+def _bell_terms(params, colors, n, r=1):
     """The exact terms r * C(a*n + b*k + r - 1, k-1) * P_{k,n} / k for
-    k = 1..n, with P_{k,n} = rows[k][n] from the power triangle.  The
-    binomial needs no range check: its top is at least k-1 >= 0.  Each
-    term is divided in place; on a remainder exact_div raises
-    NonIntegerTerm, naming n, r and both operands."""
+    k = 1..n, reading the one cell P_{k,n} at the end of each row of
+    power_rows(n).  The binomial needs no range check: its top is at
+    least k-1 >= 0.  Each term is divided in place; on a remainder
+    exact_div raises NonIntegerTerm, naming n, r and both operands."""
     a, b = params.a, params.b
-    top = a * n + r - 1
     terms = []
-    for k in range(1, n + 1):
-        num = r * comb(top + b * k, k - 1) * rows[k][n]
+    for k, row in enumerate(power_rows(n, colors.geometric()), 1):
+        num = r * comb(a * n + b * k + r - 1, k - 1) * row[-1]
         q, rem = divmod(num, k)
         if rem:
             exact_div(num, k, f"Bell term n={n}, r={r}")
@@ -267,24 +259,27 @@ def _bell_terms(params, rows, n, r=1):
     return terms
 
 
-def _power_rows(colors, N):
-    """The power triangle of C(t) = sum_j c_j t^j up to N, by C's own
-    equation: rational for the geometric description, the Catalan
-    equation for catpair."""
-    form = colors.geometric()
-    if form is None:
-        return catpair_power_triangle(N)
-    return geometric_power_triangle(N, *form)
-
-
 def count_bell(params: PathParams, colors: ColorSequence, N: int) -> CountSeries:
-    """Evaluate the partial-Bell-polynomial closed form up to index N."""
+    """Evaluate the partial-Bell-polynomial closed form up to index N.
+
+    The terms C(a*n + b*k, k-1) * P_{k,n} / k of each row k of the
+    power triangle are added into y_k .. y_N as the row arrives, each
+    divided in place as in _bell_terms.  The loop is written out
+    here, not shared with _bell_terms: at the small N of most counts
+    a call per row or per term costs more than the term."""
     if N < 0:
         raise ValueError("need N >= 0")
-    values = [1]
-    if N:
-        rows = _power_rows(colors, N)
-        values += (sum(_bell_terms(params, rows, n)) for n in range(1, N + 1))
+    a, b = params.a, params.b
+    values = [1] + [0] * N
+    for k, row in enumerate(power_rows(N, colors.geometric()), 1):
+        top = (a + b) * k  # a*n + b*k at n = k
+        for n, cell in enumerate(row, k):
+            num = comb(top, k - 1) * cell
+            q, rem = divmod(num, k)
+            if rem:
+                exact_div(num, k, f"Bell term n={n}, r=1")
+            values[n] += q
+            top += a
     return CountSeries(tuple(values))
 
 
@@ -310,11 +305,11 @@ def convolution_power_closed(
     summed as r * sum_k C(a*n + b*k + r - 1, k-1) * P_{k,n} / k."""
     if r < 1 or n < 1:
         raise ValueError("need r >= 1 and n >= 1")
-    return sum(_bell_terms(params, _power_rows(colors, n), n, r))
+    return sum(_bell_terms(params, colors, n, r))
 
 
 def peak_table(params: PathParams, colors: ColorSequence, n: int) -> PeakTable:
     """Counts of words of index n refined by their number of peaks."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return PeakTable(n, _bell_terms(params, _power_rows(colors, n), n))
+    return PeakTable(n, _bell_terms(params, colors, n))

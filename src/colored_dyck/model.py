@@ -82,8 +82,13 @@ class ColorSequence:
             raise ValueError(f"unknown color sequence kind: {self.kind!r}")
         if any(c < 0 for c in self.prefix) or self.tail < 0:
             raise ValueError("color counts must be nonnegative")
+        # The description of a tail-0 prefix stops at its last nonzero
+        # color, so whatever reads it stops there too.
+        last = len(self.prefix)
+        while last and not self.tail and not self.prefix[last - 1]:
+            last -= 1
         form = {
-            "explicit": (self.prefix, self.tail, 1),
+            "explicit": (self.prefix[:last], self.tail, 1),
             "ones": ((), 1, 1),
             "pow2": ((), 1, 2),
             "const": ((), self.tail, 1),
@@ -114,7 +119,8 @@ class ColorSequence:
 
     def geometric(self) -> tuple[tuple[int, ...], int, int] | None:
         """(c_1..c_L, T, r) such that c_l = T * r^(l-L-1) for every
-        l > L, or None for catpair, whose tail is not geometric."""
+        l > L, or None for catpair, whose tail is not geometric.  With
+        T = 0, c_L is the last nonzero color (L = 0 if there is none)."""
         return self._form
 
     def at(self, j: int) -> int:

@@ -1,6 +1,7 @@
 import pytest
 
 from colored_dyck import ColorSequence, PathParams
+from colored_dyck.bell import power_rows
 
 # (a, b) and color grids of the cross-route and enumeration checks;
 # tests/test_acceptance.py imports both.
@@ -19,6 +20,13 @@ COLOR_GRID = [
     ColorSequence.explicit((2, 0, 1)),
     ColorSequence.constant(3),
 ]
+
+
+def padded_triangle(N, form):
+    """power_rows(N, form) padded back to power_triangle's shape: row 0,
+    and k zeros before row k."""
+    rows = power_rows(N, form)
+    return [[1] + [0] * N] + [[0] * k + row for k, row in enumerate(rows, 1)]
 
 
 @pytest.fixture(params=PARAM_GRID, ids=lambda p: f"a{p.a}b{p.b}")

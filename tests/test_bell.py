@@ -16,13 +16,9 @@ from colored_dyck import (
     partial_bell_triangle,
     power_triangle,
 )
-from colored_dyck.bell import (
-    catpair_power_triangle,
-    exact_div,
-    geometric_power_triangle,
-    partitions_into_parts,
-)
+from colored_dyck.bell import exact_div, partitions_into_parts, power_rows
 from colored_dyck.errors import InvalidIndex, NonIntegerTerm
+from conftest import padded_triangle
 
 
 def bell_or_base(n, k, x):
@@ -265,25 +261,21 @@ class TestEquationRules:
         form = colors.geometric()
         for N in range(61):
             plain = power_triangle(N, [colors.at(j) for j in range(1, N + 1)])
-            if form is None:
-                rows = catpair_power_triangle(N)
-            else:
-                rows = geometric_power_triangle(N, *form)
-            assert rows == plain, N
+            assert padded_triangle(N, form) == plain, N
 
     def test_catpair_last_cells(self):
         # P_{k,N} for k near N reads the long rows at their far end:
         # P_{N,N} = c_1^N and P_{N-1,N} = (N-1) * c_1^(N-2) * c_2, with
         # c_1 = 2 and c_2 = 3.
         N = 60
-        rows = catpair_power_triangle(N)
+        rows = padded_triangle(N, None)
         assert rows[N][N] == 2**N
         assert rows[N - 1][N] == (N - 1) * 2 ** (N - 2) * 3
 
     def test_rational_tail(self):
         # c_j = 3 * 2^(j-1): C = 3t / (1 - 2t), so P_{k,n} =
         # 3^k * 2^(n-k) * C(n-1, k-1).
-        rows = geometric_power_triangle(12, (), 3, 2)
+        rows = padded_triangle(12, ((), 3, 2))
         for k in range(1, 13):
             for n in range(k, 13):
                 assert rows[k][n] == 3**k * 2 ** (n - k) * math.comb(n - 1, k - 1)
@@ -293,15 +285,15 @@ class TestEquationRules:
         prefix, tail, ratio = (1, 0, 5), 3, 2
         c = list(prefix) + [tail * ratio**i for i in range(20)]
         for N in range(21):
-            assert geometric_power_triangle(N, prefix, tail, ratio) == power_triangle(N, c[:N])
+            assert padded_triangle(N, (prefix, tail, ratio)) == power_triangle(N, c[:N])
 
     def test_empty(self):
-        assert catpair_power_triangle(0) == [[1]]
-        assert geometric_power_triangle(0, (), 1, 1) == [[1]]
+        assert padded_triangle(0, None) == [[1]]
+        assert padded_triangle(0, ((), 1, 1)) == [[1]]
         with pytest.raises(InvalidIndex):
-            catpair_power_triangle(-1)
+            power_rows(-1, None)
         with pytest.raises(InvalidIndex):
-            geometric_power_triangle(-1, (), 1, 1)
+            power_rows(-1, ((), 1, 1))
 
 
 class TestConvolutionIdentities:

@@ -292,9 +292,15 @@ class TestEnumeration:
         words = enumerate_all(PathParams(0, 1), colors, 1200)
         assert [w.blocks for w in words] == [(Rise(2, 1),) * 600]
 
-    def test_heads_stop_at_the_last_color(self, monkeypatch):
-        # c_l = 0 past a tail-0 prefix, so no head size past it is read:
-        # about 2 reads per needed index, not one per head size up to it
+    @pytest.mark.parametrize(
+        "colors",
+        [ColorSequence.explicit((0, 1)), ColorSequence.explicit((0, 1) + (0,) * 1000)],
+        ids=["0,1", "0,1+1000-zeros"],
+    )
+    def test_heads_stop_at_the_last_color(self, monkeypatch, colors):
+        # c_l = 0 past the last nonzero color of a tail-0 prefix, so no
+        # head size past it is read, however many zeros the prefix ends
+        # with: about 2 reads per needed index, not one per head size
         reads = []
         at = ColorSequence.at
 
@@ -303,7 +309,7 @@ class TestEnumeration:
             return at(self, j)
 
         monkeypatch.setattr(ColorSequence, "at", counted)
-        words = enumerate_all(PathParams(0, 1), ColorSequence.explicit((0, 1)), 600)
+        words = enumerate_all(PathParams(0, 1), colors, 600)
         assert [w.blocks for w in words] == [(Rise(2, 1),) * 300]
         assert max(reads) == 2
         assert len(reads) <= 4 * 600

@@ -1,4 +1,6 @@
+import tracemalloc
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -16,7 +18,7 @@ from colored_dyck import bell, counting
 from colored_dyck.bijection import enumerate_all
 from colored_dyck.errors import NonIntegerTerm
 from colored_dyck.sequences import duchon_d, fuss_catalan, narayana
-from conftest import COLOR_GRID, PARAM_GRID
+from conftest import COLOR_GRID, PARAM_GRID, padded_triangle
 
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
@@ -71,12 +73,12 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-# Every triangle evaluator in bell, and the rows rule they share.
+# Every triangle evaluator in bell, and the two rules behind power_rows.
 TRIANGLE_EVALUATORS = (
     "power_triangle",
-    "geometric_power_triangle",
-    "catpair_power_triangle",
+    "power_rows",
     "_rational_rows",
+    "_catpair_rows",
     "partial_bell_triangle",
 )
 
@@ -150,7 +152,6 @@ class TestChain:
             monkeypatch.setattr(bell, name, forbidden)
             if hasattr(counting, name):
                 monkeypatch.setattr(counting, name, forbidden)
-        monkeypatch.setattr(counting, "_power_rows", forbidden)
         monkeypatch.setattr(counting, "_bell_terms", forbidden)
         for colors, series in zip(colorings, expected):
             assert count_recurrence(params, colors, 20) == series
@@ -250,14 +251,13 @@ class TestBellRoute:
     def test_odd_triangle_cell_raises(self, monkeypatch):
         # At (1, 0), n = 3, k = 2 the term is C(3, 1) * P_{2,3} / 2, and
         # ones has P_{2,3} = 2; a cell of 1 leaves 3/2.
-        power_rows = counting._power_rows
+        power_rows = counting.power_rows
 
-        def odd(colors, N):
-            rows = power_rows(colors, N)
-            rows[2][3] = 1
-            return rows
+        def odd(N, form):
+            for k, row in enumerate(power_rows(N, form), 1):
+                yield row[:1] + [1] + row[2:] if k == 2 else row  # row[1] = P_{2,3}
 
-        monkeypatch.setattr(counting, "_power_rows", odd)
+        monkeypatch.setattr(counting, "power_rows", odd)
         with pytest.raises(NonIntegerTerm, match=r"Bell term n=3, r=1: 3/2$"):
             count_bell(PathParams(1, 0), ColorSequence.ones(), 5)
 
@@ -274,6 +274,54 @@ class TestBellRoute:
         assert convolution_power_closed(
             params, colors, 3, 6
         ) == convolution_power_direct(series, 3, 6)
+
+
+class TestBellRouteCost:
+    """The Bell route holds two rows of the power triangle at a time,
+    never the triangle, and makes one binomial per term it sums."""
+
+    @pytest.mark.parametrize(
+        "colors",
+        [ColorSequence.ones(), ColorSequence.catalan_pair_sum()],
+        ids=["ones", "catpair"],
+    )
+    def test_peak_memory_under_a_quarter_of_the_triangle(self, colors):
+        N, params = 300, PathParams(1, 0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            triangle = padded_triangle(N, colors.geometric())
+            size = tracemalloc.get_traced_memory()[0] - base
+            del triangle
+            for route in (count_bell, peak_table):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                route(params, colors, N)
+                peak = tracemalloc.get_traced_memory()[1] - base
+                assert peak < size / 4, (route.__name__, peak, size)
+        finally:
+            tracemalloc.stop()
+
+    def test_one_binomial_per_term(self, monkeypatch):
+        calls = []
+
+        def counted(m, r):
+            calls.append((m, r))
+            return comb(m, r)
+
+        monkeypatch.setattr(counting, "comb", counted)
+        params = PathParams(2, 1)
+        for colors in (ColorSequence.explicit((1, 2), 3), ColorSequence.catalan_pair_sum()):
+            for n in (1, 7, 30):
+                del calls[:]
+                peak_table(params, colors, n)
+                assert len(calls) == n
+                del calls[:]
+                convolution_power_closed(params, colors, 3, n)
+                assert len(calls) == n
+                del calls[:]
+                count_bell(params, colors, n)
+                assert len(calls) == n * (n + 1) // 2
 
 
 class TestConvolutionPowers:

@@ -512,3 +512,31 @@ class TestParseDifferential:
         assert _outcome(parse_steps, text, params, colors) == _outcome(
             reference_parse_steps, text, params, colors
         )
+
+
+# Characters of random step text: mostly step letters, so that some
+# texts parse, then brackets with ASCII digits, and now and then a
+# blank, a non-ASCII digit or any other character.
+STEP_CHARACTERS = st.sampled_from(
+    [st.sampled_from("ud")] * 12
+    + [
+        st.sampled_from("[]0123456789"),
+        st.sampled_from(" \t\n\u00a0\u0662\u0967\uff11\U0001d7d8"),
+        st.characters(),
+    ]
+).flatmap(lambda chars: chars)
+
+
+class TestParseFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.text(STEP_CHARACTERS, max_size=60),
+        st.sampled_from(PARAM_GRID),
+        st.sampled_from(COLOR_GRID),
+    )
+    def test_a_word_that_round_trips_or_a_package_error(self, text, params, colors):
+        try:
+            word = parse_steps(text, params, colors)
+        except ColoredDyckError:
+            return
+        assert parse_steps(to_steps(word), params, colors) == word
