@@ -18,9 +18,7 @@ rows are held at a time:
 
       P_{k,n} = sum_i p_i * P_{k-1,n-i} + r * P_{k,n-1},
 
-  O(N^2) products per nonzero p_i.  A polynomial C is the case r = 0,
-  and power_triangle, for any c_1..c_N, stores that case with p = c
-  as a whole triangle, the oracle of the tests.
+  O(N^2) products per nonzero p_i.  A polynomial C is the case r = 0.
 - C_j = Catalan(j-1) + Catalan(j) (catpair):
   C = t * (2 + t + C + C^2), so
 
@@ -30,9 +28,10 @@ rows are held at a time:
 
 The Bell polynomials themselves are evaluated by the standard
 recurrence, one whole triangle B_{n,k}, n <= N, at a time
-(partial_bell_triangle); that triangle and the exponential partition
-sum (partial_bell_sum, over partitions_into_parts) are oracles that
-only the tests call.
+(partial_bell_triangle).  That triangle, the exponential partition sum
+(partial_bell_sum, over partitions_into_parts) and the whole power
+triangle by direct convolution, O(N^3) (power_triangle), are oracles
+that only the tests call.
 """
 
 from __future__ import annotations
@@ -172,20 +171,32 @@ def partial_bell_triangle(N: int, x) -> list[list[int]]:
 
 def power_triangle(N: int, c) -> list[list[int]]:
     """The rows P[k][n] = [t^n] C(t)^k, 0 <= k, n <= N, of the powers of
-    C(t) = c_1 t + c_2 t^2 + ... for c = (c_1, ..., c_N), by
+    C(t) = c_1 t + c_2 t^2 + ... for c = (c_1, ..., c_N), by the direct
+    convolution
 
-        P_{k,n} = sum_j c_j * P_{k-1,n-j},  P_{0,0} = 1.
+        P_{k,n} = sum_j c_j * P_{k-1,n-j},  P_{0,0} = 1,
 
-    P_{k,n} = 0 for n < k; otherwise it is the weighted count of
-    compositions of n into k parts, a part j weighing c_j, and equals
-    k!/n! * B_{n,k}(1!c_1, 2!c_2, ...).  This is power_rows on the
-    tail-0 description (c_1..c_N, 0, 1), each row padded with its
-    k zeros: the whole triangle, stored, for the tests to compare with.
+    in O(N^3) big-integer products.  P_{k,n} = 0 for n < k; otherwise
+    it is the weighted count of compositions of n into k parts, a part
+    j weighing c_j, and equals k!/n! * B_{n,k}(1!c_1, 2!c_2, ...).  It
+    shares no code with power_rows: the tests compare the two.
     """
+    if N < 0:
+        raise InvalidIndex(f"need N >= 0, got N={N}")
     if len(c) < N:
         raise InvalidIndex(f"need at least N = {N} arguments, got {len(c)}")
-    rows = power_rows(N, (c, 0, 1))
-    return [[1] + [0] * N] + [[0] * k + row for k, row in enumerate(rows, 1)]
+    rows = [[1] + [0] * N]
+    for k in range(1, N + 1):
+        below = rows[-1]
+        # below[m] = 0 for m < k-1, so part j reaches only j <= n-k+1.
+        rows.append(
+            [0] * k
+            + [
+                sum(c[j - 1] * below[n - j] for j in range(1, n - k + 2))
+                for n in range(k, N + 1)
+            ]
+        )
+    return rows
 
 
 def power_rows(N: int, form):

@@ -17,6 +17,7 @@ from itertools import combinations_with_replacement
 from math import prod
 from operator import sub
 
+from .bell import _int_text
 from .errors import EmptyWord, InvalidTuple, MalformedWord, ResourceLimit
 from .model import (
     DOWN,
@@ -64,12 +65,12 @@ def compose(
     expected = params.a * t.ell + params.b
     if len(t.children) != expected:
         raise InvalidTuple(
-            f"need {expected} children for ell={t.ell}, got {len(t.children)}"
+            f"need {_int_text(expected)} children for ell={_int_text(t.ell)}, "
+            f"got {len(t.children)}"
         )
     if t.color > colors.at(t.ell):
-        raise InvalidTuple(
-            f"color {t.color} out of range (c_{t.ell} = {colors.at(t.ell)})"
-        )
+        color, ell, limit = map(_int_text, (t.color, t.ell, colors.at(t.ell)))
+        raise InvalidTuple(f"color {color} out of range (c_{ell} = {limit})")
     blocks = [Rise(t.ell, t.color)]
     n = t.ell
     for i, child in enumerate(t.children):

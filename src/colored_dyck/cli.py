@@ -195,29 +195,44 @@ def _cmd_validate(args):
     return 0
 
 
+# Each family: its (a, b), its coloring, and the closed forms, each a
+# name in sequences with its leading arguments, that every count must
+# equal.  mary's a is --m; narayana compares the peak row of index n.
+_CS = model.ColorSequence
+_PRESETS = {
+    "a052709": ((0, 2), _CS.explicit((1, 1)), [("a052709_closed",)]),
+    "a186997": ((1, 2), _CS.explicit((1, 1)), [("a186997_closed",)]),
+    "duchon": ((5, 0), _CS.catalan_pair_sum(), [("duchon_d",), ("duchon_alt",)]),
+    "mary": ((None, 0), _CS.ones(), [("fuss_catalan",)]),
+    "motzkin": ((1, 0), _CS.explicit((1, 1)), [("motzkin_colored", 1, 1)]),
+    "narayana": ((1, 0), _CS.ones(), [("narayana",)]),
+    "schroeder": ((1, 0), _CS.powers_of_two(), [("schroeder_little",)]),
+}
+
+
 def _cmd_preset(args):
-    spec = sequences.PRESETS[args.name]
-    params, colors = spec.params, spec.colors
+    (a, b), colors, forms = _PRESETS[args.name]
+    lead = ()  # arguments between a form's fixed ones and the index
     if args.name == "mary":
-        params = model.PathParams(args.m, 0)
+        a, lead = args.m, (args.m,)
+    params = model.PathParams(a, b)
 
     # Each row is an index followed by values that must all be equal.
     if args.name == "narayana":
-        n = args.n if args.n is not None else args.N
-        table = counting.peak_table(params, colors, n)
-        rows = [(k, sequences.narayana(n, k), table[k]) for k in range(1, n + 1)]
-        where = f"n={n}, k="
+        top = args.n if args.n is not None else args.N
+        counts = counting.peak_table(params, colors, top)
+        lead = (top,)
+        where = f"n={top}, k="
     else:
-        N = args.N
-        colored = counting.count_bell(params, colors, N)
-        if args.name == "duchon":
-            closed = lambda n: (sequences.duchon_d(n), sequences.duchon_alt(n))
-        elif args.name == "mary":
-            closed = lambda n: (sequences.fuss_catalan(args.m, n),)
-        else:
-            closed = lambda n: (spec.closed_form(n),)
-        rows = [(n, *closed(n), colored[n]) for n in range(1, N + 1)]
+        top = args.N
+        counts = counting.count_bell(params, colors, top)
         where = "n="
+    # Looked up now, so that a closed form replaced in sequences is used.
+    closed = [
+        functools.partial(getattr(sequences, name), *fixed, *lead)
+        for name, *fixed in forms
+    ]
+    rows = [(i, *(f(i) for f in closed), counts[i]) for i in range(1, top + 1)]
     with _int_text_unlimited():
         for row in rows:
             print(" ".join(map(str, row)))
@@ -273,7 +288,7 @@ def build_parser():
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("preset", help="compare a named family to its colored count")
-    p.add_argument("name", choices=sorted(sequences.PRESETS))
+    p.add_argument("name", choices=sorted(_PRESETS))
     p.add_argument("--N", type=int, default=8)
     p.add_argument("--n", type=int, help="row index (narayana)")
     p.add_argument("--m", type=int, default=2, help="arity (mary)")

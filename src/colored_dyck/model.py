@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .bell import catalan
+from .bell import _int_text, catalan
 from .errors import (
     BadAscent,
     ColorOutOfRange,
@@ -200,7 +200,8 @@ class ColoredDyckWord:
             if isinstance(block, Rise):
                 n += block.j
             elif not isinstance(block, DownStep):
-                raise MalformedWord(f"{block!r} is not a block")
+                text = _int_text(block) if type(block) is int else repr(block)
+                raise MalformedWord(f"{text} is not a block")
             balance += _block_net(block, self.params)
             if balance < 0:
                 raise NotDyck("prefix has more d's than u's")
@@ -246,6 +247,7 @@ def _check_color(j: int, color: int, colors: ColorSequence) -> None:
     """Raise ColorOutOfRange unless 1 <= color <= c_j."""
     limit = colors.at(j)
     if not 1 <= color <= limit:
+        color, j, limit = map(_int_text, (color, j, limit))
         raise ColorOutOfRange(
             f"color {color} out of range for ascent size {j} (c_{j} = {limit})"
         )

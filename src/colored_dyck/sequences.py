@@ -1,6 +1,7 @@
 """Closed forms for the classical families recovered by the colored
-Dyck model, each paired with its (params, colors) instantiation and,
-where feasible, an independent lattice-path oracle.
+Dyck model and, where feasible, independent lattice-path oracles.
+Which (a, b) and coloring each family is counted under is the CLI's
+preset table.
 
 Slope-3/2 words use the alphabet {a, b} with `a` an east step (1,0)
 and `b` a north step (0,1); a word of length 5n runs from (0,0) to
@@ -11,17 +12,13 @@ the regression test accepting the reference word "ababbaabbb".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, perm
 
 from .bell import binomial, catalan, exact_div
 from .errors import InvalidIndex, ResourceLimit
-from .model import ColorSequence, PathParams
 
 __all__ = [
-    "SequenceSpec",
-    "PRESETS",
     "narayana",
     "motzkin_colored",
     "schroeder_little",
@@ -249,6 +246,10 @@ def duchon_alt(n: int) -> int:
     return exact_div(total, n, "duchon_alt")
 
 
+# The most words rational_dyck_words lists before it gives up.
+_WORD_CAP = 10**6
+
+
 def _slope32_ok(x: int, y: int) -> bool:
     return 2 * y <= 3 * x
 
@@ -265,9 +266,9 @@ def rational_dyck_count(n: int) -> int:
     return step_lattice_count({(1, 3), (1, -2)}, 5 * n)
 
 
-def rational_dyck_words(n: int, cap: int = 10**6):
+def rational_dyck_words(n: int):
     """All slope-3/2 Dyck words of length 5n, as strings over {a, b},
-    in lexicographic order."""
+    in lexicographic order; ResourceLimit past _WORD_CAP words."""
     if n < 1:
         raise ValueError("need n >= 1")
     width, height = 2 * n, 3 * n
@@ -276,8 +277,8 @@ def rational_dyck_words(n: int, cap: int = 10**6):
     def walk(x, y, prefix):
         if x == width and y == height:
             out.append("".join(prefix))
-            if len(out) > cap:
-                raise ResourceLimit(f"more than {cap} words")
+            if len(out) > _WORD_CAP:
+                raise ResourceLimit(f"more than {_WORD_CAP} words")
             return
         if x + 1 <= width:
             prefix.append("a")
@@ -311,12 +312,11 @@ def is_slope32_word(word: str) -> bool:
     return True
 
 
-def factor_free_count(n: int, cap: int = 10**6) -> int:
+def factor_free_count(n: int) -> int:
     """Slope-3/2 words of length 5n with no proper contiguous factor
     in the language.  Exhaustive; intended for small n only."""
-    words = rational_dyck_words(n, cap=cap)
     count = 0
-    for word in words:
+    for word in rational_dyck_words(n):
         length = len(word)
         has_factor = any(
             is_slope32_word(word[i : i + size])
@@ -326,62 +326,3 @@ def factor_free_count(n: int, cap: int = 10**6) -> int:
         if not has_factor:
             count += 1
     return count
-
-
-@dataclass(frozen=True)
-class SequenceSpec:
-    """A named family: its closed form together with the (params,
-    colors) pair whose colored-path counts it must match."""
-
-    name: str
-    params: PathParams
-    colors: ColorSequence
-    closed_form: object
-
-
-def _make_presets():
-    specs = [
-        SequenceSpec(
-            "narayana", PathParams(1, 0), ColorSequence.ones(), narayana
-        ),
-        SequenceSpec(
-            "motzkin",
-            PathParams(1, 0),
-            ColorSequence.explicit((1, 1)),
-            lambda n: motzkin_colored(1, 1, n),
-        ),
-        SequenceSpec(
-            "schroeder",
-            PathParams(1, 0),
-            ColorSequence.powers_of_two(),
-            schroeder_little,
-        ),
-        SequenceSpec(
-            "mary",
-            PathParams(2, 0),
-            ColorSequence.ones(),
-            lambda n, m=2: fuss_catalan(m, n),
-        ),
-        SequenceSpec(
-            "a052709",
-            PathParams(0, 2),
-            ColorSequence.explicit((1, 1)),
-            a052709_closed,
-        ),
-        SequenceSpec(
-            "a186997",
-            PathParams(1, 2),
-            ColorSequence.explicit((1, 1)),
-            a186997_closed,
-        ),
-        SequenceSpec(
-            "duchon",
-            PathParams(5, 0),
-            ColorSequence.catalan_pair_sum(),
-            duchon_d,
-        ),
-    ]
-    return {s.name: s for s in specs}
-
-
-PRESETS = _make_presets()

@@ -1,3 +1,7 @@
+import ast
+import sys
+from pathlib import Path
+
 import pytest
 
 from colored_dyck import ColorSequence, PathParams
@@ -20,6 +24,30 @@ COLOR_GRID = [
     ColorSequence.explicit((2, 0, 1)),
     ColorSequence.constant(3),
 ]
+
+
+# For tests of integers with more digits than the interpreter converts
+# to text, which only interpreters with that limit can run.
+needs_int_digit_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no int-to-str limit",
+)
+
+# 10^5000, past the default limit of 4300 digits: a message names it by
+# its bit length.
+HUGE, HUGE_TEXT = 10**5000, "<16610-bit integer>"
+
+
+def package_imports(module):
+    """The package modules a module's import statements name, as
+    written (".errors", "colored_dyck.model", ...)."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    return {m for m in imported if m.startswith((".", "colored_dyck"))}
 
 
 def padded_triangle(N, form):

@@ -1,7 +1,5 @@
-import ast
 import math
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +16,7 @@ from colored_dyck import (
 )
 from colored_dyck.bell import exact_div, partitions_into_parts, power_rows
 from colored_dyck.errors import InvalidIndex, NonIntegerTerm
-from conftest import padded_triangle
+from conftest import package_imports, padded_triangle
 
 
 def bell_or_base(n, k, x):
@@ -340,12 +338,4 @@ class TestConvolutionIdentities:
 def test_bell_imports_only_errors_from_the_package():
     # bell is a leaf module: the counting routes and the tests build on
     # it, and it builds on nothing of the package but its errors.
-    tree = ast.parse(Path(bell.__file__).read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported.add("." * node.level + (node.module or ""))
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-    package = {m for m in imported if m.startswith((".", "colored_dyck"))}
-    assert package == {".errors"}
+    assert package_imports(bell) == {".errors"}

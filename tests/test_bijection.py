@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -27,6 +28,7 @@ from colored_dyck.errors import (
     NotDyck,
     ResourceLimit,
 )
+from conftest import HUGE, HUGE_TEXT, needs_int_digit_limit
 
 
 ONES = ColorSequence.ones()
@@ -113,6 +115,19 @@ class TestCompose:
                 DecompositionTuple(1, 2, (empty,)), PathParams(1, 0), ONES
             )
 
+    @needs_int_digit_limit
+    def test_huge_head_color(self):
+        empty = ColoredDyckWord(PathParams(1, 0), ())
+        message = f"color {HUGE_TEXT} out of range (c_1 = 1)"
+        with pytest.raises(InvalidTuple, match=f"^{re.escape(message)}$"):
+            compose(DecompositionTuple(1, HUGE, (empty,)), PathParams(1, 0), ONES)
+
+    @needs_int_digit_limit
+    def test_huge_head_size(self):
+        message = f"need {HUGE_TEXT} children for ell={HUGE_TEXT}, got 0"
+        with pytest.raises(InvalidTuple, match=f"^{re.escape(message)}$"):
+            compose(DecompositionTuple(HUGE, 1, ()), PathParams(1, 0), ONES)
+
     def test_child_of_other_params(self):
         # u[1]d under (0, 1) is also a valid (1, 0) block sequence, but
         # decompose would return it with (1, 0) params: not the input.
@@ -156,6 +171,14 @@ class TestDecompose:
         params = PathParams(1, 0)
         with pytest.raises(EmptyWord):
             decompose(ColoredDyckWord(params, ()), params, ONES)
+
+    @needs_int_digit_limit
+    def test_huge_head_color(self):
+        params = PathParams(1, 0)
+        w = ColoredDyckWord(params, (Rise(1, HUGE),))
+        message = f"color {HUGE_TEXT} out of range for ascent size 1 (c_1 = 1)"
+        with pytest.raises(ColorOutOfRange, match=f"^{re.escape(message)}$"):
+            decompose(w, params, ONES)
 
     def test_word_of_other_params(self):
         # (Rise(1, 1),) balances under (0, 1) but not under (1, 0)

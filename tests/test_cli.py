@@ -14,7 +14,7 @@ from colored_dyck.cli import build_parser, main, parse_color_spec
 from colored_dyck.counting import CountSeries, count_recurrence
 from colored_dyck.errors import ResourceLimit
 from colored_dyck.model import ColorSequence, PathParams, Rise, to_steps
-from conftest import COLOR_GRID
+from conftest import COLOR_GRID, needs_int_digit_limit
 
 
 @pytest.fixture
@@ -369,10 +369,7 @@ class TestDecomposeValidate:
         assert out == ""
         assert "MalformedAnnotation" in err
 
-    @pytest.mark.skipif(
-        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-        reason="no int-to-str limit",
-    )
+    @needs_int_digit_limit
     @pytest.mark.parametrize("command", ["validate", "decompose"])
     def test_annotation_past_the_digit_limit(self, run, command):
         text = "u[" + "1" * (sys.get_int_max_str_digits() + 1) + "]d"
@@ -421,6 +418,61 @@ class TestPreset:
                 fields = line.split()
                 assert fields[1] == fields[2], (name, line)
 
+
+    # Each family as the paper instantiates it: (a, b), the coloring and
+    # its closed forms at index n, written out here and not read from
+    # the CLI's table.  mary and narayana have tests of their own.
+    PAIR = ColorSequence.explicit((1, 1))
+    FAMILIES = {
+        "a052709": ((0, 2), PAIR, [sequences.a052709_closed]),
+        "a186997": ((1, 2), PAIR, [sequences.a186997_closed]),
+        "duchon": (
+            (5, 0),
+            ColorSequence.catalan_pair_sum(),
+            [sequences.duchon_d, sequences.duchon_alt],
+        ),
+        "motzkin": ((1, 0), PAIR, [functools.partial(sequences.motzkin_colored, 1, 1)]),
+        "schroeder": (
+            (1, 0),
+            ColorSequence.powers_of_two(),
+            [sequences.schroeder_little],
+        ),
+    }
+
+    @staticmethod
+    def expected_rows(params, colors, forms, N):
+        """preset's stdout for indices 1..N, with the colored counts from
+        the recurrence; preset itself reads the Bell route."""
+        series = count_recurrence(params, colors, N)
+        return "".join(
+            " ".join(map(str, (n, *(f(n) for f in forms), series[n]))) + "\n"
+            for n in range(1, N + 1)
+        )
+
+    @pytest.mark.parametrize("N", [0, 1, 20])
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_stdout_pinned(self, run, name, N):
+        (a, b), colors, forms = self.FAMILIES[name]
+        expected = self.expected_rows(PathParams(a, b), colors, forms, N)
+        assert run("preset", name, "--N", str(N)) == (0, expected, "")
+
+    @pytest.mark.parametrize("N", [0, 1, 20])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_mary_stdout_pinned(self, run, m, N):
+        forms = [functools.partial(sequences.fuss_catalan, m)]
+        expected = self.expected_rows(PathParams(m, 0), ColorSequence.ones(), forms, N)
+        assert run("preset", "mary", "--m", str(m), "--N", str(N)) == (0, expected, "")
+        if m == 2:  # the default arity
+            assert run("preset", "mary", "--N", str(N)) == (0, expected, "")
+
+    @pytest.mark.parametrize("n", [1, 20])
+    def test_narayana_stdout_pinned(self, run, n):
+        expected = "".join(
+            f"{k} {sequences.narayana(n, k)} {sequences.narayana(n, k)}\n"
+            for k in range(1, n + 1)
+        )
+        assert run("preset", "narayana", "--n", str(n)) == (0, expected, "")
+        assert run("preset", "narayana", "--N", str(n)) == (0, expected, "")
 
     @pytest.mark.parametrize(
         "argv, target",

@@ -29,7 +29,7 @@ from colored_dyck.errors import (
     TruncatedDescent,
 )
 from colored_dyck.model import Block, _check_color, _trusted_word
-from conftest import COLOR_GRID, PARAM_GRID
+from conftest import COLOR_GRID, HUGE, HUGE_TEXT, PARAM_GRID, needs_int_digit_limit
 
 
 ONES = ColorSequence.ones()
@@ -137,6 +137,18 @@ class TestWordStructure:
         w = ColoredDyckWord(PathParams(1, 0), (Rise(2, 2), DOWN))
         with pytest.raises(ColorOutOfRange):
             validate_colors(w, ColorSequence.ones())
+
+    @needs_int_digit_limit
+    def test_huge_non_block_rejected(self):
+        with pytest.raises(MalformedWord, match=f"^{HUGE_TEXT} is not a block$"):
+            ColoredDyckWord(PathParams(1, 0), (HUGE,))
+
+    @needs_int_digit_limit
+    def test_huge_color_rejected(self):
+        w = ColoredDyckWord(PathParams(1, 0), (Rise(1, HUGE),))
+        message = f"color {HUGE_TEXT} out of range for ascent size 1 (c_1 = 1)"
+        with pytest.raises(ColorOutOfRange, match=f"^{re.escape(message)}$"):
+            validate_colors(w, ONES)
 
 
 class TestSerialization:
@@ -249,10 +261,7 @@ class TestSerialization:
         with pytest.raises(error, match=re.escape(message)):
             parse_steps(text, PathParams(*ab), colors)
 
-    @pytest.mark.skipif(
-        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-        reason="no int-to-str limit",
-    )
+    @needs_int_digit_limit
     @pytest.mark.parametrize(
         "template, error, message",
         [

@@ -10,8 +10,9 @@ from colored_dyck import (
     count_bell,
     peak_table,
 )
+from colored_dyck import sequences
 from colored_dyck.bell import binomial, exact_div
-from colored_dyck.errors import InvalidIndex
+from colored_dyck.errors import InvalidIndex, ResourceLimit
 from colored_dyck.sequences import (
     a052709_closed,
     a186997_closed,
@@ -30,6 +31,7 @@ from colored_dyck.sequences import (
     schroeder_little,
     step_lattice_count,
 )
+from conftest import package_imports
 
 
 # Reference forms: each closed form summed term by term as its formula
@@ -276,7 +278,21 @@ class TestDuchon:
         for n in range(1, 4):
             assert factor_free_count(n) == catalan(n - 1) + catalan(n)
 
+    def test_word_cap(self, monkeypatch):
+        monkeypatch.setattr(sequences, "_WORD_CAP", rational_dyck_count(2) - 1)
+        with pytest.raises(ResourceLimit):
+            rational_dyck_words(2)
+        with pytest.raises(ResourceLimit):
+            factor_free_count(2)
+        assert len(rational_dyck_words(1)) == rational_dyck_count(1)
+
     def test_non_members_rejected(self):
         assert not is_slope32_word("")
         assert not is_slope32_word("babba")  # north first crosses the line
         assert not is_slope32_word("aabab")  # wrong letter counts
+
+
+def test_sequences_imports_only_bell_and_errors_from_the_package():
+    # The closed forms and their oracles stand apart from the colored
+    # model they are checked against: nothing from model or counting.
+    assert package_imports(sequences) == {".bell", ".errors"}
