@@ -126,10 +126,11 @@ def partial_bell_sum(n: int, k: int, x) -> int:
     performed in integer arithmetic.
     """
     if k < 1 or k > n:
+        n, k = map(_int_text, (n, k))
         raise InvalidIndex(f"need 1 <= k <= n, got n={n}, k={k}")
     if len(x) < n - k + 1:
         raise InvalidIndex(
-            f"need at least n-k+1 = {n - k + 1} arguments, got {len(x)}"
+            f"need at least n-k+1 = {_int_text(n - k + 1)} arguments, got {len(x)}"
         )
     total = 0
     n_fact = math.factorial(n)
@@ -154,9 +155,11 @@ def partial_bell_triangle(N: int, x) -> list[list[int]]:
     in O(N^3) big-integer products.
     """
     if N < 0:
-        raise InvalidIndex(f"need N >= 0, got N={N}")
+        raise InvalidIndex(f"need N >= 0, got N={_int_text(N)}")
     if len(x) < N:
-        raise InvalidIndex(f"need at least N = {N} arguments, got {len(x)}")
+        raise InvalidIndex(
+            f"need at least N = {_int_text(N)} arguments, got {len(x)}"
+        )
     rows = [[1]]
     for n in range(1, N + 1):
         row = [0] * (n + 1)
@@ -182,9 +185,11 @@ def power_triangle(N: int, c) -> list[list[int]]:
     shares no code with power_rows: the tests compare the two.
     """
     if N < 0:
-        raise InvalidIndex(f"need N >= 0, got N={N}")
+        raise InvalidIndex(f"need N >= 0, got N={_int_text(N)}")
     if len(c) < N:
-        raise InvalidIndex(f"need at least N = {N} arguments, got {len(c)}")
+        raise InvalidIndex(
+            f"need at least N = {_int_text(N)} arguments, got {len(c)}"
+        )
     rows = [[1] + [0] * N]
     for k in range(1, N + 1):
         below = rows[-1]
@@ -218,7 +223,7 @@ def power_rows(N: int, form):
     N is checked here, at the call, not when the first row is read.
     """
     if N < 0:
-        raise InvalidIndex(f"need N >= 0, got N={N}")
+        raise InvalidIndex(f"need N >= 0, got N={_int_text(N)}")
     if form is None:
         return _catpair_rows(N)
     prefix, tail, ratio = form

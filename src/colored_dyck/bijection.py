@@ -5,9 +5,12 @@ A nonempty word of index n corresponds uniquely to a tuple
 ell with its color, followed by the children words separated by single
 down steps.  compose builds the word from the tuple, decompose inverts
 it via the excess procedure, and enumerate_all lists the whole set in
-a fixed deterministic order.  The enumeration is one walk over
-block-code strings (one character per block), which the CLI streams
-as text without building a word object.
+a fixed deterministic order.  The enumeration is one walk that memoizes
+every child index as strings, spelled in an alphabet its caller
+picks: enumerate_all spells each block as a one-character code, which
+it decodes into blocks; the CLI's plain listing spells each block as
+its step text, so each output line is a head's text and one string of
+the memo, joined without a word object or a translation.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 10**6
+
+
+def _pair_text(params: PathParams) -> str:
+    """(a, b) as a message writes it."""
+    return f"({_int_text(params.a)}, {_int_text(params.b)})"
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,8 @@ def compose(
             raise InvalidTuple(f"child {i} is not a ColoredDyckWord")
         if child.params != params:
             raise InvalidTuple(
-                f"child {i} is built for (a, b) = ({child.params.a}, "
-                f"{child.params.b}), not ({params.a}, {params.b})"
+                f"child {i} is built for (a, b) = {_pair_text(child.params)}, "
+                f"not {_pair_text(params)}"
             )
         if i > 0:
             blocks.append(DOWN)
@@ -112,8 +120,8 @@ def decompose(
     """
     if w.params != params:
         raise MalformedWord(
-            f"word is built for (a, b) = ({w.params.a}, {w.params.b}), "
-            f"not ({params.a}, {params.b})"
+            f"word is built for (a, b) = {_pair_text(w.params)}, "
+            f"not {_pair_text(params)}"
         )
     if not w.blocks:
         raise EmptyWord("cannot decompose the empty word")
@@ -155,22 +163,29 @@ def weak_compositions(total: int, parts: int):
 _CODE_LIMIT = 0x110000
 
 
-def _walk(params: PathParams, colors: ColorSequence, n: int, cap: int):
-    """The words of index n, streamed as block-code strings.
+def _walk(
+    params: PathParams, colors: ColorSequence, n: int, cap: int, spell=None
+):
+    """The words of index n, streamed as strings in the caller's alphabet.
 
-    A code string holds one character per block: chr(0) for a down
-    step and chr(k) for rises[k], the k-th distinct Rise met below
-    index n.  Returns (rises, groups); groups yields pairs (head,
-    tails) in enumeration order, where head is the block tuple
-    (Rise(ell, color),) (the empty tuple at n = 0) and tails a list of
-    code strings: the words are head followed by each tail in turn.
+    Each distinct Rise met below index n gets a code k, as rises[k]
+    (rises[0] is DOWN).  The caller picks how a block is spelled.  With
+    spell None, the default, a string holds one code character per
+    block: chr(0) for a down step and chr(k) for rises[k].  Otherwise
+    spell maps a list of blocks to their texts (model._step_texts with
+    params bound, say), and a string is the concatenated texts of its
+    blocks.  Returns (rises, groups); groups yields pairs (head, tails)
+    in enumeration order, where head is the block tuple
+    (Rise(ell, color),) (the empty tuple at n = 0) and tails an iterable
+    of strings: the words are head followed by each tail in turn.
 
     Every index that a word of index n can hold as a child is memoized
-    as code strings and counted against the cap, lowest first, before
+    as strings and counted against the cap, lowest first, before
     this returns, so the lowest index over the cap is the one reported;
     no other index is built or counted.  Nothing is yielded from an
     index over the cap.  Index n is never held: each group is the
-    children of one composition, built when it is reached.  Heads at
+    children of one composition, built when it is reached and streamed
+    over its last child as it is read.  Heads at
     index n get no code: they may have more colors than characters.
     """
     if n < 0:
@@ -181,8 +196,9 @@ def _walk(params: PathParams, colors: ColorSequence, n: int, cap: int):
     form = colors.geometric()
     most = len(form[0]) if form is not None and not form[1] else n
     rises = [DOWN]
-    first_code: dict[int, int] = {}  # ell -> code of Rise(ell, 1)
-    # memo[m]: the code of every word of index m, in order.
+    sep = "\0" if spell is None else spell(rises)[0]  # between children
+    letters: dict[int, list[str]] = {}  # ell -> Rise(ell, 1), ... spelled
+    # memo[m]: the string of every word of index m, in order.
     memo: dict[int, list[str]] = {0: [""]}
 
     def tails(comp):
@@ -190,7 +206,7 @@ def _walk(params: PathParams, colors: ColorSequence, n: int, cap: int):
         # children, in product order.
         part = memo[comp[0]]
         for i in comp[1:]:
-            part = [f"{head}\0{tail}" for head in part for tail in memo[i]]
+            part = [f"{head}{sep}{tail}" for head in part for tail in memo[i]]
         return part
 
     def plan(m):
@@ -230,27 +246,36 @@ def _walk(params: PathParams, colors: ColorSequence, n: int, cap: int):
             continue
         words = []
         for ell, n_colors, comps in plan(m):
-            if ell not in first_code:
+            if ell not in letters:
                 if len(rises) + n_colors > _CODE_LIMIT:
                     raise ResourceLimit(
                         f"more than {_CODE_LIMIT - 1} distinct rise blocks "
                         f"below index {n}"
                     )
-                first_code[ell] = len(rises)
-                rises.extend(Rise(ell, color) for color in range(1, n_colors + 1))
+                new = [Rise(ell, color) for color in range(1, n_colors + 1)]
+                codes = range(len(rises), len(rises) + n_colors)
+                letters[ell] = [*map(chr, codes)] if spell is None else spell(new)
+                rises.extend(new)
             parts = [tails(comp) for comp in comps]
-            for k in range(first_code[ell], first_code[ell] + n_colors):
-                code = chr(k)
+            for letter in letters[ell]:
                 for part in parts:
-                    words.extend([code + tail for tail in part])
+                    words.extend([letter + tail for tail in part])
         memo[m] = words
 
     def groups(heads):
         for ell, n_colors, comps in heads:
             for color in range(1, n_colors + 1):
                 head = (Rise(ell, color),)
-                for comp in comps:
-                    yield head, tails(comp)
+                for *firsts, last in comps:
+                    if not firsts:
+                        yield head, memo[last]
+                        continue
+                    # The last child varies fastest: stream its product.
+                    yield head, (
+                        f"{part}{sep}{tail}"
+                        for part in tails(firsts)
+                        for tail in memo[last]
+                    )
 
     if n == 0:
         if cap < 1:
@@ -272,7 +297,7 @@ def enumerate_all(
     recursively in this same order.  Exceeding the output cap is an
     error, not truncation.
 
-    The words are those of the walk over block-code strings, each
+    The words are those of the walk spelled in block codes, each
     decoded into its block tuple and not re-validated: the head leaves
     balance r - 1, the r - 1 separators close it, every child is
     balanced, and color <= c_ell by the loop bounds.

@@ -145,10 +145,13 @@ def _block_json(block) -> str:
 
 def _cmd_enumerate(args):
     params = model.PathParams(args.a, args.b)
-    # The cap is checked here, before any line is written.
-    rises, groups = bijection._walk(params, args.colors, args.n, args.cap)
-    steps = model._step_texts(params, rises)
+    spell = functools.partial(model._step_texts, params)
+    # The cap is checked here, before any line is written.  A jsonl
+    # record needs both the blocks and the steps of a word, so its walk
+    # keeps block codes; a plain line is the walk's step text as is.
     if args.format == "jsonl":
+        rises, groups = bijection._walk(params, args.colors, args.n, args.cap)
+        steps = spell(rises)
         blocks = ["," + _block_json(block) for block in rises]
         down = chr(0)  # the code of a down step; every other code is a peak
 
@@ -161,12 +164,13 @@ def _cmd_enumerate(args):
                 for tail in tails
             )
     else:
+        _, groups = bijection._walk(params, args.colors, args.n, args.cap, spell)
 
         def lines(head, text, tails):
-            return (f"{text}{tail.translate(steps)}\n" for tail in tails)
+            return (f"{text}{tail}\n" for tail in tails)
 
     out = itertools.chain.from_iterable(
-        lines(head, "".join(model._step_texts(params, head)), tails)
+        lines(head, "".join(spell(head)), tails)
         for head, tails in groups
     )
     first = next(out, "")

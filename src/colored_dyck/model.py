@@ -329,7 +329,10 @@ def parse_steps(text: str, params: PathParams, colors: ColorSequence) -> Colored
     for ups, boundary, downs, late, run, misplaced, _ in pieces:
         if ups:  # a maximal ascent
             if len(ups) % period != 0:
-                raise BadAscent(f"ascent length {len(ups)} not divisible by a+b = {period}")
+                raise BadAscent(
+                    f"ascent length {len(ups)} not divisible by "
+                    f"a+b = {_int_text(period)}"
+                )
             j = len(ups) // period
             color = _positive(boundary) if boundary else 1
             need = params.descent_run(j)

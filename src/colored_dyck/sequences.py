@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, lcm, perm
 
-from .bell import binomial, catalan, exact_div
+from .bell import _int_text, binomial, catalan, exact_div
 from .errors import InvalidIndex, ResourceLimit
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
 def narayana(n: int, k: int) -> int:
     """The Narayana number (1/n) * C(n, k-1) * C(n, k)."""
     if not 1 <= k <= n:
+        n, k = map(_int_text, (n, k))
         raise InvalidIndex(f"need 1 <= k <= n, got n={n}, k={k}")
     return exact_div(comb(n, k - 1) * comb(n, k), n, "narayana")
 
@@ -93,6 +94,7 @@ def fuss_catalan_peaks(m: int, n: int, k: int) -> int:
     """m-ary paths of length (m+1)n with exactly k peaks:
     (1/n) * C(m*n, k-1) * C(n, k)."""
     if not 1 <= k <= n:
+        n, k = map(_int_text, (n, k))
         raise InvalidIndex(f"need 1 <= k <= n, got n={n}, k={k}")
     return exact_div(
         binomial(m * n, k - 1) * comb(n, k), n, "fuss_catalan_peaks"

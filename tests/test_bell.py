@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,13 @@ from colored_dyck import (
 )
 from colored_dyck.bell import exact_div, partitions_into_parts, power_rows
 from colored_dyck.errors import InvalidIndex, NonIntegerTerm
-from conftest import package_imports, padded_triangle
+from conftest import (
+    HUGE,
+    HUGE_TEXT,
+    needs_int_digit_limit,
+    package_imports,
+    padded_triangle,
+)
 
 
 def bell_or_base(n, k, x):
@@ -94,8 +101,17 @@ class TestBellEvaluators:
         assert partial_bell_triangle(4, (2, 0, 0, 0))[4][4] == 16
 
     def test_invalid_index(self):
-        with pytest.raises(InvalidIndex):
+        with pytest.raises(InvalidIndex, match=r"^need 1 <= k <= n, got n=3, k=4$"):
             partial_bell_sum(3, 4, (1, 1, 1))
+
+    @needs_int_digit_limit
+    def test_huge_invalid_index(self):
+        message = f"need 1 <= k <= n, got n={HUGE_TEXT}, k=0"
+        with pytest.raises(InvalidIndex, match=f"^{re.escape(message)}$"):
+            partial_bell_sum(HUGE, 0, ())
+        message = f"need at least n-k+1 = {HUGE_TEXT} arguments, got 0"
+        with pytest.raises(InvalidIndex, match=f"^{re.escape(message)}$"):
+            partial_bell_sum(HUGE + 1, 2, ())
 
     def test_factorial_arguments_give_lah_like_values(self):
         # B_{n,k}(1!, 2!, 3!, ...) = (n!/k!) * C(n-1, k-1)
@@ -191,10 +207,19 @@ class TestBellTriangle:
         assert partial_bell_triangle(0, ()) == [[1]]
 
     def test_invalid_arguments(self):
-        with pytest.raises(InvalidIndex):
+        with pytest.raises(InvalidIndex, match=r"^need N >= 0, got N=-1$"):
             partial_bell_triangle(-1, ())
-        with pytest.raises(InvalidIndex):
+        with pytest.raises(InvalidIndex, match=r"^need at least N = 3 arguments, got 2$"):
             partial_bell_triangle(3, (1, 1))
+
+    @needs_int_digit_limit
+    def test_huge_invalid_arguments(self):
+        message = f"need N >= 0, got N=<-{HUGE_TEXT[1:]}"
+        with pytest.raises(InvalidIndex, match=f"^{re.escape(message)}$"):
+            partial_bell_triangle(-HUGE, ())
+        message = f"need at least N = {HUGE_TEXT} arguments, got 2"
+        with pytest.raises(InvalidIndex, match=f"^{re.escape(message)}$"):
+            partial_bell_triangle(HUGE, (1, 1))
 
 
 class TestPowerTriangle:
@@ -223,10 +248,19 @@ class TestPowerTriangle:
         assert power_triangle(0, ()) == [[1]]
 
     def test_invalid_arguments(self):
-        with pytest.raises(InvalidIndex):
+        with pytest.raises(InvalidIndex, match=r"^need N >= 0, got N=-1$"):
             power_triangle(-1, ())
-        with pytest.raises(InvalidIndex):
+        with pytest.raises(InvalidIndex, match=r"^need at least N = 3 arguments, got 2$"):
             power_triangle(3, (1, 1))
+
+    @needs_int_digit_limit
+    def test_huge_invalid_arguments(self):
+        message = f"need N >= 0, got N=<-{HUGE_TEXT[1:]}"
+        with pytest.raises(InvalidIndex, match=f"^{re.escape(message)}$"):
+            power_triangle(-HUGE, ())
+        message = f"need at least N = {HUGE_TEXT} arguments, got 2"
+        with pytest.raises(InvalidIndex, match=f"^{re.escape(message)}$"):
+            power_triangle(HUGE, (1, 1))
 
 
 # One coloring of every kind, as its description would reach the
@@ -288,10 +322,17 @@ class TestEquationRules:
     def test_empty(self):
         assert padded_triangle(0, None) == [[1]]
         assert padded_triangle(0, ((), 1, 1)) == [[1]]
-        with pytest.raises(InvalidIndex):
+        with pytest.raises(InvalidIndex, match=r"^need N >= 0, got N=-1$"):
             power_rows(-1, None)
-        with pytest.raises(InvalidIndex):
+        with pytest.raises(InvalidIndex, match=r"^need N >= 0, got N=-1$"):
             power_rows(-1, ((), 1, 1))
+
+    @needs_int_digit_limit
+    def test_huge_negative_index(self):
+        message = f"need N >= 0, got N=<-{HUGE_TEXT[1:]}"
+        for form in (None, ((), 1, 1)):
+            with pytest.raises(InvalidIndex, match=f"^{re.escape(message)}$"):
+                power_rows(-HUGE, form)
 
 
 class TestConvolutionIdentities:

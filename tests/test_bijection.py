@@ -132,7 +132,15 @@ class TestCompose:
         # u[1]d under (0, 1) is also a valid (1, 0) block sequence, but
         # decompose would return it with (1, 0) params: not the input.
         child = ColoredDyckWord(PathParams(0, 1), (Rise(1, 1),))
-        with pytest.raises(InvalidTuple):
+        message = "child 0 is built for (a, b) = (0, 1), not (1, 0)"
+        with pytest.raises(InvalidTuple, match=f"^{re.escape(message)}$"):
+            compose(DecompositionTuple(1, 1, (child,)), PathParams(1, 0), ONES)
+
+    @needs_int_digit_limit
+    def test_child_of_huge_params(self):
+        child = ColoredDyckWord(PathParams(HUGE, 0), ())
+        message = f"child 0 is built for (a, b) = ({HUGE_TEXT}, 0), not (1, 0)"
+        with pytest.raises(InvalidTuple, match=f"^{re.escape(message)}$"):
             compose(DecompositionTuple(1, 1, (child,)), PathParams(1, 0), ONES)
 
     def test_child_not_a_word(self):
@@ -183,7 +191,15 @@ class TestDecompose:
     def test_word_of_other_params(self):
         # (Rise(1, 1),) balances under (0, 1) but not under (1, 0)
         w = ColoredDyckWord(PathParams(0, 1), (Rise(1, 1),))
-        with pytest.raises(MalformedWord):
+        message = "word is built for (a, b) = (0, 1), not (1, 0)"
+        with pytest.raises(MalformedWord, match=f"^{re.escape(message)}$"):
+            decompose(w, PathParams(1, 0), ONES)
+
+    @needs_int_digit_limit
+    def test_word_of_huge_params(self):
+        w = ColoredDyckWord(PathParams(0, HUGE), ())
+        message = f"word is built for (a, b) = (0, {HUGE_TEXT}), not (1, 0)"
+        with pytest.raises(MalformedWord, match=f"^{re.escape(message)}$"):
             decompose(w, PathParams(1, 0), ONES)
 
     def test_every_checked_word_factors(self):

@@ -345,6 +345,50 @@ class TestEnumerateStream:
         assert len(writes) > 3
 
 
+class TestEnumerateAtSize:
+    """The plain listing spells its walk in step text, and enumerate_all
+    in block codes it decodes: the two routes compared at sizes past
+    TestEnumerateStream's."""
+
+    @pytest.mark.parametrize("spec", STREAM_SPECS[:6])
+    def test_plain_and_jsonl_at_20000_words(self, run, params, spec):
+        colors = parse_color_spec(spec)
+        y = count_recurrence(params, colors, 40).values
+        n = max(m for m, v in enumerate(y) if v <= 20000)
+        argv = enumerate_argv(params, spec, n)
+        code, plain, err = run(*argv)
+        words = enumerate_all(params, colors, n)
+        assert (code, err) == (0, "")
+        assert plain == "".join(to_steps(w) + "\n" for w in words)
+        code, jsonl, err = run(*argv, "--format", "jsonl")
+        assert (code, err) == (0, "")
+        steps = [json.loads(record)["steps"] for record in jsonl.splitlines()]
+        assert steps == plain.splitlines()
+
+    @pytest.mark.parametrize(
+        "ab, spec, n",
+        [((1, 0), "pow2", 5), ((0, 1), "explicit:1,1", 6), ((2, 1), "catpair", 3)],
+    )
+    def test_walk_errors_agree_with_enumerate_all(self, run, monkeypatch, ab, spec, n):
+        # Every code limit and cap up to past the top index's count:
+        # each either lists enumerate_all's words or fails with its
+        # message, with nothing written before the error.
+        params, colors = PathParams(*ab), parse_color_spec(spec)
+        kinds = set()  # which of the two limits each error names
+        for limit in range(1, 9):
+            monkeypatch.setattr(bijection, "_CODE_LIMIT", limit)
+            for cap in range(count_recurrence(params, colors, n)[n] + 2):
+                try:
+                    words = enumerate_all(params, colors, n, cap=cap)
+                    expected = (0, "".join(to_steps(w) + "\n" for w in words), "")
+                except ResourceLimit as exc:
+                    expected = (1, "", f"ResourceLimit: {exc}\n")
+                    kinds.add("rise blocks" in str(exc))
+                argv = enumerate_argv(params, spec, n, "--cap", str(cap))
+                assert run(*argv) == expected, (limit, cap)
+        assert kinds == {False, True}
+
+
 class TestDecomposeValidate:
     def test_validate_ok(self, run):
         code, out, _ = run(

@@ -276,6 +276,12 @@ class TestSerialization:
         with pytest.raises(error, match=message):
             parse_steps(template.format(digits), PathParams(1, 0), ONES)
 
+    @needs_int_digit_limit
+    def test_ascent_under_huge_params(self):
+        message = f"ascent length 1 not divisible by a+b = {HUGE_TEXT}"
+        with pytest.raises(BadAscent, match=f"^{re.escape(message)}$"):
+            parse_steps("ud", PathParams(HUGE, 0), ONES)
+
 
 class TestRoundTrip:
     def test_round_trip_grid(self, params, colors):

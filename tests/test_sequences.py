@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import comb
 
@@ -31,7 +32,7 @@ from colored_dyck.sequences import (
     schroeder_little,
     step_lattice_count,
 )
-from conftest import package_imports
+from conftest import HUGE, HUGE_TEXT, needs_int_digit_limit, package_imports
 
 
 # Reference forms: each closed form summed term by term as its formula
@@ -122,8 +123,14 @@ class TestNarayana:
                 assert table[k] == narayana(n, k)
 
     def test_invalid_index(self):
-        with pytest.raises(InvalidIndex):
+        with pytest.raises(InvalidIndex, match=r"^need 1 <= k <= n, got n=3, k=4$"):
             narayana(3, 4)
+
+    @needs_int_digit_limit
+    def test_huge_invalid_index(self):
+        message = f"need 1 <= k <= n, got n={HUGE_TEXT}, k=0"
+        with pytest.raises(InvalidIndex, match=f"^{re.escape(message)}$"):
+            narayana(HUGE, 0)
 
 
 class TestMotzkin:
@@ -199,6 +206,16 @@ class TestFussCatalan:
                 table = peak_table(PathParams(m, 0), ColorSequence.ones(), n)
                 for k in range(1, n + 1):
                     assert table[k] == fuss_catalan_peaks(m, n, k)
+
+    def test_peaks_invalid_index(self):
+        with pytest.raises(InvalidIndex, match=r"^need 1 <= k <= n, got n=2, k=3$"):
+            fuss_catalan_peaks(2, 2, 3)
+
+    @needs_int_digit_limit
+    def test_peaks_huge_invalid_index(self):
+        message = f"need 1 <= k <= n, got n=2, k={HUGE_TEXT}"
+        with pytest.raises(InvalidIndex, match=f"^{re.escape(message)}$"):
+            fuss_catalan_peaks(2, 2, HUGE)
 
 
 class TestLowSlopeFamilies:
