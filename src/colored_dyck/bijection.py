@@ -15,6 +15,7 @@ the memo, joined without a word object or a translation.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import prod
@@ -182,11 +183,13 @@ def _walk(
     Every index that a word of index n can hold as a child is memoized
     as strings and counted against the cap, lowest first, before
     this returns, so the lowest index over the cap is the one reported;
-    no other index is built or counted.  Nothing is yielded from an
-    index over the cap.  Index n is never held: each group is the
-    children of one composition, built when it is reached and streamed
-    over its last child as it is read.  Heads at
-    index n get no code: they may have more colors than characters.
+    no other index is built or counted.  An index that only heads with
+    one child read (a link of a chain, as at a = 0, b = 1) leaves the
+    memo once every index that reads it is built.  Nothing is yielded
+    from an index over the cap.  Index n is never held: each group is
+    the children of one composition, built when it is reached and
+    streamed over its last child as it is read.  Heads at index n get
+    no code: they may have more colors than characters.
     """
     if n < 0:
         raise ValueError("need n >= 0")
@@ -231,7 +234,8 @@ def _walk(
     # those in single.  A head of size ell leaves children summing to
     # m - ell: any of 0..m - ell with two or more children, or at ell = 1
     # (its child may have a size-1 head), which covers larger heads too.
-    top, single, m = 0, {n}, n
+    # reach is the largest head with one child, at ell > 1.
+    top, single, m, reach = 0, {n}, n, 0
     while m > top:
         if m in single:
             for ell in range(1, min(m, most) + 1):
@@ -240,7 +244,9 @@ def _walk(
                         top = max(top, m - ell)
                         break
                     single.add(m - ell)
+                    reach = max(reach, ell)
         m -= 1
+    held = deque()  # the indices above top in memo, lowest first
     for m in range(1, n):
         if m > top and m not in single:
             continue
@@ -261,6 +267,13 @@ def _walk(
                 for part in parts:
                     words.extend([letter + tail for tail in part])
         memo[m] = words
+        if m > top:
+            held.append(m)
+            # Index n and the indices still to build read an index above
+            # top only as the child of a single-child head, so none reads
+            # one at or below m - reach.
+            while held[0] <= m - reach:
+                del memo[held.popleft()]
 
     def groups(heads):
         for ell, n_colors, comps in heads:

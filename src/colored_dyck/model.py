@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .bell import _int_text, catalan
 from .errors import (
@@ -299,6 +300,43 @@ def _positive(digits: str) -> int:
     return color
 
 
+# The most distinct pieces whose blocks parse_steps keeps in one call.
+# A word repeats a few (j, color) rises many times and stays far below
+# it; on text whose pieces are all distinct it caps the kept tuples.
+_PIECE_TABLE_BOUND = 1024
+
+
+def _read_piece(piece: tuple, params: PathParams, colors: ColorSequence) -> tuple:
+    """The blocks of one piece of letter-balanced step text, or the
+    piece's first grammar or color error."""
+    ups, boundary, downs, late, run, misplaced, _ = piece
+    rise, downs_after = (), len(run)
+    if ups:  # a maximal ascent
+        period = params.period
+        if len(ups) % period != 0:
+            raise BadAscent(
+                f"ascent length {len(ups)} not divisible by "
+                f"a+b = {_int_text(period)}"
+            )
+        j = len(ups) // period
+        color = _positive(boundary) if boundary else 1
+        need = params.descent_run(j)
+        extra = len(downs) - need
+        if extra < 0:
+            raise TruncatedDescent(
+                f"ascent of size {j} requires {need} following down steps"
+            )
+        # Tolerated input variant: the annotation directly after the
+        # descent run instead of at the ascent/descent boundary.
+        if late and not boundary and extra == 0:
+            color, late = _positive(late), ""
+        _check_color(j, color, colors)
+        rise, downs_after = (Rise(j, color),), downs_after + extra
+    if late or misplaced:
+        raise MalformedAnnotation("annotation not at an ascent/descent boundary")
+    return rise + (DOWN,) * downs_after
+
+
 def parse_steps(text: str, params: PathParams, colors: ColorSequence) -> ColoredDyckWord:
     """Parse step text into its unique block sequence.
 
@@ -308,50 +346,38 @@ def parse_steps(text: str, params: PathParams, colors: ColorSequence) -> Colored
     blocks.  An absent annotation means color 1.  Errors come in a
     fixed order: an unexpected character anywhere (MalformedAnnotation),
     then the letter balance (NotDyck), then the blocks in text order.
+
+    Each distinct piece (a rise with its annotations and descent run, a
+    down run, or an annotation) is read once per call, and its blocks
+    are reused wherever it repeats; a bad piece raises at its first
+    occurrence, where every earlier piece has passed, so errors still
+    come in text order.  At most _PIECE_TABLE_BOUND pieces are kept;
+    pieces past that are read wherever they occur.
     """
-    pieces = []
-    for m in _PIECE.finditer(text.strip()):
-        if m[7]:
-            raise MalformedAnnotation(f"unexpected character {m[7]!r}")
-        pieces.append(m.groups(""))
+    pieces = _PIECE.findall(text.strip())
+    stray = next(filter(None, map(itemgetter(6), pieces)), "")
+    if stray:
+        raise MalformedAnnotation(f"unexpected character {stray!r}")
 
     # Dyck property on the bare letters, before any grammar checks.
-    balance = 0
+    balance = up_steps = 0
     for ups, _, downs, _, run, _, _ in pieces:
+        up_steps += len(ups)
         balance += len(ups) - len(downs) - len(run)
         if balance < 0:
             raise NotDyck("prefix has more d's than u's")
     if balance != 0:
         raise NotDyck("unbalanced word")
 
-    period = params.period
-    blocks, n = [], 0
-    for ups, boundary, downs, late, run, misplaced, _ in pieces:
-        if ups:  # a maximal ascent
-            if len(ups) % period != 0:
-                raise BadAscent(
-                    f"ascent length {len(ups)} not divisible by "
-                    f"a+b = {_int_text(period)}"
-                )
-            j = len(ups) // period
-            color = _positive(boundary) if boundary else 1
-            need = params.descent_run(j)
-            extra = len(downs) - need
-            if extra < 0:
-                raise TruncatedDescent(
-                    f"ascent of size {j} requires {need} following down steps"
-                )
-            # Tolerated input variant: the annotation directly after the
-            # descent run instead of at the ascent/descent boundary.
-            if late and not boundary and extra == 0:
-                color, late = _positive(late), ""
-            _check_color(j, color, colors)
-            blocks.append(Rise(j, color))
-            blocks.extend([DOWN] * extra)
-            n += j
-        blocks.extend([DOWN] * len(run))
-        if late or misplaced:
-            raise MalformedAnnotation("annotation not at an ascent/descent boundary")
+    blocks, read = [], {}
+    for piece in pieces:
+        known = read.get(piece)
+        if known is None:
+            known = _read_piece(piece, params, colors)
+            if len(read) < _PIECE_TABLE_BOUND:
+                read[piece] = known
+        blocks += known
 
-    # The blocks expand to the letters just checked.
-    return _trusted_word(params, tuple(blocks), n)
+    # The blocks expand to the letters just checked, and every ascent
+    # is a whole number of periods.
+    return _trusted_word(params, tuple(blocks), up_steps // params.period)

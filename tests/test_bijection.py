@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,7 @@ from colored_dyck import (
 )
 from colored_dyck import bijection
 from colored_dyck.bijection import weak_compositions
+from colored_dyck.counting import count_recurrence
 from colored_dyck.errors import (
     ColorOutOfRange,
     EmptyWord,
@@ -330,6 +332,41 @@ class TestEnumeration:
         colors = ColorSequence.explicit((0, 1))
         words = enumerate_all(PathParams(0, 1), colors, 1200)
         assert [w.blocks for w in words] == [(Rise(2, 1),) * 600]
+
+    def test_chain_links_leave_the_memo_once_read(self):
+        # each link of the chain at (0, 1), c = (0, 1) is read once, by
+        # the link above it: holding all 1500 links below index 3000,
+        # up to 1499 codes each, peaks near 1.8 MB
+        params, colors = PathParams(0, 1), ColorSequence.explicit((0, 1))
+        tracemalloc.start()
+        try:
+            rises, groups = bijection._walk(
+                params, colors, 3000, bijection.DEFAULT_ENUMERATION_CAP
+            )
+            listed = [(head, [*tails]) for head, tails in groups]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        [(head, [tail])] = listed
+        blocks = head + tuple(rises[ord(code)] for code in tail)
+        [word] = enumerate_all(params, colors, 3000)
+        assert blocks == word.blocks == (Rise(2, 1),) * 1500
+
+    @pytest.mark.parametrize("prefix", [(0, 1, 1), (0, 0, 1, 2), (0, 1, 0, 3)])
+    def test_chains_with_several_head_sizes(self, prefix):
+        # at (0, 1) with c_1 = 0 every head has one child, so index m
+        # reads m - 2, m - 3, ...: a link leaves the memo only once the
+        # largest such head above it is built
+        params, colors = PathParams(0, 1), ColorSequence.explicit(prefix)
+        counts = count_recurrence(params, colors, 30)
+        for n in range(31):
+            if counts[n] <= 3000:
+                words = enumerate_all(params, colors, n)
+                assert len(set(words)) == len(words) == counts[n]
+                for w in words:
+                    assert_like_checked(w)
+                    validate_colors(w, colors)
 
     @pytest.mark.parametrize(
         "colors",

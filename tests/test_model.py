@@ -28,7 +28,12 @@ from colored_dyck.errors import (
     NotDyck,
     TruncatedDescent,
 )
-from colored_dyck.model import Block, _check_color, _trusted_word
+from colored_dyck.model import (
+    _PIECE_TABLE_BOUND,
+    Block,
+    _check_color,
+    _trusted_word,
+)
 from conftest import COLOR_GRID, HUGE, HUGE_TEXT, PARAM_GRID, needs_int_digit_limit
 
 
@@ -490,8 +495,12 @@ def step_texts(draw):
     """Step text on the conftest grid: rises of size 1-3, each with an
     ascent (maybe one step short), a descent run (maybe one step long
     or short) and annotations (maybe none) at and after that run, among
-    loose letters and annotations; half of the time one stray
-    character, and half of the time the letters balanced at the end."""
+    loose letters and annotations.  Half of the time these pieces are
+    then repeated, as a long word repeats a few blocks: up to 100 good
+    rises, then up to 100 draws from the pieces and the good rises, so
+    that the first error may come after many good copies, in a piece
+    that occurs again and again.  Half of the time one stray character,
+    and half of the time the letters balanced at the end."""
     params = draw(st.sampled_from(PARAM_GRID))
     colors = draw(st.sampled_from(COLOR_GRID))
     ascents = [params.period * j + k for j in (1, 2, 3) for k in (0, 0, -1)]
@@ -503,6 +512,16 @@ def step_texts(draw):
     )
     loose = st.sampled_from(["u", "d"] + ANNOTATIONS)
     pieces = draw(st.lists(st.one_of(rise, rise, loose), max_size=10))
+    if draw(st.booleans()):
+        good = [
+            "u" * (params.period * j) + at + "d" * params.descent_run(j)
+            for j in (1, 2, 3)
+            if colors.at(j)
+            for at in ["", *(f"[{k}]" for k in range(1, min(colors.at(j), 3) + 1))]
+        ]
+        kinds = pieces + good
+        pieces = [draw(st.sampled_from(good)) for _ in range(draw(st.integers(0, 100)))]
+        pieces += [draw(st.sampled_from(kinds)) for _ in range(draw(st.integers(0, 100)))]
     if draw(st.booleans()):
         pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(STRAYS)))
     text = "".join(pieces)
@@ -527,6 +546,29 @@ class TestParseDifferential:
         assert _outcome(parse_steps, text, params, colors) == _outcome(
             reference_parse_steps, text, params, colors
         )
+
+    @pytest.mark.parametrize(
+        "tail, error",
+        [
+            ("", None),
+            ("u[1000001]d", ColorOutOfRange),
+            ("u[0]d", MalformedAnnotation),
+            ("u[7]d[1]", MalformedAnnotation),
+            ("u[1030]d" * 5 + "u[1000002]du[1000002]d", ColorOutOfRange),
+        ],
+    )
+    def test_more_distinct_pieces_than_the_table_keeps(self, tail, error):
+        # past the table bound, each piece not already kept is read where
+        # it occurs, a repeat of a kept piece still reuses its blocks
+        pieces = [f"u[{k}]d" for k in range(1, _PIECE_TABLE_BOUND + 100)]
+        text = "".join(pieces) + "u[1]du[2000]d" * 3 + tail
+        params, colors = PathParams(1, 0), ColorSequence.constant(10**6)
+        outcome = _outcome(parse_steps, text, params, colors)
+        assert outcome == _outcome(reference_parse_steps, text, params, colors)
+        if error is None:
+            assert outcome[1] == _PIECE_TABLE_BOUND + 99 + 6
+        else:
+            assert outcome[0] is error
 
 
 # Characters of random step text: mostly step letters, so that some
