@@ -1,12 +1,6 @@
 """Exact counting, generation, and decomposition of colored Dyck paths."""
 
-from .bell import (
-    binomial,
-    catalan,
-    partial_bell_sum,
-    partial_bell_triangle,
-    power_triangle,
-)
+from .bell import binomial, catalan
 from .bijection import (
     DecompositionTuple,
     compose,
@@ -18,7 +12,6 @@ from .counting import (
     CountSeries,
     PeakTable,
     convolution_power_closed,
-    convolution_power_direct,
     count_bell,
     count_recurrence,
     peak_table,

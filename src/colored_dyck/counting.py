@@ -68,7 +68,6 @@ __all__ = [
     "PeakTable",
     "count_recurrence",
     "count_bell",
-    "convolution_power_direct",
     "convolution_power_closed",
     "peak_table",
 ]
@@ -281,20 +280,6 @@ def count_bell(params: PathParams, colors: ColorSequence, N: int) -> CountSeries
             values[n] += q
             top += a
     return CountSeries(tuple(values))
-
-
-def convolution_power_direct(series: CountSeries, r: int, n: int) -> int:
-    """The r-fold self-convolution of the series at index n, by
-    iterated pairwise convolution."""
-    if r < 1:
-        raise ValueError("need r >= 1")
-    z = series.values[: n + 1]
-    if len(z) < n + 1:
-        raise ValueError(f"series must be defined through index {n}")
-    acc = z
-    for _ in range(r - 1):
-        acc = [_conv_at(acc, z, m) for m in range(n + 1)]
-    return acc[n]
 
 
 def convolution_power_closed(

@@ -47,6 +47,8 @@ class PathParams:
     b: int
 
     def __post_init__(self):
+        if not (isinstance(self.a, int) and isinstance(self.b, int)):
+            raise ValueError("a and b must be integers")
         if self.a < 0 or self.b < 0:
             raise ValueError("a and b must be nonnegative")
         if self.a + self.b < 1:
@@ -81,6 +83,8 @@ class ColorSequence:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown color sequence kind: {self.kind!r}")
+        if not all(isinstance(c, int) for c in (*self.prefix, self.tail)):
+            raise ValueError("color counts must be integers")
         if any(c < 0 for c in self.prefix) or self.tail < 0:
             raise ValueError("color counts must be nonnegative")
         # The description of a tail-0 prefix stops at its last nonzero

@@ -40,11 +40,17 @@ HUGE, HUGE_TEXT = 10**5000, "<16610-bit integer>"
 
 def package_imports(module):
     """The package modules a module's import statements name, as
-    written (".errors", "colored_dyck.model", ...)."""
+    written (".errors", "colored_dyck.model", ...).  A name imported
+    from the package itself is a module: `from . import errors` names
+    ".errors"."""
     imported = set()
     for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
-            imported.add("." * node.level + (node.module or ""))
+            base = "." * node.level + (node.module or "")
+            if base in (".", "colored_dyck"):
+                imported.update(f"{base.rstrip('.')}.{a.name}" for a in node.names)
+            else:
+                imported.add(base)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     return {m for m in imported if m.startswith((".", "colored_dyck"))}

@@ -11,32 +11,34 @@ from colored_dyck import (
     PathParams,
     catalan,
     convolution_power_closed,
-    convolution_power_direct,
     count_bell,
     count_recurrence,
     enumerate_all,
-    partial_bell_sum,
-    partial_bell_triangle,
     peak_table,
     peaks,
 )
 from colored_dyck.cli import main
 from colored_dyck.errors import NonIntegerTerm
+from colored_dyck.oracles import (
+    convolution_power_direct,
+    duchon_alt_first,
+    duchon_alt_mid,
+    factor_free_count,
+    partial_bell_sum,
+    partial_bell_triangle,
+    rational_dyck_count,
+    step_lattice_count,
+)
 from colored_dyck.sequences import (
     a052709_closed,
     a186997_closed,
     duchon_alt,
-    duchon_alt_first,
-    duchon_alt_mid,
     duchon_d,
-    factor_free_count,
     fuss_catalan,
     fuss_catalan_peaks,
     motzkin_colored,
     narayana,
-    rational_dyck_count,
     schroeder_little,
-    step_lattice_count,
 )
 
 from conftest import COLOR_GRID, PARAM_GRID

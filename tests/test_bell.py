@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colored_dyck import (
-    ColorSequence,
-    bell,
-    binomial,
-    catalan,
+from colored_dyck import ColorSequence, bell, binomial, catalan
+from colored_dyck.bell import exact_div, power_rows
+from colored_dyck.errors import InvalidIndex, NonIntegerTerm
+from colored_dyck.oracles import (
     partial_bell_sum,
     partial_bell_triangle,
+    partitions_into_parts,
     power_triangle,
 )
-from colored_dyck.bell import exact_div, partitions_into_parts, power_rows
-from colored_dyck.errors import InvalidIndex, NonIntegerTerm
 from conftest import (
     HUGE,
     HUGE_TEXT,
@@ -84,6 +82,43 @@ class TestPartitions:
         second = list(partitions_into_parts(9, 4))
         assert first == second
         assert len(set(first)) == len(first)
+
+    def test_order_matches_one_part_per_level(self):
+        # The generator as it was written with one recursion level per
+        # part, largest first: the order must not change.
+        def one_part_per_level(n, k):
+            length = n - k + 1
+
+            def rec(remaining, parts_left, max_part):
+                if parts_left == 0:
+                    if remaining == 0:
+                        yield []
+                    return
+                top = min(max_part, remaining - (parts_left - 1))
+                for part in range(top, 0, -1):
+                    for rest in rec(remaining - part, parts_left - 1, part):
+                        yield [part] + rest
+
+            for partition in rec(n, k, length):
+                alpha = [0] * length
+                for part in partition:
+                    alpha[part - 1] += 1
+                yield tuple(alpha)
+
+        for n in range(1, 19):
+            for k in range(1, n + 1):
+                assert list(partitions_into_parts(n, k)) == list(
+                    one_part_per_level(n, k)
+                )
+
+    def test_many_equal_parts(self):
+        # One recursion level per distinct part, not per part: 1200
+        # parts run far past the interpreter's recursion limit.
+        assert list(partitions_into_parts(1200, 1200)) == [(1200,)]
+        assert list(partitions_into_parts(1200, 1)) == [(0,) * 1199 + (1,)]
+        assert list(partitions_into_parts(1200, 1199)) == [(1198, 1)]
+        assert partial_bell_sum(1200, 1200, [1]) == 1
+        assert partial_bell_sum(1200, 1199, (3, 5)) == math.comb(1200, 2) * 3**1198 * 5
 
 
 class TestBellEvaluators:

@@ -8,15 +8,15 @@ from colored_dyck import (
     ColorSequence,
     PathParams,
     convolution_power_closed,
-    convolution_power_direct,
     count_bell,
     count_recurrence,
     peak_table,
     peaks,
 )
-from colored_dyck import bell, counting
+from colored_dyck import bell, counting, oracles
 from colored_dyck.bijection import enumerate_all
 from colored_dyck.errors import NonIntegerTerm
+from colored_dyck.oracles import convolution_power_direct
 from colored_dyck.sequences import duchon_d, fuss_catalan, narayana
 from conftest import COLOR_GRID, PARAM_GRID, padded_triangle
 
@@ -73,13 +73,14 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-# Every triangle evaluator in bell, and the two rules behind power_rows.
+# Every triangle evaluator in bell and oracles, and the two rules
+# behind power_rows.
 TRIANGLE_EVALUATORS = (
-    "power_triangle",
-    "power_rows",
-    "_rational_rows",
-    "_catpair_rows",
-    "partial_bell_triangle",
+    (oracles, "power_triangle"),
+    (bell, "power_rows"),
+    (bell, "_rational_rows"),
+    (bell, "_catpair_rows"),
+    (oracles, "partial_bell_triangle"),
 )
 
 
@@ -148,8 +149,8 @@ class TestChain:
         def forbidden(*args):
             raise AssertionError("Bell route table read by the recurrence route")
 
-        for name in TRIANGLE_EVALUATORS:
-            monkeypatch.setattr(bell, name, forbidden)
+        for module, name in TRIANGLE_EVALUATORS:
+            monkeypatch.setattr(module, name, forbidden)
             if hasattr(counting, name):
                 monkeypatch.setattr(counting, name, forbidden)
         monkeypatch.setattr(counting, "_bell_terms", forbidden)
@@ -265,8 +266,8 @@ class TestBellRoute:
         def forbidden(*args):
             raise AssertionError("partition-sum oracle called")
 
-        monkeypatch.setattr(bell, "partial_bell_sum", forbidden)
-        monkeypatch.setattr(bell, "partitions_into_parts", forbidden)
+        monkeypatch.setattr(oracles, "partial_bell_sum", forbidden)
+        monkeypatch.setattr(oracles, "partitions_into_parts", forbidden)
         params, colors = PathParams(2, 1), ColorSequence.catalan_pair_sum()
         assert count_bell(params, colors, 12) == count_recurrence(params, colors, 12)
         assert peak_table(params, colors, 6).total() == count_bell(params, colors, 6)[6]

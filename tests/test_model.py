@@ -1,5 +1,6 @@
 import re
 import sys
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -62,6 +63,24 @@ class TestColorSequence:
         with pytest.raises(ValueError):
             ColorSequence.explicit((1, -1))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ColorSequence.explicit((1.5,)),
+            lambda: ColorSequence.explicit((1, 2.0)),
+            lambda: ColorSequence.explicit((1,), 1.0),
+            lambda: ColorSequence.explicit((Fraction(3, 2),)),
+            lambda: ColorSequence.explicit((1,), Fraction(2)),
+            lambda: ColorSequence.constant(3.0),
+            lambda: ColorSequence.constant(Fraction(1, 2)),
+        ],
+        ids=["float", "float-whole", "float-tail", "fraction", "fraction-tail",
+             "const-float", "const-fraction"],
+    )
+    def test_non_integer_counts_rejected(self, make):
+        with pytest.raises(ValueError, match="color counts must be integers"):
+            make()
+
     # Both count routes read the colorings through their description
     # (ColorSequence.geometric), so each kind is pinned here against a
     # formula written out independently of it.
@@ -94,6 +113,15 @@ class TestPathParams:
     def test_requires_nonnegative(self):
         with pytest.raises(ValueError):
             PathParams(-1, 2)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(1.5, 0), (1.0, 0), (1, 0.0), (Fraction(3, 2), 0), (0, Fraction(1))],
+        ids=["float", "float-whole-a", "float-whole-b", "fraction", "fraction-whole"],
+    )
+    def test_requires_integers(self, a, b):
+        with pytest.raises(ValueError, match="a and b must be integers"):
+            PathParams(a, b)
 
     def test_descent_run(self):
         assert PathParams(0, 2).descent_run(2) == 3

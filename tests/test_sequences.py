@@ -11,26 +11,28 @@ from colored_dyck import (
     count_bell,
     peak_table,
 )
-from colored_dyck import sequences
+from colored_dyck import oracles, sequences
 from colored_dyck.bell import binomial, exact_div
 from colored_dyck.errors import InvalidIndex, ResourceLimit
+from colored_dyck.oracles import (
+    duchon_alt_first,
+    duchon_alt_mid,
+    factor_free_count,
+    is_slope32_word,
+    rational_dyck_count,
+    rational_dyck_words,
+    step_lattice_count,
+)
 from colored_dyck.sequences import (
     a052709_closed,
     a186997_closed,
     duchon_alt,
-    duchon_alt_first,
-    duchon_alt_mid,
     duchon_d,
-    factor_free_count,
     fuss_catalan,
     fuss_catalan_peaks,
-    is_slope32_word,
     motzkin_colored,
     narayana,
-    rational_dyck_count,
-    rational_dyck_words,
     schroeder_little,
-    step_lattice_count,
 )
 from conftest import HUGE, HUGE_TEXT, needs_int_digit_limit, package_imports
 
@@ -296,7 +298,7 @@ class TestDuchon:
             assert factor_free_count(n) == catalan(n - 1) + catalan(n)
 
     def test_word_cap(self, monkeypatch):
-        monkeypatch.setattr(sequences, "_WORD_CAP", rational_dyck_count(2) - 1)
+        monkeypatch.setattr(oracles, "_WORD_CAP", rational_dyck_count(2) - 1)
         with pytest.raises(ResourceLimit):
             rational_dyck_words(2)
         with pytest.raises(ResourceLimit):
@@ -310,6 +312,6 @@ class TestDuchon:
 
 
 def test_sequences_imports_only_bell_and_errors_from_the_package():
-    # The closed forms and their oracles stand apart from the colored
-    # model they are checked against: nothing from model or counting.
+    # The closed forms stand apart from the colored model they are
+    # checked against: nothing from model or counting.
     assert package_imports(sequences) == {".bell", ".errors"}
