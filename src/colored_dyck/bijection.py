@@ -9,15 +9,17 @@ a fixed deterministic order.  The enumeration is one walk that memoizes
 every child index as strings, spelled in an alphabet its caller
 picks: enumerate_all spells each block as a one-character code, which
 it decodes into blocks; the CLI's plain listing spells each block as
-its step text, so each output line is a head's text and one string of
-the memo, joined without a word object or a translation.
+its step text, so each output line is a head's text and one product of
+memo strings, joined without a word object or a translation.  Every
+product of children, in the memo and in the listings, is formed by
+itertools.product and str.join.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress, product
 from math import prod
 from operator import sub
 
@@ -175,10 +177,12 @@ def _walk(
     block: chr(0) for a down step and chr(k) for rises[k].  Otherwise
     spell maps a list of blocks to their texts (model._step_texts with
     params bound, say), and a string is the concatenated texts of its
-    blocks.  Returns (rises, groups); groups yields pairs (head, tails)
-    in enumeration order, where head is the block tuple
-    (Rise(ell, color),) (the empty tuple at n = 0) and tails an iterable
-    of strings: the words are head followed by each tail in turn.
+    blocks.  Returns (rises, groups); groups yields pairs
+    (head, children) in enumeration order, where head is the block
+    tuple (Rise(ell, color),) (the empty tuple at n = 0) and children
+    one list of strings per child of one composition: the words are
+    head followed by each tuple of itertools.product(*children), its
+    strings joined by the spelling of a down step, in turn.
 
     Every index that a word of index n can hold as a child is memoized
     as strings and counted against the cap, lowest first, before
@@ -186,10 +190,10 @@ def _walk(
     no other index is built or counted.  An index that only heads with
     one child read (a link of a chain, as at a = 0, b = 1) leaves the
     memo once every index that reads it is built.  Nothing is yielded
-    from an index over the cap.  Index n is never held: each group is
-    the children of one composition, built when it is reached and
-    streamed over its last child as it is read.  Heads at index n get
-    no code: they may have more colors than characters.
+    from an index over the cap.  Index n is never held: each group
+    names the memo lists of one composition's children, and its caller
+    streams their product.  Heads at index n get no code: they may have
+    more colors than characters.
     """
     if n < 0:
         raise ValueError("need n >= 0")
@@ -201,16 +205,11 @@ def _walk(
     rises = [DOWN]
     sep = "\0" if spell is None else spell(rises)[0]  # between children
     letters: dict[int, list[str]] = {}  # ell -> Rise(ell, 1), ... spelled
-    # memo[m]: the string of every word of index m, in order.
+    # memo[m]: the string of every word of index m, in order; sizes[m]
+    # its length, kept after a chain link leaves the memo.
     memo: dict[int, list[str]] = {0: [""]}
-
-    def tails(comp):
-        # D_1 ++ d ++ D_2 ++ ... ++ d ++ D_r for every choice of
-        # children, in product order.
-        part = memo[comp[0]]
-        for i in comp[1:]:
-            part = [f"{head}{sep}{tail}" for head in part for tail in memo[i]]
-        return part
+    sizes = {0: 1}
+    size = sizes.__getitem__
 
     def plan(m):
         """(ell, c_ell, compositions with words) for each head size
@@ -221,9 +220,10 @@ def _walk(
             n_colors = colors.at(ell)
             if n_colors < 1:
                 continue
-            comps = weak_compositions(m - ell, params.a * ell + params.b)
-            comps = [comp for comp in comps if all(memo[i] for i in comp)]
-            total += n_colors * sum(prod(len(memo[i]) for i in comp) for comp in comps)
+            comps = [*weak_compositions(m - ell, params.a * ell + params.b)]
+            counts = [prod(map(size, comp)) for comp in comps]
+            comps = [*compress(comps, counts)]
+            total += n_colors * sum(counts)
             if total > cap:
                 raise ResourceLimit(f"more than {cap} words at index {m}")
             if comps:  # else no word has this head, however many colors
@@ -262,11 +262,15 @@ def _walk(
                 codes = range(len(rises), len(rises) + n_colors)
                 letters[ell] = [*map(chr, codes)] if spell is None else spell(new)
                 rises.extend(new)
-            parts = [tails(comp) for comp in comps]
+            # D_1 ++ d ++ D_2 ++ ... ++ d ++ D_r for every choice of
+            # children, composition by composition, in product order.
+            tails = []
+            for comp in comps:
+                tails.extend(map(sep.join, product(*[memo[i] for i in comp])))
             for letter in letters[ell]:
-                for part in parts:
-                    words.extend([letter + tail for tail in part])
+                words.extend(map(letter.__add__, tails))
         memo[m] = words
+        sizes[m] = len(words)
         if m > top:
             held.append(m)
             # Index n and the indices still to build read an index above
@@ -279,21 +283,13 @@ def _walk(
         for ell, n_colors, comps in heads:
             for color in range(1, n_colors + 1):
                 head = (Rise(ell, color),)
-                for *firsts, last in comps:
-                    if not firsts:
-                        yield head, memo[last]
-                        continue
-                    # The last child varies fastest: stream its product.
-                    yield head, (
-                        f"{part}{sep}{tail}"
-                        for part in tails(firsts)
-                        for tail in memo[last]
-                    )
+                for comp in comps:
+                    yield head, [memo[i] for i in comp]
 
     if n == 0:
         if cap < 1:
             raise ResourceLimit(f"more than {cap} words at index 0")
-        return rises, iter([((), memo[0])])
+        return rises, iter([((), [memo[0]])])
     return rises, groups(plan(n))
 
 
@@ -319,6 +315,6 @@ def enumerate_all(
     decode = rises.__getitem__
     return tuple([
         _trusted_word(params, head + tuple(map(decode, map(ord, tail))), n)
-        for head, tails in groups
-        for tail in tails
+        for head, children in groups
+        for tail in map("\0".join, product(*children))
     ])

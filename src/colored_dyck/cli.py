@@ -148,36 +148,40 @@ def _cmd_enumerate(args):
     spell = functools.partial(model._step_texts, params)
     # The cap is checked here, before any line is written.  A jsonl
     # record needs both the blocks and the steps of a word, so its walk
-    # keeps block codes; a plain line is the walk's step text as is.
+    # keeps block codes and each record translates them twice; a plain
+    # line is the walk's step text as is.
     if args.format == "jsonl":
         rises, groups = bijection._walk(params, args.colors, args.n, args.cap)
         steps = spell(rises)
         blocks = ["," + _block_json(block) for block in rises]
         down = chr(0)  # the code of a down step; every other code is a peak
 
-        def lines(head, text, tails):
+        def lines(head, children):
             pre = f'{{"n":{args.n},"blocks":[' + "".join(map(_block_json, head))
+            text = "".join(spell(head))
             return (
                 f'{pre}{tail.translate(blocks)}],"peaks":'
                 f'{len(head) + len(tail) - tail.count(down)},'
-                f'"steps":"{text}{tail.translate(steps)}"}}\n'
-                for tail in tails
+                f'"steps":"{text}{tail.translate(steps)}"}}'
+                for tail in map(down.join, itertools.product(*children))
             )
     else:
         _, groups = bijection._walk(params, args.colors, args.n, args.cap, spell)
+        sep = spell([model.DOWN])[0]
 
-        def lines(head, text, tails):
-            return (f"{text}{tail}\n" for tail in tails)
+        def lines(head, children):
+            text = "".join(spell(head))
+            return map(text.__add__, map(sep.join, itertools.product(*children)))
 
-    out = itertools.chain.from_iterable(
-        lines(head, "".join(spell(head)), tails)
-        for head, tails in groups
-    )
-    first = next(out, "")
-    sys.stdout.write(first)
-    per_write = max(1, _WRITE_CHARS // max(1, len(first)))
-    while chunk := "".join(itertools.islice(out, per_write)):
-        sys.stdout.write(chunk)
+    out = itertools.chain.from_iterable(itertools.starmap(lines, groups))
+    first = next(out, None)
+    if first is None:
+        return 0
+    sys.stdout.write(first + "\n")
+    per_write = max(1, _WRITE_CHARS // (len(first) + 1))
+    # Each piece is its lines and an empty one, joined by newlines.
+    while len(piece := [*itertools.islice(out, per_write), ""]) > 1:
+        sys.stdout.write("\n".join(piece))
     return 0
 
 

@@ -156,6 +156,8 @@ class Rise:
     color: int = 1
 
     def __post_init__(self):
+        if not (isinstance(self.j, int) and isinstance(self.color, int)):
+            raise ValueError("rise size and color must be integers")
         if self.j < 1:
             raise ValueError("rise size must be positive")
         if self.color < 1:

@@ -1,6 +1,7 @@
 import random
 import re
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -343,7 +344,10 @@ class TestEnumeration:
             rises, groups = bijection._walk(
                 params, colors, 3000, bijection.DEFAULT_ENUMERATION_CAP
             )
-            listed = [(head, [*tails]) for head, tails in groups]
+            listed = [
+                (head, [*map("\0".join, product(*children))])
+                for head, children in groups
+            ]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import colored_dyck
 from colored_dyck import bijection, cli, counting, sequences
@@ -346,9 +350,11 @@ class TestEnumerateStream:
 
 
 class TestEnumerateAtSize:
-    """The plain listing spells its walk in step text, and enumerate_all
-    in block codes it decodes: the two routes compared at sizes past
-    TestEnumerateStream's."""
+    """The plain listing spells its walk in step text and joins each
+    product of children in it; the jsonl listing joins block codes and
+    translates each record twice; enumerate_all decodes block codes
+    into words.  The three routes compared record by record at sizes
+    past TestEnumerateStream's."""
 
     @pytest.mark.parametrize("spec", STREAM_SPECS[:6])
     def test_plain_and_jsonl_at_20000_words(self, run, params, spec):
@@ -362,8 +368,7 @@ class TestEnumerateAtSize:
         assert plain == "".join(to_steps(w) + "\n" for w in words)
         code, jsonl, err = run(*argv, "--format", "jsonl")
         assert (code, err) == (0, "")
-        steps = [json.loads(record)["steps"] for record in jsonl.splitlines()]
-        assert steps == plain.splitlines()
+        assert jsonl.splitlines() == [*map(word_record, words)]
 
     @pytest.mark.parametrize(
         "ab, spec, n",
@@ -387,6 +392,39 @@ class TestEnumerateAtSize:
                 argv = enumerate_argv(params, spec, n, "--cap", str(cap))
                 assert run(*argv) == expected, (limit, cap)
         assert kinds == {False, True}
+
+
+@st.composite
+def sparse_cases(draw):
+    """(a, b) with a + b <= 4, an explicit prefix holding at least one
+    zero with tail 0 or 1, and n <= 6."""
+    a = draw(st.integers(0, 4))
+    b = draw(st.integers(1 if a == 0 else 0, 4 - a))
+    prefix = draw(st.lists(st.integers(0, 2), max_size=4))
+    prefix.insert(draw(st.integers(0, len(prefix))), 0)
+    tail = draw(st.integers(0, 1))
+    return PathParams(a, b), prefix, tail, draw(st.integers(0, 6))
+
+
+class TestEnumerateSparseColorings:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_cases())
+    def test_listings_are_the_words_of_enumerate_all(self, case):
+        # zero colors leave compositions whose child product is empty,
+        # which the walk must drop without dropping a word
+        params, prefix, tail, n = case
+        spec = f"explicit:{','.join(map(str, prefix))}+tail:{tail}"
+        colors = parse_color_spec(spec)
+        y = count_recurrence(params, colors, n).values
+        n = max(m for m in range(n + 1) if y[m] <= 3000)  # y_0 = 1
+        words = enumerate_all(params, colors, n)
+        assert len(words) == y[n]
+        argv = enumerate_argv(params, spec, n)
+        for fmt, line in (("plain", to_steps), ("jsonl", word_record)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main([*argv, "--format", fmt]) == 0
+            assert out.getvalue() == "".join(line(w) + "\n" for w in words)
 
 
 class TestDecomposeValidate:

@@ -128,6 +128,27 @@ class TestPathParams:
         assert PathParams(1, 0).descent_run(5) == 1
 
 
+class TestRise:
+    @pytest.mark.parametrize(
+        "j, color",
+        [(1.5, 1), (1.0, 1), (1, 1.0), (Fraction(3, 2), 1), (1, Fraction(2)), ("1", 1)],
+        ids=["float", "float-whole-j", "float-whole-color", "fraction", "fraction-whole", "str"],
+    )
+    def test_requires_integers(self, j, color):
+        with pytest.raises(ValueError, match="rise size and color must be integers"):
+            Rise(j, color)
+
+    def test_non_integer_size_makes_no_word(self):
+        # 2 * 1.5 - 1 nets 2, which the two down steps would close
+        with pytest.raises(ValueError):
+            ColoredDyckWord(PathParams(2, 0), (Rise(1.5), DOWN, DOWN))
+
+    @pytest.mark.parametrize("j, color", [(0, 1), (1, 0), (-1, 1)])
+    def test_requires_positive(self, j, color):
+        with pytest.raises(ValueError, match="must be positive"):
+            Rise(j, color)
+
+
 class TestWordStructure:
     def test_empty_word(self):
         w = ColoredDyckWord(PathParams(1, 0), ())
