@@ -64,6 +64,8 @@ class DecompositionTuple:
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
+        if not (isinstance(self.ell, int) and isinstance(self.color, int)):
+            raise InvalidTuple("ell and color must be integers")
         if self.ell < 1 or self.color < 1:
             raise InvalidTuple("ell and color must be positive")
 

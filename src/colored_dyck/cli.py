@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -99,7 +98,7 @@ def _emit_series(values, fmt, start=0):
         elif fmt == "bfile":
             lines.append(f"{n} {v}")
         else:
-            lines.append(json.dumps({"n": n, "value": v}, separators=(",", ":")))
+            lines.append(f'{{"n":{n},"value":{v}}}')
     return lines
 
 

@@ -25,29 +25,35 @@ at a time, never the triangle.  The route makes one math.comb and one
 checked division for each of its N(N+1)/2 terms; peak_table and
 convolution_power_closed read one cell P_{k,n} of each row.
 
-Both routes are polynomial in N.  Summed over l, the recurrence is the
-functional equation
+Both routes are polynomial in N.  Summed over l, the recurrence is
+the functional equation
 
     y = 1 + y^b * C(x * y^a),
 
 and count_recurrence folds the colors past a short prefix through C's
 own equation (ColorSequence.geometric describes C).  Where
-c_l = T * r^(l-L-1) for l > L, the tail S = sum_(l>L) c_l x^l y^(a*l+b)
-satisfies
+c_l = T * r^(l-L-1) for l > L, C times 1 - r t is a polynomial of
+degree L+1, so multiplying y - 1 by 1 - r * x * y^a leaves
 
-    S = T * x^(L+1) * y^(a*(L+1)+b) + r * x * y^a * S;
+    y_n = r * ([x^(n-1)] y^(a+1) - [x^(n-1)] y^a)
+          + sum_(i<=L+1) p_i * [x^(n-i)] y^(a*i+b),
 
-for catpair, C(t) = (1+t) * K(t) - 1 with K = 1 + t * K^2, so the
-Catalan series K(x * y^a) satisfies
+with p_i = c_i - r * c_(i-1) (c_0 = 0, c_(L+1) = T); for catpair,
+C(t) = (1+t) * K(t) - 1 with K = 1 + t * K^2, so the Catalan series
+K(x * y^a) satisfies
 
     K = 1 + x * y^a * K^2.
 
-Besides S or K, the recurrence keeps every power of y it reads in one
-table keyed by exponent: y^1 .. y^max(a,b) from y, and the chain rows
-y^(a*l+b) = y^b * (y^a)^l for l <= L+1, each from the one below it, at
-most max(a, b) + L + 1 rows, each by pairwise convolution.  The
-closed form raises the coloring series C to powers and never reads y.
-Neither route reads the other's tables.
+The recurrence builds only the powers of y that its rule reads, each
+by the cheapest online rule: the square of a built power (half the
+products of a convolution), one product of two built powers, or,
+for a power such as y^1500, Miller's rule
+
+    m * z_m = sum_(k=1..m) ((e+1)*k - m) * y_k * z_(m-k),  z = y^e,
+
+from y alone (Knuth, TAOCP vol. 2, section 4.7), with the division
+checked.  The closed form raises the coloring series C to powers and
+never reads y.  Neither route reads the other's tables.
 
 Each formula term is an exact integer quotient; a nonzero remainder
 raises NonIntegerTerm and certifies a bug, since integrality is a
@@ -122,9 +128,30 @@ def _conv_at(u, v, i: int) -> int:
     """Index i of the convolution of u and v: sum_t u[t] * v[i-t].
 
     The one convolution kernel of this module; both sequences must be
-    defined through index i.
+    defined through index i.  A square (u is v) sums each pair of
+    distinct indices once and doubles it, in half the products.
     """
+    if u is v:
+        h = (i + 1) // 2  # the pairs t < i - t
+        total = 2 * sum(map(mul, u[:h], u[i : i - h : -1]))
+        return total + u[h] * u[h] if i % 2 == 0 else total
     return sum(map(mul, u[: i + 1], v[i::-1]))
+
+
+def _miller_at(y, ky, z, e: int, m: int) -> int:
+    """Index m >= 1 of z = y^e, with y_0 = 1, by Miller's rule
+
+        m * z_m = sum_(k=1..m) ((e+1)*k - m) * y_k * z_(m-k),
+
+    as two dot products, with ky[k] = k * y_k.  y and ky must be
+    defined through index m and z through m-1.  The division is
+    checked: a remainder raises NonIntegerTerm."""
+    back = z[m - 1 :: -1]
+    num = (e + 1) * sum(map(mul, ky[1 : m + 1], back)) - m * sum(map(mul, y[1 : m + 1], back))
+    q, rem = divmod(num, m)
+    if rem:
+        exact_div(num, m, f"Miller's rule for y^{e} at index {m}")
+    return q
 
 
 def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> CountSeries:
@@ -134,85 +161,143 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
     C(t) = sum_l c_l t^l, and it is evaluated from the description of
     C (ColorSequence.geometric):
 
-    - c_l = T * r^(l-L-1) for l > L, with T != 0 and L < N: the chain
-      rows y^(a*l+b) for l <= L+1 and one tail series
-      S = sum_(l>L) c_l x^l y^(a*l+b), which satisfies
-      S = T * x^(L+1) * y^(a*(L+1)+b) + r * x * y^a * S;
-    - no color past c_L (T = 0), or none reached below index N+1: the
-      chain rows up to the last nonzero c_l <= N, and no S;
-    - catpair, C(t) = (1+t) * K(t) - 1 with K = 1 + t * K^2 the Catalan
-      series: K(x * y^a) and its square.
+    - c_l = T * r^(l-L-1) for l > L, with T != 0 and L < N: C times
+      1 - r t is the polynomial p_1 t + .. + p_(L+1) t^(L+1), with
+      p_i = c_i - r * c_(i-1) (c_0 = 0) and p_(L+1) = T - r * c_L, so
+      multiplying y - 1 by 1 - r * x * y^a gives
 
-    Every power of y that is read is one row of a table keyed by its
-    exponent: the ladder y^1 .. y^max(a,b), each the one below times
-    y, and the chain rows y^(a*l+b), each the row a exponents below
-    times y^a.  So at most max(a, b) + L + 1 rows are built, plus S or
-    the catpair rows, and every row is extended online, one entry per
-    new term of y: O(N^2) products for every coloring with a short
-    prefix.  Inner sums over weak compositions are never enumerated.
+          y_n = r * ([x^(n-1)] y^(a+1) - [x^(n-1)] y^a)
+                + sum_i p_i * [x^(n-i)] y^(a*i+b);
+
+    - no color past c_L (T = 0), or none reached below index N+1: the
+      same rule with p = c and r = 0;
+    - catpair, C(t) = (1+t) * K(t) - 1 with K = 1 + t * K^2 the Catalan
+      series: K(x * y^a) and its square, reading y^a and y^b.
+
+    Terms of one power of y at one shift are added up first, so a
+    power whose coefficients cancel is never built (y^a for ones at
+    b = 0).  y^0 is the unit series and y^1 is y; every other power
+    read is one row, built by _power_steps, and filled online, one
+    entry per new term of y, only through the last index read:
+    O(N^2) products for every coloring with a short prefix.  Inner
+    sums over weak compositions are never enumerated.
     """
     if N < 0:
         raise ValueError("need N >= 0")
     a, b = params.a, params.b
     form = colors.geometric()
-    chain = ()  # the l of every chain row
-    if form is not None:
-        cs, tail, ratio = form
-        if not tail or len(cs) >= N:  # no tail term below index N+1
-            last = max((ell for ell, c in enumerate(cs[:N], 1) if c), default=0)
-            cs, tail = cs[:last], 0
-        chain = range(1, len(cs) + (2 if tail else 1))
     y = [1]
-    # rows[e] = y^e.  A row that is both a ladder power and a chain
-    # row is one entry.  Each step (lag, row, left, right) fills
-    # row = left * right through index n - lag before y_n is formed:
-    # n-1 for the ladder, n-l for chain row l, the last index read.
-    # The lags ascend.
-    rows = {1: y}
-    steps = []
-    top = max(a, b) if form is None or chain else 1  # no color: y alone
-    for e in range(2, top + 1):
-        rows[e] = [1]
-        steps.append((1, rows[e], rows[e - 1], y))
-    for ell in chain:
-        e = a * ell + b
-        if e not in rows:
-            rows[e] = [1]
-            steps.append((ell, rows[e], rows[e - a], rows[a]))
+    ky = [0]  # k * y_k, read by Miller's rule
+    rows = {0: [1] + [0] * N, 1: y}
     if form is None:
-        term = _catpair_terms(a, b, rows)
+        lags = {a: 1, b: 1}
     else:
-        term = _chain_terms(a, b, rows, cs, tail, ratio)
+        reads = _reads(a, b, form, N)
+        lags = {}
+        for shift, e, _ in reads:  # reads ascend by shift
+            lags.setdefault(e, shift)
+    steps = _power_steps(a, b, lags, rows, y, ky)
+    term = _catpair_terms(a, b, rows) if form is None else _read_terms(reads, rows)
     for n in range(1, N + 1):
-        for lag, row, left, right in steps:
+        for lag, row, left, right, e in steps:
             if lag >= n:
                 break
-            row.append(_conv_at(left, right, n - lag))
+            i = n - lag
+            row.append(_miller_at(left, right, row, e, i) if e else _conv_at(left, right, i))
         y.append(term(n))
+        ky.append(n * y[n])
     return CountSeries(tuple(y))
 
 
-def _chain_terms(a, b, rows, cs, tail, ratio):
-    """y_n = sum_(l<=L) c_l * [x^(n-l)] y^(a*l+b) + S_n as a function of
-    n, with cs = (c_1..c_L) and rows[e] = y^e, where S_n = 0 when
-    tail = 0 and otherwise
+def _reads(a, b, form, N):
+    """The terms (shift, e, coefficient) of y_n = sum coef * [x^(n-shift)] y^e
+    for the description form = (c_1..c_L, T, r), ascending by shift,
+    one per power and shift, none with coefficient 0.  p is derived
+    here, not taken from the Bell route, so the routes stay
+    independent."""
+    cs, tail, ratio = form
+    if tail and len(cs) < N:
+        p = [c - ratio * below for c, below in zip((*cs, tail), (0, *cs))]
+        coefs = {(1, a + 1): ratio, (1, a): -ratio}
+    else:  # no tail term below index N+1
+        p, coefs = cs[:N], {}
+    for i, pi in enumerate(p, 1):
+        coefs[i, a * i + b] = coefs.get((i, a * i + b), 0) + pi
+    return sorted((shift, e, coef) for (shift, e), coef in coefs.items() if coef)
 
-        S_n = T * [x^(n-L-1)] y^(a*(L+1)+b) + r * sum_(i<n) (y^a)_i * S_(n-1-i),
 
-    the sum reading S_(n-1) alone at a = 0, where y^a is the unit
-    series."""
-    L = len(cs)
-    S = [0] * (L + 1)  # S_n = 0 for n <= L
+def _read_terms(reads, rows):
+    """y_n = sum coef * [x^(n-shift)] y^e over the terms (shift, e, coef)
+    of reads, ascending by shift, as a function of n, with
+    rows[e] = y^e."""
+    reads = [(shift, rows[e], coef) for shift, e, coef in reads]
 
     def term(n):
-        value = sum(cs[ell - 1] * rows[a * ell + b][n - ell] for ell in range(1, min(L, n) + 1))
-        if tail and n > L:
-            folded = _conv_at(rows[a], S, n - 1) if a else S[n - 1]
-            S.append(tail * rows[a * (L + 1) + b][n - L - 1] + ratio * folded)
-            value += S[n]
+        value = 0
+        for shift, row, coef in reads:
+            if shift > n:
+                break
+            value += coef * row[n - shift]
         return value
 
     return term
+
+
+def _power_steps(a, b, lags, rows, y, ky):
+    """Plan a row for every power y^e, e > 1, in lags, which maps each
+    power read to the smallest shift it is read at, and add the rows,
+    each [1] until filled, to rows.
+
+    In ascending order, y^e is the square of y^(e/2), or one product
+    y^f * y^(e-f) with f one of a, b, 1, if those rows are built.
+    Otherwise y^3, y^4 and y^8 are built by squaring y (1.5, 1 and 1.5
+    dot products), and every other power by Miller's rule from y alone
+    (2 dot products and a division).  Where two powers read differ by
+    a, as the rows y^(a*i+b) do, y^a is built too, so that each of
+    them is one product.
+
+    Returns the steps (lag, row, left, right, e), ascending by lag:
+    each fills row through index n - lag before y_n is formed, as
+    left * right (e = 0) or by Miller's rule for y^e (left = y,
+    right = ky).  A row's lag is the smallest shift it is read at, or
+    the lag of a row built from it, so its factors are filled first.
+    """
+    need = sorted(e for e in lags if e > 1)
+    if a > 1 and a not in lags and any(e - a in lags for e in need):
+        need = sorted([*need, a])
+    recipe = {1: None}  # e: (f, g) with y^e = y^f * y^g, or None for Miller
+
+    def factors(e):
+        if e % 2 == 0 and e // 2 in recipe:
+            return e // 2, e // 2
+        for f in (a, b, 1):
+            if 0 < f < e and f in recipe and e - f in recipe:
+                return f, e - f
+        return None
+
+    for e in need:
+        pair = factors(e)
+        if pair is None and e in (3, 4, 8):
+            for f in (1, 2, 4):
+                if 2 * f < e:
+                    recipe.setdefault(2 * f, (f, f))
+            pair = factors(e)
+        recipe[e] = pair
+    del recipe[1]
+    lag = dict(lags)
+    for e in sorted(recipe, reverse=True):
+        if e in lag:  # not a y^a that no product took
+            for f in recipe[e] or ():
+                lag[f] = min(lag.get(f, lag[e]), lag[e])
+    steps = []
+    for lag_e, e in sorted((lag[e], e) for e in recipe if e in lag):
+        rows[e] = row = [1]
+        if recipe[e] is None:
+            steps.append((lag_e, row, y, ky, e))
+        else:
+            f, g = recipe[e]
+            steps.append((lag_e, row, rows[f], rows[g], 0))
+    return steps
 
 
 def _catpair_terms(a, b, rows):

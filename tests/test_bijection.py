@@ -146,6 +146,12 @@ class TestCompose:
         with pytest.raises(InvalidTuple, match=f"^{re.escape(message)}$"):
             compose(DecompositionTuple(1, 1, (child,)), PathParams(1, 0), ONES)
 
+    @pytest.mark.parametrize("ell, color", [(1.0, 1), (1, 1.0), ("1", 1), (1, None)])
+    def test_non_integer_head(self, ell, color):
+        empty = ColoredDyckWord(PathParams(1, 0), ())
+        with pytest.raises(InvalidTuple, match="^ell and color must be integers$"):
+            compose(DecompositionTuple(ell, color, (empty,)), PathParams(1, 0), ONES)
+
     def test_child_not_a_word(self):
         with pytest.raises(InvalidTuple):
             compose(DecompositionTuple(1, 1, ((),)), PathParams(1, 0), ONES)

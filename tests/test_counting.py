@@ -3,6 +3,8 @@ from collections import Counter
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colored_dyck import (
     ColorSequence,
@@ -61,15 +63,22 @@ SPARSE_COLORS = [
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The index of every call to the recurrence's convolution kernel."""
+    """(kind, index) of every call to one of the recurrence's kernels:
+    a convolution entry is a "square" or a "product", a Miller's rule
+    entry is "miller"."""
     calls = []
-    kernel = counting._conv_at
+    conv, miller = counting._conv_at, counting._miller_at
 
-    def counted(u, v, i):
-        calls.append(i)
-        return kernel(u, v, i)
+    def counted_conv(u, v, i):
+        calls.append(("square" if u is v else "product", i))
+        return conv(u, v, i)
 
-    monkeypatch.setattr(counting, "_conv_at", counted)
+    def counted_miller(y, ky, z, e, m):
+        calls.append(("miller", m))
+        return miller(y, ky, z, e, m)
+
+    monkeypatch.setattr(counting, "_conv_at", counted_conv)
+    monkeypatch.setattr(counting, "_miller_at", counted_miller)
     return calls
 
 
@@ -136,6 +145,20 @@ class TestChain:
         count_recurrence(PathParams(a, b), colors, N)
         assert len(kernel_calls) <= (max(a, b) + 4) * N
 
+    def test_large_a_builds_one_power(self, kernel_calls):
+        # For ones at b = 0 the y^a terms cancel, so only y^(a+1) is
+        # built, by Miller's rule: one call per index.
+        N = 30
+        s = count_recurrence(PathParams(1500, 0), ColorSequence.ones(), N)
+        assert s.values[1:] == tuple(fuss_catalan(1500, n) for n in range(1, N + 1))
+        assert len(kernel_calls) <= 2 * N
+
+    def test_catalan_is_squares_only(self, kernel_calls):
+        N = 200
+        count_recurrence(PathParams(1, 0), ColorSequence.ones(), N)
+        assert 0 < len(kernel_calls) <= N
+        assert {kind for kind, _ in kernel_calls} == {"square"}
+
     def test_independent_of_bell_route(self, monkeypatch):
         # One coloring per triangle rule: tail, no tail, catpair.
         params = PathParams(2, 1)
@@ -159,8 +182,8 @@ class TestChain:
 
 
 # Every coloring against its own first N colors as a tail-0 prefix,
-# which takes the plain chain: the tail series and the catpair rows
-# must add up to the sum over the colors one by one.
+# which takes the rule with r = 0: the tail folded into y^(a+1) and
+# the catpair rows must add up to the sum over the colors one by one.
 PREFIX_CASES = [
     (params, colors)
     for params in PARAM_GRID
@@ -186,6 +209,65 @@ def test_recurrence_equals_its_explicit_prefix(params, colors):
     for N in (1, 2, 3, 4, 60):
         prefix = ColorSequence.explicit([colors.at(j) for j in range(1, N + 1)])
         assert count_recurrence(params, colors, N) == count_recurrence(params, prefix, N)
+
+
+# Small colorings of every description: an explicit prefix with a
+# tail, and the presets whose tail is geometric.
+DRAWN_COLORS = st.one_of(
+    st.builds(
+        ColorSequence.explicit,
+        st.lists(st.integers(0, 3), max_size=3),
+        st.integers(0, 3),
+    ),
+    st.sampled_from([ColorSequence.ones(), ColorSequence.powers_of_two()]),
+    st.builds(ColorSequence.constant, st.integers(0, 3)),
+)
+
+
+class TestPowerRows:
+    """The rows of powers of y the recurrence builds: squares, products,
+    Miller's rule, and the geometric tail folded into y^(a+1)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), DRAWN_COLORS, st.integers(0, 25))
+    def test_tail_rule_equals_bell_and_prefix(self, data, colors, N):
+        a = data.draw(st.integers(0, 5), label="a")
+        b = data.draw(st.integers(0 if a else 1, 5 - a), label="b")
+        params = PathParams(a, b)
+        series = count_recurrence(params, colors, N)
+        assert series == count_bell(params, colors, N)
+        # The same colors as a tail-0 prefix take the rule with r = 0.
+        prefix = ColorSequence.explicit([colors.at(j) for j in range(1, N + 1)])
+        assert series == count_recurrence(params, prefix, N)
+
+    def test_square_equals_product(self):
+        u = [1, 3, 0, 7, 2, 9, 4, 1]
+        for i in range(len(u)):
+            assert counting._conv_at(u, u, i) == counting._conv_at(u, list(u), i)
+
+    def test_miller_equals_repeated_products(self):
+        y = [1, 2, 0, 5, 1, 3, 8]
+        ky = [k * v for k, v in enumerate(y)]
+        power = y
+        for e in range(2, 8):
+            power = [counting._conv_at(power, y, i) for i in range(len(y))]
+            z = [1]
+            for m in range(1, len(y)):
+                z.append(counting._miller_at(y, ky, z, e, m))
+            assert z == power
+
+    def test_miller_remainder_raises(self, monkeypatch):
+        # At (5, 0) ones reads y^6 alone, by Miller's rule.  With z_1 one
+        # too large, 2 * z_2 = 5 * y_1 * z_1 + 12 * y_2 is odd.
+        miller = counting._miller_at
+
+        def corrupted(y, ky, z, e, m):
+            value = miller(y, ky, z, e, m)
+            return value + 1 if m == 1 else value
+
+        monkeypatch.setattr(counting, "_miller_at", corrupted)
+        with pytest.raises(NonIntegerTerm, match=r"Miller's rule for y\^6 at index 2"):
+            count_recurrence(PathParams(5, 0), ColorSequence.ones(), 5)
 
 
 class TestBellRoute:

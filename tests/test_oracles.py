@@ -29,7 +29,7 @@ def test_cli_loads_no_oracle():
     env = {**os.environ, "PYTHONPATH": src}
     code = (
         "import sys, colored_dyck.cli; "
-        "print(sorted({'colored_dyck.oracles', 'fractions'} & set(sys.modules)))"
+        "print(sorted({'colored_dyck.oracles', 'fractions', 'json'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
