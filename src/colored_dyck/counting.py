@@ -44,10 +44,11 @@ K(x * y^a) satisfies
 
     K = 1 + x * y^a * K^2.
 
-The recurrence builds only the powers of y that its rule reads, each
-by the cheapest online rule: the square of a built power (half the
-products of a convolution), one product of two built powers, or,
-for a power such as y^1500, Miller's rule
+The recurrence builds only the powers of y that its rule reads, and
+their factors, each online: the square of y, y^a or y^b (half the
+products of a convolution), y^a * y or y^b * y, a chain link
+y^(a*(i-1)+b) * y^a, or, for y^a and y^b themselves (such as
+y^1500), Miller's rule
 
     m * z_m = sum_(k=1..m) ((e+1)*k - m) * y_k * z_(m-k),  z = y^e,
 
@@ -175,29 +176,27 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
       series: K(x * y^a) and its square, reading y^a and y^b.
 
     Terms of one power of y at one shift are added up first, so a
-    power whose coefficients cancel is never built (y^a for ones at
+    power whose coefficients cancel is never read (y^a for ones at
     b = 0).  y^0 is the unit series and y^1 is y; every other power
-    read is one row, built by _power_steps, and filled online, one
-    entry per new term of y, only through the last index read:
-    O(N^2) products for every coloring with a short prefix.  Inner
-    sums over weak compositions are never enumerated.
+    is one row, built as _factors says, and filled online, one entry
+    per new term of y, only through the last index read: O(N^2)
+    products for every coloring with a short prefix.  Inner sums over
+    weak compositions are never enumerated.
     """
     if N < 0:
         raise ValueError("need N >= 0")
     a, b = params.a, params.b
     form = colors.geometric()
     y = [1]
-    ky = [0]  # k * y_k, read by Miller's rule
-    rows = {0: [1] + [0] * N, 1: y}
-    if form is None:
-        lags = {a: 1, b: 1}
+    if form is None:  # catpair reads y^a and y^b through index n-1
+        rows, steps, ky = _power_steps(a, b, [(1, a), (1, b)], y)
+        term = _catpair_terms(a, b, rows)
     else:
         reads = _reads(a, b, form, N)
-        lags = {}
-        for shift, e, _ in reads:  # reads ascend by shift
-            lags.setdefault(e, shift)
-    steps = _power_steps(a, b, lags, rows, y, ky)
-    term = _catpair_terms(a, b, rows) if form is None else _read_terms(reads, rows)
+        rows, steps, ky = _power_steps(a, b, [(shift, e) for shift, e, _ in reads], y)
+        if any(e == 0 for _, e, _ in reads):
+            rows[0] = [1] + [0] * N
+        term = _read_terms(reads, rows)
     for n in range(1, N + 1):
         for lag, row, left, right, e in steps:
             if lag >= n:
@@ -205,7 +204,8 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
             i = n - lag
             row.append(_miller_at(left, right, row, e, i) if e else _conv_at(left, right, i))
         y.append(term(n))
-        ky.append(n * y[n])
+        if ky is not None:
+            ky.append(n * y[n])
     return CountSeries(tuple(y))
 
 
@@ -243,61 +243,53 @@ def _read_terms(reads, rows):
     return term
 
 
-def _power_steps(a, b, lags, rows, y, ky):
-    """Plan a row for every power y^e, e > 1, in lags, which maps each
-    power read to the smallest shift it is read at, and add the rows,
-    each [1] until filled, to rows.
+def _factors(a, b, e):
+    """(f, g) with y^e = y^f * y^g for a power e > 1 of the recurrence,
+    or None where y^e is built by Miller's rule.
 
-    In ascending order, y^e is the square of y^(e/2), or one product
-    y^f * y^(e-f) with f one of a, b, 1, if those rows are built.
-    Otherwise y^3, y^4 and y^8 are built by squaring y (1.5, 1 and 1.5
-    dot products), and every other power by Miller's rule from y alone
-    (2 dot products and a division).  Where two powers read differ by
-    a, as the rows y^(a*i+b) do, y^a is built too, so that each of
-    them is one product.
+    The powers read are y^a, y^b, the tail's y^(a+1) and the chain
+    y^(a*i+b).  y^e is the square of y, y^a or y^b where e is twice one
+    of them; else y^(e-1) * y where e-1 is a or b; else a chain link
+    y^(e-a) * y^a, with y^(e-a) = y^b or an earlier row of the chain;
+    else, as for y^a and y^b themselves, Miller's rule from y alone."""
+    for f in (1, a, b):
+        if e == 2 * f:
+            return f, f
+    if e - 1 in (a, b):
+        return e - 1, 1
+    g = e - a
+    if a and g >= max(b, 1) and (g - b) % a == 0:
+        return g, a
+    return None
 
-    Returns the steps (lag, row, left, right, e), ascending by lag:
-    each fills row through index n - lag before y_n is formed, as
-    left * right (e = 0) or by Miller's rule for y^e (left = y,
-    right = ky).  A row's lag is the smallest shift it is read at, or
+
+def _power_steps(a, b, reads, y):
+    """Rows for the powers y^e, e > 1, of reads, pairs (shift, e), and
+    for their factors.  Each row is filled through index n - lag before
+    y_n is formed, where lag is the smallest shift it is read at or
     the lag of a row built from it, so its factors are filled first.
-    """
-    need = sorted(e for e in lags if e > 1)
-    if a > 1 and a not in lags and any(e - a in lags for e in need):
-        need = sorted([*need, a])
-    recipe = {1: None}  # e: (f, g) with y^e = y^f * y^g, or None for Miller
 
-    def factors(e):
-        if e % 2 == 0 and e // 2 in recipe:
-            return e // 2, e // 2
-        for f in (a, b, 1):
-            if 0 < f < e and f in recipe and e - f in recipe:
-                return f, e - f
-        return None
-
-    for e in need:
-        pair = factors(e)
-        if pair is None and e in (3, 4, 8):
-            for f in (1, 2, 4):
-                if 2 * f < e:
-                    recipe.setdefault(2 * f, (f, f))
-            pair = factors(e)
-        recipe[e] = pair
-    del recipe[1]
-    lag = dict(lags)
-    for e in sorted(recipe, reverse=True):
-        if e in lag:  # not a y^a that no product took
-            for f in recipe[e] or ():
-                lag[f] = min(lag.get(f, lag[e]), lag[e])
-    steps = []
-    for lag_e, e in sorted((lag[e], e) for e in recipe if e in lag):
+    Returns rows (e: row, each [1] until filled, with rows[1] = y),
+    the steps (lag, row, left, right, e) ascending by lag, each filling
+    row as left * right (e = 0) or by Miller's rule for y^e (left = y,
+    right = ky), and ky, the list k * y_k that Miller's rule reads, or
+    None where no step uses it."""
+    lags = {}
+    todo = list(reads)
+    while todo:
+        lag, e = todo.pop()
+        if e > 1 and lag < lags.get(e, lag + 1):
+            lags[e] = lag
+            todo.extend((lag, f) for f in _factors(a, b, e) or ())
+    rows, steps, ky = {1: y}, [], [0]
+    for lag, e in sorted((lag, e) for e, lag in lags.items()):
         rows[e] = row = [1]
-        if recipe[e] is None:
-            steps.append((lag_e, row, y, ky, e))
+        pair = _factors(a, b, e)
+        if pair is None:
+            steps.append((lag, row, y, ky, e))
         else:
-            f, g = recipe[e]
-            steps.append((lag_e, row, rows[f], rows[g], 0))
-    return steps
+            steps.append((lag, row, rows[pair[0]], rows[pair[1]], 0))
+    return rows, steps, ky if any(e for *_, e in steps) else None
 
 
 def _catpair_terms(a, b, rows):

@@ -145,9 +145,10 @@ class TestChain:
         count_recurrence(PathParams(a, b), colors, N)
         assert len(kernel_calls) <= (max(a, b) + 4) * N
 
-    def test_large_a_builds_one_power(self, kernel_calls):
+    def test_large_a_builds_two_rows(self, kernel_calls):
         # For ones at b = 0 the y^a terms cancel, so only y^(a+1) is
-        # built, by Miller's rule: one call per index.
+        # read, built as y^a * y with y^a by Miller's rule: two calls
+        # per index.
         N = 30
         s = count_recurrence(PathParams(1500, 0), ColorSequence.ones(), N)
         assert s.values[1:] == tuple(fuss_catalan(1500, n) for n in range(1, N + 1))
@@ -158,6 +159,13 @@ class TestChain:
         count_recurrence(PathParams(1, 0), ColorSequence.ones(), N)
         assert 0 < len(kernel_calls) <= N
         assert {kind for kind, _ in kernel_calls} == {"square"}
+
+    def test_adjacent_powers_take_one_miller_row(self, kernel_calls):
+        # At (4, 3) only y^3 is built by Miller's rule: y^4 = y^3 * y,
+        # y^5 = y^4 * y and y^7 = y^3 * y^4 are products.
+        N = 30
+        count_recurrence(PathParams(4, 3), ColorSequence.ones(), N)
+        assert 0 < sum(kind == "miller" for kind, _ in kernel_calls) <= N
 
     def test_independent_of_bell_route(self, monkeypatch):
         # One coloring per triangle rule: tail, no tail, catpair.
@@ -257,8 +265,9 @@ class TestPowerRows:
             assert z == power
 
     def test_miller_remainder_raises(self, monkeypatch):
-        # At (5, 0) ones reads y^6 alone, by Miller's rule.  With z_1 one
-        # too large, 2 * z_2 = 5 * y_1 * z_1 + 12 * y_2 is odd.
+        # At (4, 0) ones reads y^5 alone, built as y^4 * y with y^4 by
+        # Miller's rule.  With z_1 = 5, one too large,
+        # 2 * z_2 = 3 * y_1 * z_1 + 8 * y_2 is odd.
         miller = counting._miller_at
 
         def corrupted(y, ky, z, e, m):
@@ -266,8 +275,8 @@ class TestPowerRows:
             return value + 1 if m == 1 else value
 
         monkeypatch.setattr(counting, "_miller_at", corrupted)
-        with pytest.raises(NonIntegerTerm, match=r"Miller's rule for y\^6 at index 2"):
-            count_recurrence(PathParams(5, 0), ColorSequence.ones(), 5)
+        with pytest.raises(NonIntegerTerm, match=r"Miller's rule for y\^4 at index 2"):
+            count_recurrence(PathParams(4, 0), ColorSequence.ones(), 5)
 
 
 class TestBellRoute:
@@ -327,6 +336,7 @@ class TestBellRoute:
             raise AssertionError("recurrence kernel called by the Bell route")
 
         monkeypatch.setattr(counting, "_conv_at", forbidden)
+        monkeypatch.setattr(counting, "_miller_at", forbidden)
         for colors, series in zip(colorings, expected):
             assert count_bell(params, colors, 20) == series
             assert peak_table(params, colors, 8).total() == series[8]
