@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, compress, product
+from itertools import combinations_with_replacement, compress, islice, product
 from math import prod
 from operator import sub
 
@@ -32,7 +32,7 @@ from .model import (
     PathParams,
     Rise,
     _block_net,
-    _check_color,
+    _check_colors,
     _trusted_word,
 )
 
@@ -74,7 +74,11 @@ def compose(
     t: DecompositionTuple, params: PathParams, colors: ColorSequence
 ) -> ColoredDyckWord:
     """Build the word [Rise(ell, color)] ++ D_1 ++ d ++ D_2 ++ d ++ ...
-    with exactly a*ell+b-1 separating down steps."""
+    with exactly a*ell+b-1 separating down steps.
+
+    The children's rises are checked against the coloring after every
+    InvalidTuple check, in block order, with each c_j read once per
+    call."""
     expected = params.a * t.ell + params.b
     if len(t.children) != expected:
         raise InvalidTuple(
@@ -99,9 +103,7 @@ def compose(
         blocks.extend(child.blocks)
         n += child.n
     # The head color is checked above; the children's rises in order.
-    for block in blocks[1:]:
-        if isinstance(block, Rise):
-            _check_color(block.j, block.color, colors)
+    _check_colors(islice(blocks, 1, None), colors)
     # The head leaves balance a*ell+b-1, which the separators close.
     return _trusted_word(params, tuple(blocks), n)
 
@@ -122,32 +124,43 @@ def decompose(
     below zero (a rise nets a*j+b-1 >= 0, and a down step at child
     balance zero separates), and as each separator needs word balance
     >= 1 and the word ends at zero, there are a*ell+b-1 separators.
+
+    Colors are checked first, head first, then the separators are
+    scanned for.  Each c_j and each rise's net a*j+b-1 is read once per
+    distinct size j per call, and each child is cut from the word's
+    block tuple as one slice.
     """
     if w.params != params:
         raise MalformedWord(
             f"word is built for (a, b) = {_pair_text(w.params)}, "
             f"not {_pair_text(params)}"
         )
-    if not w.blocks:
+    blocks = w.blocks
+    if not blocks:
         raise EmptyWord("cannot decompose the empty word")
-    head = w.blocks[0]
-    _check_color(head.j, head.color, colors)
+    _check_colors(blocks, colors)
 
+    # Each child is the slice between two separators; balance and size
+    # are the open child's.
+    nets: dict[int, int] = {}
+    down = _block_net(DOWN, params)
     children = []
-    current: list = []
-    balance = size = 0
-    for block in w.blocks[1:]:
+    start, balance, size = 1, 0, 0
+    for end, block in enumerate(islice(blocks, 1, None), 1):
         if isinstance(block, Rise):
-            _check_color(block.j, block.color, colors)
-            size += block.j
-        elif balance == 0:
-            children.append(_trusted_word(params, tuple(current), size))
-            current = []
-            size = 0
-            continue
-        current.append(block)
-        balance += _block_net(block, params)
-    children.append(_trusted_word(params, tuple(current), size))
+            j = block.j
+            net = nets.get(j)
+            if net is None:
+                net = nets[j] = _block_net(block, params)
+            balance += net
+            size += j
+        elif balance:
+            balance += down
+        else:
+            children.append(_trusted_word(params, blocks[start:end], size))
+            start, size = end + 1, 0
+    children.append(_trusted_word(params, blocks[start:], size))
+    head = blocks[0]
     return DecompositionTuple(head.j, head.color, tuple(children))
 
 

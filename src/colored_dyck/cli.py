@@ -328,6 +328,15 @@ def main(argv=None) -> int:
     except ColoredDyckError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except (MemoryError, OverflowError) as exc:
+        # A table sized by the index that cannot be allocated: more
+        # entries than memory holds, or than a list index can count.
+        print(
+            "ResourceLimit: cannot allocate the tables for this index "
+            f"({type(exc).__name__})",
+            file=sys.stderr,
+        )
+        return 1
     except ValueError as exc:
         parser.error(str(exc))
 

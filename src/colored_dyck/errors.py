@@ -51,4 +51,6 @@ class MalformedWord(ColoredDyckError):
 
 
 class ResourceLimit(ColoredDyckError):
-    """An enumeration exceeded its configured output cap."""
+    """An enumeration exceeded its configured output cap or its code
+    alphabet.  The CLI reports a table that cannot be allocated under
+    the same name."""

@@ -260,15 +260,37 @@ def _check_color(j: int, color: int, colors: ColorSequence) -> None:
         )
 
 
+def _check_colors(blocks, colors: ColorSequence) -> None:
+    """Raise what _check_color raises for the first Rise in `blocks`
+    whose color is out of range.
+
+    Each c_j is read once per call, into a table of the sizes met: the
+    rises of a word of index n have at most sqrt(2n) distinct sizes.
+    """
+    limits = {}
+    for block in blocks:
+        if isinstance(block, Rise):
+            limit = limits.get(block.j)
+            if limit is None:
+                limit = limits[block.j] = colors.at(block.j)
+            if not 1 <= block.color <= limit:
+                _check_color(block.j, block.color, colors)
+
+
 def validate_colors(word: ColoredDyckWord, colors: ColorSequence) -> None:
     """Check every Rise block's color against the coloring rule."""
-    for block in word.blocks:
-        if isinstance(block, Rise):
-            _check_color(block.j, block.color, colors)
+    _check_colors(word.blocks, colors)
+
+
+# The most distinct pieces whose blocks parse_steps keeps, and the most
+# distinct rises whose text to_steps keeps, in one call.  A word repeats
+# a few (j, color) rises many times and stays far below it; on a word
+# whose rises are all distinct it caps the kept entries.
+_PIECE_TABLE_BOUND = 1024
 
 
 def _step_texts(params: PathParams, blocks) -> list[str]:
-    """The step text of each block, in order; to_steps joins them."""
+    """The step text of each block, in order."""
     period, b = params.a + params.b, params.b
     return [
         f"{'u' * (period * block.j)}[{block.color}]{'d' * (b * (block.j - 1) + 1)}"
@@ -282,9 +304,29 @@ def to_steps(word: ColoredDyckWord) -> str:
     """Serialize to step text over {u, d}.
 
     The color annotation "[k]" sits at the ascent/descent boundary of
-    each Rise block and is always emitted.
+    each Rise block and is always emitted.  Each distinct (j, color)
+    is spelled by _step_texts once per call and its text reused where
+    it repeats, for up to _PIECE_TABLE_BOUND of them; from the first
+    rise past that on, the rest of the word is spelled in one
+    _step_texts call.
     """
-    return "".join(_step_texts(word.params, word.blocks))
+    params, blocks = word.params, word.blocks
+    down, = _step_texts(params, (DOWN,))
+    spelled: dict[tuple[int, int], str] = {}
+    texts = []
+    for block in blocks:
+        if isinstance(block, Rise):
+            text = spelled.get((block.j, block.color))
+            if text is None:
+                if len(spelled) == _PIECE_TABLE_BOUND:
+                    texts += _step_texts(params, blocks[len(texts):])
+                    break
+                text, = _step_texts(params, (block,))
+                spelled[block.j, block.color] = text
+            texts.append(text)
+        else:
+            texts.append(down)
+    return "".join(texts)
 
 
 # One match per piece of step text: a rise (ascent, boundary annotation,
@@ -304,12 +346,6 @@ def _positive(digits: str) -> int:
     if color < 1:
         raise MalformedAnnotation("color annotation must be positive")
     return color
-
-
-# The most distinct pieces whose blocks parse_steps keeps in one call.
-# A word repeats a few (j, color) rises many times and stays far below
-# it; on text whose pieces are all distinct it caps the kept tuples.
-_PIECE_TABLE_BOUND = 1024
 
 
 def _read_piece(piece: tuple, params: PathParams, colors: ColorSequence) -> tuple:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from colored_dyck import ColorSequence, PathParams
+from colored_dyck import DOWN, ColoredDyckWord, ColorSequence, DownStep, PathParams, Rise
 from colored_dyck.bell import power_rows
 
 # (a, b) and color grids of the cross-route and enumeration checks;
@@ -54,6 +54,34 @@ def package_imports(module):
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     return {m for m in imported if m.startswith((".", "colored_dyck"))}
+
+
+def random_block_word(rng, params, colors, rises, sizes, bad=0.0):
+    """A random word of `rises` rises for `params`.
+
+    Each rise has a size drawn from `sizes` and a color in 1..c_j, but
+    with probability `bad` (and always where c_j = 0) a color past c_j.
+    Down steps, placed wherever the prefix stays nonnegative and closing
+    the word, are DOWN or a fresh DownStep() that is not DOWN.  Built by
+    the checked constructor, which does not read colors.
+    """
+    blocks, balance = [], 0
+    while rises:
+        if balance > 0 and rng.random() < 0.5:
+            blocks.append(rng.choice((DOWN, DownStep())))
+            balance -= 1
+        else:
+            j = rng.choice(sizes)
+            limit = colors.at(j)
+            if limit and rng.random() >= bad:
+                color = rng.randint(1, limit)
+            else:
+                color = limit + rng.randint(1, 3)
+            blocks.append(Rise(j, color))
+            balance += params.a * j + params.b - 1
+            rises -= 1
+    blocks += [rng.choice((DOWN, DownStep())) for _ in range(balance)]
+    return ColoredDyckWord(params, blocks)
 
 
 def padded_triangle(N, form):

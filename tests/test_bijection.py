@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 import tracemalloc
@@ -31,7 +32,8 @@ from colored_dyck.errors import (
     NotDyck,
     ResourceLimit,
 )
-from conftest import HUGE, HUGE_TEXT, needs_int_digit_limit
+from colored_dyck.model import _block_net, _check_color
+from conftest import HUGE, HUGE_TEXT, needs_int_digit_limit, random_block_word
 
 
 ONES = ColorSequence.ones()
@@ -165,7 +167,44 @@ class TestCompose:
             compose(t, params, ColorSequence.constant(2))
 
 
+def block_by_block_decompose(w, params, colors):
+    """The excess procedure one block at a time: each child's blocks
+    gathered into a list, each block's net from _block_net."""
+    head = w.blocks[0]
+    _check_color(head.j, head.color, colors)
+    children, current, balance = [], [], 0
+    for block in w.blocks[1:]:
+        if isinstance(block, Rise):
+            _check_color(block.j, block.color, colors)
+        elif balance == 0:
+            children.append(ColoredDyckWord(params, current))
+            current = []
+            continue
+        current.append(block)
+        balance += _block_net(block, params)
+    children.append(ColoredDyckWord(params, current))
+    return DecompositionTuple(head.j, head.color, tuple(children))
+
+
 class TestDecompose:
+    def test_same_tuple_as_block_by_block(self):
+        # children of up to 3000 rises over 10^5 colors, and down steps
+        # that are fresh DownStep() instances, which stay in the children
+        rng = random.Random(24)
+        colors = ColorSequence.explicit((2, 0, 10**5))
+        all_params = [PathParams(a, b) for a, b in [(1, 0), (0, 1), (0, 2), (2, 1), (3, 0)]]
+        for _ in range(80):
+            params = rng.choice(all_params)
+            w = random_block_word(
+                rng, params, colors, rng.randint(1, 3000), rng.choice([(3,), (1, 3)])
+            )
+            got = decompose(w, params, colors)
+            expected = block_by_block_decompose(w, params, colors)
+            assert got == expected
+            for child, want in zip(got.children, expected.children):
+                assert type(child.blocks) is tuple
+                assert all(map(operator.is_, child.blocks, want.blocks))
+
     def test_minimal(self):
         params = PathParams(1, 0)
         t = decompose(parse_steps("ud", params, ONES), params, ONES)

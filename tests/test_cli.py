@@ -197,6 +197,35 @@ def test_contract_probe(argv, code, out):
         assert proc.stdout == out
 
 
+# Indices past what a list index holds: their tables cannot be allocated.
+UNALLOCATABLE = [
+    ("count", "--a", "1", "--b", "0", "--N", str(10**20), "--route", "bell"),
+    ("peaks", "--a", "1", "--b", "0", "--n", str(10**20)),
+    ("preset", "narayana", "--n", str(10**20)),
+    ("preset", "motzkin", "--N", str(10**20)),
+]
+
+
+class TestUnallocatableTable:
+    @staticmethod
+    def assert_resource_limit(code, out, err, cause):
+        assert code == 1
+        assert out == ""
+        assert err == f"ResourceLimit: cannot allocate the tables for this index ({cause})\n"
+
+    @pytest.mark.parametrize("argv", UNALLOCATABLE, ids=" ".join)
+    def test_index_past_a_list_index(self, run, argv):
+        self.assert_resource_limit(*run(*argv), "OverflowError")
+
+    def test_out_of_memory(self, run, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(counting, "count_bell", out_of_memory)
+        argv = ("count", "--a", "1", "--b", "0", "--N", "99999999999", "--route", "bell")
+        self.assert_resource_limit(*run(*argv), "MemoryError")
+
+
 def test_closed_stdout_exits_quietly():
     # The reader takes one line and closes the pipe, as `| head -n 1`
     # does; the output (about 0.6 MB) is far larger than a pipe buffer.

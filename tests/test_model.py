@@ -1,3 +1,4 @@
+import random
 import re
 import sys
 from fractions import Fraction
@@ -19,7 +20,7 @@ from colored_dyck import (
     to_steps,
     validate_colors,
 )
-from colored_dyck.bijection import enumerate_all
+from colored_dyck.bijection import decompose, enumerate_all
 from colored_dyck.errors import (
     BadAscent,
     ColoredDyckError,
@@ -33,9 +34,17 @@ from colored_dyck.model import (
     _PIECE_TABLE_BOUND,
     Block,
     _check_color,
+    _step_texts,
     _trusted_word,
 )
-from conftest import COLOR_GRID, HUGE, HUGE_TEXT, PARAM_GRID, needs_int_digit_limit
+from conftest import (
+    COLOR_GRID,
+    HUGE,
+    HUGE_TEXT,
+    PARAM_GRID,
+    needs_int_digit_limit,
+    random_block_word,
+)
 
 
 ONES = ColorSequence.ones()
@@ -436,6 +445,86 @@ class TestStepsProperty:
         assert again == checked
         assert hash(again) == hash(checked)
         assert again.n == checked.n
+
+
+def _first_color_error(word, colors):
+    """The message of the first rise out of range, checked rise by rise
+    in block order, or None."""
+    for block in word.blocks:
+        if isinstance(block, Rise):
+            try:
+                _check_color(block.j, block.color, colors)
+            except ColorOutOfRange as exc:
+                return str(exc)
+    return None
+
+
+def _distinct_rises(word):
+    return len({(b.j, b.color) for b in word.blocks if isinstance(b, Rise)})
+
+
+# c_2 = c_4 = c_6 = 0, and c_3 = 10^5 gives a word more distinct
+# (j, color) rises than _PIECE_TABLE_BOUND.
+WIDE_COLORS = ColorSequence.explicit((2, 0, 10**5, 0, 1))
+WIDE_SIZES = [(3,), (1, 3), (1, 2, 3, 4, 5, 6), (1, 5, 6), (5, 4, 1)]
+
+
+class TestColorCheckOrder:
+    def test_validate_colors_names_the_first_bad_rise(self):
+        # several rises out of range, sizes with no colors, and words of
+        # more distinct rises than any table keeps
+        rng = random.Random(22)
+        errors = several = wide = 0
+        for _ in range(160):
+            params = rng.choice(ROUND_TRIP_PARAMS)
+            word = random_block_word(
+                rng, params, WIDE_COLORS, rng.randint(1, 3000),
+                rng.choice(WIDE_SIZES), bad=rng.choice((0, 0.001, 0.01, 0.2)),
+            )
+            expected = _first_color_error(word, WIDE_COLORS)
+            bad = sum(
+                isinstance(b, Rise) and not b.color <= WIDE_COLORS.at(b.j)
+                for b in word.blocks
+            )
+            several += bad > 1
+            wide += _distinct_rises(word) > _PIECE_TABLE_BOUND
+            for check in (validate_colors, lambda w, c: decompose(w, w.params, c)):
+                if expected is None:
+                    check(word, WIDE_COLORS)
+                    continue
+                with pytest.raises(ColorOutOfRange) as got:
+                    check(word, WIDE_COLORS)
+                assert str(got.value) == expected
+            errors += expected is not None
+        assert 40 < errors < 150 and several > 20 and wide > 10
+
+
+class TestToSteps:
+    def test_joins_the_step_texts(self):
+        # repeated and distinct rises, past the table bound, and down
+        # steps that are fresh DownStep() instances
+        rng = random.Random(23)
+        wide = 0
+        for _ in range(60):
+            params = rng.choice(ROUND_TRIP_PARAMS)
+            word = random_block_word(
+                rng, params, WIDE_COLORS, rng.randint(1, 3000),
+                rng.choice(WIDE_SIZES[:2]),
+            )
+            wide += _distinct_rises(word) > _PIECE_TABLE_BOUND
+            text = to_steps(word)
+            assert text == "".join(_step_texts(word.params, word.blocks))
+            assert text == _reference_steps(word)
+        assert wide > 10
+
+    @pytest.mark.parametrize("distinct", [
+        _PIECE_TABLE_BOUND - 1, _PIECE_TABLE_BOUND, _PIECE_TABLE_BOUND + 1,
+    ])
+    def test_at_the_table_bound(self, distinct):
+        rises = [Rise(1, k) for k in range(1, distinct + 1)]
+        blocks = [*rises, Rise(1, 1), Rise(1, distinct + 5), *rises[:3]]
+        word = ColoredDyckWord(PathParams(1, 0), blocks)
+        assert to_steps(word) == "".join(f"u[{b.color}]d" for b in blocks)
 
 
 # The token-stream parser that the one-pattern parse_steps replaced,
