@@ -13,8 +13,8 @@ yields the rows k = 1..N in turn, each built from the rows below it by
 an equation C satisfies, with whole-row list operations, so only two
 rows are held at a time:
 
-- C = p / (1 - r t), a polynomial p over a geometric tail:
-  C^k * (1 - r t) = C^(k-1) * p, so
+- C = p / (1 - r t), the description ColorSequence.rational gives
+  every coloring but catpair: C^k * (1 - r t) = C^(k-1) * p, so
 
       P_{k,n} = sum_i p_i * P_{k-1,n-i} + r * P_{k,n-1},
 
@@ -85,17 +85,14 @@ def power_rows(N: int, form):
     """The rows P_{k,k..N} of the power triangle P_{k,n} = [t^n] C(t)^k,
     for k = 1..N in turn (row 0 is the unit series 1), of the coloring
     series C(t) = sum_j c_j t^j.  form is the coloring's description
-    (c_1..c_L, T, r), with c_j = T * r^(j-L-1) for j > L
-    (ColorSequence.geometric), or None for catpair.
+    (p, r), C = p / (1 - r t) (ColorSequence.rational), or None for
+    catpair.
 
     Each row is built from the rows below it by an equation C
-    satisfies, so only two rows are held at a time:
-
-    - a geometric tail with L < N, C = p / (1 - r t) with
-      p = (1 - r t) * sum_(j<=L) c_j t^j + T t^(L+1);
-    - otherwise the polynomial C = c_1 t + ... + c_min(L,N) t^min(L,N),
-      the case p = c, r = 0 of the same rule (_rational_rows);
-    - catpair, C = t * (2 + t + C + C^2) (_catpair_rows).
+    satisfies, so only two rows are held at a time: C * (1 - r t) = p
+    (_rational_rows, reading p_1..p_N alone, since no later
+    coefficient reaches row N), or, for catpair,
+    C = t * (2 + t + C + C^2) (_catpair_rows).
 
     N is checked here, at the call, not when the first row is read.
     """
@@ -103,11 +100,8 @@ def power_rows(N: int, form):
         raise InvalidIndex(f"need N >= 0, got N={_int_text(N)}")
     if form is None:
         return _catpair_rows(N)
-    prefix, tail, ratio = form
-    if tail and len(prefix) < N:
-        p = [c - ratio * below for c, below in zip((*prefix, tail), (0, *prefix))]
-        return _rational_rows(N, p, ratio)
-    return _rational_rows(N, prefix[:N], 0)
+    p, r = form
+    return _rational_rows(N, p[:N], r)
 
 
 def _rational_rows(N: int, p, r: int):

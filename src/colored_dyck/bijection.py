@@ -214,8 +214,8 @@ def _walk(
         raise ValueError("need n >= 0")
     if cap < 0:
         raise ValueError("need cap >= 0")
-    # No head is larger than the last color of a tail-0 prefix.
-    form = colors.geometric()
+    # No head is larger than a polynomial coloring's degree.
+    form = colors.rational()
     most = len(form[0]) if form is not None and not form[1] else n
     rises = [DOWN]
     sep = "\0" if spell is None else spell(rises)[0]  # between children

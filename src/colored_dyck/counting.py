@@ -17,7 +17,7 @@ Combinatorics, 1974, section 3.3), each term is
 
 and count_bell reads the rows of that power triangle from
 bell.power_rows, which builds each row from the ones below it by C's
-own equation (ColorSequence.geometric describes C; bell gives the
+own equation (ColorSequence.rational describes C; bell gives the
 rules) in O(N^2) products for every built-in coloring, with no
 factorial and no binomial weight in any cell.  count_bell adds each
 row's terms into the counts as the row arrives, so it holds two rows
@@ -30,17 +30,15 @@ the functional equation
 
     y = 1 + y^b * C(x * y^a),
 
-and count_recurrence folds the colors past a short prefix through C's
-own equation (ColorSequence.geometric describes C).  Where
-c_l = T * r^(l-L-1) for l > L, C times 1 - r t is a polynomial of
-degree L+1, so multiplying y - 1 by 1 - r * x * y^a leaves
+and count_recurrence reads C through its description
+(ColorSequence.rational): where C = p / (1 - r t), multiplying y - 1
+by 1 - r * x * y^a leaves
 
     y_n = r * ([x^(n-1)] y^(a+1) - [x^(n-1)] y^a)
-          + sum_(i<=L+1) p_i * [x^(n-i)] y^(a*i+b),
+          + sum_i p_i * [x^(n-i)] y^(a*i+b);
 
-with p_i = c_i - r * c_(i-1) (c_0 = 0, c_(L+1) = T); for catpair,
-C(t) = (1+t) * K(t) - 1 with K = 1 + t * K^2, so the Catalan series
-K(x * y^a) satisfies
+for catpair, C(t) = (1+t) * K(t) - 1 with K = 1 + t * K^2, so the
+Catalan series K(x * y^a) satisfies
 
     K = 1 + x * y^a * K^2.
 
@@ -54,7 +52,8 @@ y^1500), Miller's rule
 
 from y alone (Knuth, TAOCP vol. 2, section 4.7), with the division
 checked.  The closed form raises the coloring series C to powers and
-never reads y.  Neither route reads the other's tables.
+never reads y.  Neither route reads the other's tables: both read
+C's description (p, r), which is the input, not a table of either.
 
 Each formula term is an exact integer quotient; a nonzero remainder
 raises NonIntegerTerm and certifies a bug, since integrality is a
@@ -63,6 +62,7 @@ theorem.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import comb
 from operator import mul
@@ -160,18 +160,14 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
 
     Summed over l, the recurrence is y = 1 + y^b * C(x * y^a), with
     C(t) = sum_l c_l t^l, and it is evaluated from the description of
-    C (ColorSequence.geometric):
+    C (ColorSequence.rational):
 
-    - c_l = T * r^(l-L-1) for l > L, with T != 0 and L < N: C times
-      1 - r t is the polynomial p_1 t + .. + p_(L+1) t^(L+1), with
-      p_i = c_i - r * c_(i-1) (c_0 = 0) and p_(L+1) = T - r * c_L, so
-      multiplying y - 1 by 1 - r * x * y^a gives
+    - C = p / (1 - r t): multiplying y - 1 by 1 - r * x * y^a gives
 
           y_n = r * ([x^(n-1)] y^(a+1) - [x^(n-1)] y^a)
-                + sum_i p_i * [x^(n-i)] y^(a*i+b);
+                + sum_i p_i * [x^(n-i)] y^(a*i+b),
 
-    - no color past c_L (T = 0), or none reached below index N+1: the
-      same rule with p = c and r = 0;
+      with p_i read for i <= N alone;
     - catpair, C(t) = (1+t) * K(t) - 1 with K = 1 + t * K^2 the Catalan
       series: K(x * y^a) and its square, reading y^a and y^b.
 
@@ -185,8 +181,10 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
     """
     if N < 0:
         raise ValueError("need N >= 0")
+    if N >= sys.maxsize:  # checked here, not after a loop of N steps
+        raise OverflowError("y_0..y_N do not fit in a list")
     a, b = params.a, params.b
-    form = colors.geometric()
+    form = colors.rational()
     y = [1]
     if form is None:  # catpair reads y^a and y^b through index n-1
         rows, steps, ky = _power_steps(a, b, [(1, a), (1, b)], y)
@@ -210,18 +208,12 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
 
 
 def _reads(a, b, form, N):
-    """The terms (shift, e, coefficient) of y_n = sum coef * [x^(n-shift)] y^e
-    for the description form = (c_1..c_L, T, r), ascending by shift,
-    one per power and shift, none with coefficient 0.  p is derived
-    here, not taken from the Bell route, so the routes stay
-    independent."""
-    cs, tail, ratio = form
-    if tail and len(cs) < N:
-        p = [c - ratio * below for c, below in zip((*cs, tail), (0, *cs))]
-        coefs = {(1, a + 1): ratio, (1, a): -ratio}
-    else:  # no tail term below index N+1
-        p, coefs = cs[:N], {}
-    for i, pi in enumerate(p, 1):
+    """The terms (shift, e, coefficient) of y_n = sum coef * [x^(n-shift)] y^e,
+    n <= N, for the description form = (p, r), ascending by shift,
+    one per power and shift, none with coefficient 0."""
+    p, r = form
+    coefs = {(1, a + 1): r, (1, a): -r}
+    for i, pi in enumerate(p[:N], 1):
         coefs[i, a * i + b] = coefs.get((i, a * i + b), 0) + pi
     return sorted((shift, e, coef) for (shift, e), coef in coefs.items() if coef)
 
@@ -326,7 +318,7 @@ def _bell_terms(params, colors, n, r=1):
     exact_div raises NonIntegerTerm, naming n, r and both operands."""
     a, b = params.a, params.b
     terms = []
-    for k, row in enumerate(power_rows(n, colors.geometric()), 1):
+    for k, row in enumerate(power_rows(n, colors.rational()), 1):
         num = r * comb(a * n + b * k + r - 1, k - 1) * row[-1]
         q, rem = divmod(num, k)
         if rem:
@@ -347,7 +339,7 @@ def count_bell(params: PathParams, colors: ColorSequence, N: int) -> CountSeries
         raise ValueError("need N >= 0")
     a, b = params.a, params.b
     values = [1] + [0] * N
-    for k, row in enumerate(power_rows(N, colors.geometric()), 1):
+    for k, row in enumerate(power_rows(N, colors.rational()), 1):
         top = (a + b) * k  # a*n + b*k at n = k
         for n, cell in enumerate(row, k):
             num = comb(top, k - 1) * cell

@@ -70,35 +70,47 @@ class ColorSequence:
     an explicit prefix with a constant tail.
 
     A tail of 0 in an explicit sequence forbids all larger ascents.
+    Every kind but catpair has a rational series
+    C(t) = sum_j c_j t^j = p(t) / (1 - r t), described once, here, by
+    rational(); both count routes and the enumeration read C from it.
     """
 
     kind: str
     prefix: tuple[int, ...] = ()
     tail: int = 0
-    # geometric()'s description, built once: at reads it on every call.
+    # rational()'s (p, r), and the (c_1..c_len(p), r) that at reads,
+    # with c_j = c_len(p) * r^(j-len(p)) past len(p); None for catpair.
     _form: tuple | None = field(init=False, repr=False, compare=False)
+    _rule: tuple | None = field(init=False, repr=False, compare=False)
 
     _KINDS = ("explicit", "ones", "pow2", "catpair", "const")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown color sequence kind: {self.kind!r}")
+        if self.prefix and self.kind != "explicit":
+            raise ValueError(f"color sequence kind {self.kind!r} takes no prefix")
+        if self.tail and self.kind not in ("explicit", "const"):
+            raise ValueError(f"color sequence kind {self.kind!r} takes no tail")
         if not all(isinstance(c, int) for c in (*self.prefix, self.tail)):
             raise ValueError("color counts must be integers")
         if any(c < 0 for c in self.prefix) or self.tail < 0:
             raise ValueError("color counts must be nonnegative")
-        # The description of a tail-0 prefix stops at its last nonzero
-        # color, so whatever reads it stops there too.
-        last = len(self.prefix)
-        while last and not self.tail and not self.prefix[last - 1]:
-            last -= 1
-        form = {
-            "explicit": (self.prefix[:last], self.tail, 1),
-            "ones": ((), 1, 1),
-            "pow2": ((), 1, 2),
-            "const": ((), self.tail, 1),
-        }.get(self.kind)
-        object.__setattr__(self, "_form", form)
+        # c_1..c_m and r, with c_j = c_m * r^(j-m) for j > m, so that
+        # C * (1 - r t) is the polynomial p of degree m at most, with
+        # p_i = c_i - r * c_(i-1) (c_0 = 0).
+        c, r = {
+            "explicit": ((*self.prefix, self.tail), 1 if self.tail else 0),
+            "ones": ((1,), 1),
+            "pow2": ((1,), 2),
+            "const": ((self.tail,), 1 if self.tail else 0),
+        }.get(self.kind, ((), 0))
+        p = [ci - r * below for ci, below in zip(c, (0, *c))]
+        while p and not p[-1]:  # p stops at its last nonzero coefficient
+            p.pop()
+        catpair = self.kind == "catpair"
+        object.__setattr__(self, "_form", None if catpair else (tuple(p), r))
+        object.__setattr__(self, "_rule", None if catpair else (c[: len(p)], r))
 
     @classmethod
     def ones(cls) -> "ColorSequence":
@@ -122,24 +134,24 @@ class ColorSequence:
     def explicit(cls, prefix, tail: int = 0) -> "ColorSequence":
         return cls("explicit", prefix=tuple(prefix), tail=tail)
 
-    def geometric(self) -> tuple[tuple[int, ...], int, int] | None:
-        """(c_1..c_L, T, r) such that c_l = T * r^(l-L-1) for every
-        l > L, or None for catpair, whose tail is not geometric.  With
-        T = 0, c_L is the last nonzero color (L = 0 if there is none)."""
+    def rational(self) -> tuple[tuple[int, ...], int] | None:
+        """(p, r) with C(t) = (p_1 t + p_2 t^2 + ...) / (1 - r t), p a
+        tuple that stops at its last nonzero coefficient and r = 0 where
+        p is empty, or None for catpair, whose series is not rational.
+        With r = 0, C is the polynomial p and c_j = 0 for j > len(p)."""
         return self._form
 
     def at(self, j: int) -> int:
         """Evaluate c_j for j >= 1."""
         if j < 1:
             raise ValueError("color index must be positive")
-        if self._form is None:
+        rule = self._rule
+        if rule is None:
             return catalan(j - 1) + catalan(j)
-        prefix, tail, ratio = self._form
-        if j <= len(prefix):
-            return prefix[j - 1]
-        if ratio == 1:
-            return tail
-        return tail * ratio ** (j - len(prefix) - 1)
+        lead, r = rule
+        if j <= len(lead):
+            return lead[j - 1]
+        return lead[-1] * r ** (j - len(lead)) if r else 0
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from colored_dyck import DOWN, ColoredDyckWord, ColorSequence, DownStep, PathParams, Rise
 from colored_dyck.bell import power_rows
@@ -24,6 +25,21 @@ COLOR_GRID = [
     ColorSequence.explicit((2, 0, 1)),
     ColorSequence.constant(3),
 ]
+
+# Small colorings of every kind, drawn: explicit prefixes of up to 6
+# colors with a tail, so that a prefix longer than a small N with a
+# tail is among them, and every preset.
+DRAWN_COLORS = st.one_of(
+    st.builds(
+        ColorSequence.explicit,
+        st.lists(st.integers(0, 4), max_size=6),
+        st.integers(0, 4),
+    ),
+    st.sampled_from(
+        [ColorSequence.ones(), ColorSequence.powers_of_two(), ColorSequence.catalan_pair_sum()]
+    ),
+    st.builds(ColorSequence.constant, st.integers(0, 4)),
+)
 
 
 # For tests of integers with more digits than the interpreter converts

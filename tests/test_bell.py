@@ -16,6 +16,7 @@ from colored_dyck.oracles import (
     power_triangle,
 )
 from conftest import (
+    DRAWN_COLORS,
     HUGE,
     HUGE_TEXT,
     needs_int_digit_limit,
@@ -299,9 +300,10 @@ class TestPowerTriangle:
 
 
 # One coloring of every kind, as its description would reach the
-# triangle rules: the four geometric kinds, a tail-0 prefix with a gap,
-# prefixes with a tail (one whose p has a zero top coefficient), a
-# prefix longer than every N below, and catpair.
+# triangle rules: the presets with r != 0, const:0 (p empty), a tail-0
+# prefix with a gap, prefixes with a tail (one whose tail repeats its
+# last color, so p stops before the tail), a prefix longer than every
+# N below, and catpair.
 KIND_CASES = [
     ColorSequence.ones(),
     ColorSequence.powers_of_two(),
@@ -325,10 +327,18 @@ class TestEquationRules:
 
     @pytest.mark.parametrize("colors", KIND_CASES, ids=KIND_IDS)
     def test_equal_plain_rule(self, colors):
-        form = colors.geometric()
+        form = colors.rational()
         for N in range(61):
             plain = power_triangle(N, [colors.at(j) for j in range(1, N + 1)])
             assert padded_triangle(N, form) == plain, N
+
+    @settings(max_examples=300, deadline=None)
+    @given(DRAWN_COLORS, st.integers(0, 15))
+    def test_drawn_equal_plain_rule(self, colors, N):
+        # The rows of (p, r) against the plain rule on the colors at
+        # reads from the same description.
+        c = [colors.at(j) for j in range(1, N + 1)]
+        assert padded_triangle(N, colors.rational()) == power_triangle(N, c)
 
     def test_catpair_last_cells(self):
         # P_{k,N} for k near N reads the long rows at their far end:
@@ -342,30 +352,31 @@ class TestEquationRules:
     def test_rational_tail(self):
         # c_j = 3 * 2^(j-1): C = 3t / (1 - 2t), so P_{k,n} =
         # 3^k * 2^(n-k) * C(n-1, k-1).
-        rows = padded_triangle(12, ((), 3, 2))
+        rows = padded_triangle(12, ((3,), 2))
         for k in range(1, 13):
             for n in range(k, 13):
                 assert rows[k][n] == 3**k * 2 ** (n - k) * math.comb(n - 1, k - 1)
 
     def test_prefix_before_a_ratio(self):
-        # No coloring kind has both; the rule takes any description.
-        prefix, tail, ratio = (1, 0, 5), 3, 2
-        c = list(prefix) + [tail * ratio**i for i in range(20)]
+        # c = 1, 0, 5, then 3 * 2^i: p = (1 - 2t) * (t + 5t^3) + 3t^4,
+        # with a negative coefficient, and r = 2.  No coloring kind has
+        # this description; the rule takes any (p, r).
+        c = [1, 0, 5] + [3 * 2**i for i in range(20)]
         for N in range(21):
-            assert padded_triangle(N, (prefix, tail, ratio)) == power_triangle(N, c[:N])
+            assert padded_triangle(N, ((1, -2, 5, -7), 2)) == power_triangle(N, c[:N])
 
     def test_empty(self):
         assert padded_triangle(0, None) == [[1]]
-        assert padded_triangle(0, ((), 1, 1)) == [[1]]
+        assert padded_triangle(0, ((1,), 1)) == [[1]]
         with pytest.raises(InvalidIndex, match=r"^need N >= 0, got N=-1$"):
             power_rows(-1, None)
         with pytest.raises(InvalidIndex, match=r"^need N >= 0, got N=-1$"):
-            power_rows(-1, ((), 1, 1))
+            power_rows(-1, ((1,), 1))
 
     @needs_int_digit_limit
     def test_huge_negative_index(self):
         message = f"need N >= 0, got N=<-{HUGE_TEXT[1:]}"
-        for form in (None, ((), 1, 1)):
+        for form in (None, ((1,), 1)):
             with pytest.raises(InvalidIndex, match=f"^{re.escape(message)}$"):
                 power_rows(-HUGE, form)
 

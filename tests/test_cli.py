@@ -200,6 +200,8 @@ def test_contract_probe(argv, code, out):
 # Indices past what a list index holds: their tables cannot be allocated.
 UNALLOCATABLE = [
     ("count", "--a", "1", "--b", "0", "--N", str(10**20), "--route", "bell"),
+    ("count", "--a", "1", "--b", "0", "--N", str(10**20), "--route", "recurrence"),
+    ("count", "--a", "1", "--b", "0", "--N", str(10**20)),
     ("peaks", "--a", "1", "--b", "0", "--n", str(10**20)),
     ("preset", "narayana", "--n", str(10**20)),
     ("preset", "motzkin", "--N", str(10**20)),

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from collections import Counter
 from math import comb
@@ -20,7 +21,7 @@ from colored_dyck.bijection import enumerate_all
 from colored_dyck.errors import NonIntegerTerm
 from colored_dyck.oracles import convolution_power_direct
 from colored_dyck.sequences import duchon_d, fuss_catalan, narayana
-from conftest import COLOR_GRID, PARAM_GRID, padded_triangle
+from conftest import COLOR_GRID, DRAWN_COLORS, PARAM_GRID, padded_triangle
 
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
@@ -38,6 +39,14 @@ class TestRecurrence:
     def test_y1_is_c1(self, params, colors):
         s = count_recurrence(params, colors, 1)
         assert s[1] == colors.at(1)
+
+    @pytest.mark.parametrize(
+        "colors", [ColorSequence.ones(), ColorSequence.catalan_pair_sum()], ids=["ones", "catpair"]
+    )
+    def test_index_past_a_list_raises_at_once(self, colors):
+        for N in (sys.maxsize, 10**20):
+            with pytest.raises(OverflowError, match=r"^y_0\.\.y_N do not fit in a list$"):
+                count_recurrence(PathParams(1, 0), colors, N)
 
     def test_y0_is_one(self, params, colors):
         assert count_recurrence(params, colors, 0).values == (1,)
@@ -219,22 +228,9 @@ def test_recurrence_equals_its_explicit_prefix(params, colors):
         assert count_recurrence(params, colors, N) == count_recurrence(params, prefix, N)
 
 
-# Small colorings of every description: an explicit prefix with a
-# tail, and the presets whose tail is geometric.
-DRAWN_COLORS = st.one_of(
-    st.builds(
-        ColorSequence.explicit,
-        st.lists(st.integers(0, 3), max_size=3),
-        st.integers(0, 3),
-    ),
-    st.sampled_from([ColorSequence.ones(), ColorSequence.powers_of_two()]),
-    st.builds(ColorSequence.constant, st.integers(0, 3)),
-)
-
-
 class TestPowerRows:
     """The rows of powers of y the recurrence builds: squares, products,
-    Miller's rule, and the geometric tail folded into y^(a+1)."""
+    Miller's rule, and the factor 1 - r t folded into y^(a+1)."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), DRAWN_COLORS, st.integers(0, 25))
@@ -383,7 +379,7 @@ class TestBellRouteCost:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            triangle = padded_triangle(N, colors.geometric())
+            triangle = padded_triangle(N, colors.rational())
             size = tracemalloc.get_traced_memory()[0] - base
             del triangle
             for route in (count_bell, peak_table):

@@ -90,8 +90,46 @@ class TestColorSequence:
         with pytest.raises(ValueError, match="color counts must be integers"):
             make()
 
+    @pytest.mark.parametrize(
+        "kind, fields, name",
+        [
+            ("ones", {"prefix": (5,)}, "prefix"),
+            ("pow2", {"prefix": (0, 0, 7), "tail": 9}, "prefix"),
+            ("catpair", {"tail": 7}, "tail"),
+            ("const", {"prefix": (2,), "tail": 3}, "prefix"),
+        ],
+    )
+    def test_fields_the_kind_ignores_rejected(self, kind, fields, name):
+        with pytest.raises(ValueError, match=f"^color sequence kind '{kind}' takes no {name}$"):
+            ColorSequence(kind, **fields)
+
+    @pytest.mark.parametrize(
+        "colors, form",
+        [
+            (ColorSequence.ones(), ((1,), 1)),
+            (ColorSequence.powers_of_two(), ((1,), 2)),
+            (ColorSequence.constant(3), ((3,), 1)),
+            (ColorSequence.constant(0), ((), 0)),
+            (ColorSequence.explicit((2, 0, 1)), ((2, 0, 1), 0)),
+            (ColorSequence.explicit((2, 0, 0)), ((2,), 0)),
+            (ColorSequence.explicit(()), ((), 0)),
+            (ColorSequence.explicit((1, 2), 3), ((1, 1, 1), 1)),
+            (ColorSequence.explicit((1, 1), 1), ((1,), 1)),
+            (ColorSequence.explicit((0, 4), 4), ((0, 4), 1)),
+            (ColorSequence.catalan_pair_sum(), None),
+        ],
+        ids=["ones", "pow2", "const:3", "const:0", "explicit:2,0,1", "explicit:2,0,0",
+             "explicit:", "explicit:1,2+tail:3", "explicit:1,1+tail:1",
+             "explicit:0,4+tail:4", "catpair"],
+    )
+    def test_rational_description(self, colors, form):
+        # C = p / (1 - r t) with p stopping at its last nonzero
+        # coefficient and r = 0 where p is empty, so equal series have
+        # equal descriptions (ones, const:1 and explicit:+tail:1 alike).
+        assert colors.rational() == form
+
     # Both count routes read the colorings through their description
-    # (ColorSequence.geometric), so each kind is pinned here against a
+    # (ColorSequence.rational), so each kind is pinned here against a
     # formula written out independently of it.
     @pytest.mark.parametrize(
         "colors, formula",
