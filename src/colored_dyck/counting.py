@@ -21,9 +21,10 @@ own equation (ColorSequence.rational describes C; bell gives the
 rules) in O(N^2) products for every built-in coloring, with no
 factorial and no binomial weight in any cell.  count_bell adds each
 row's terms into the counts as the row arrives, so it holds two rows
-at a time, never the triangle.  The route makes one math.comb and one
-checked division for each of its N(N+1)/2 terms; peak_table and
-convolution_power_closed read one cell P_{k,n} of each row.
+at a time, never the triangle.  Its terms, and those of peak_table and
+convolution_power_closed, come from one loop, _bell_terms, which makes
+one math.comb and one checked division per term: N(N+1)/2 terms for
+count_bell, one cell P_{k,n} of each row for the other two.
 
 Both routes are polynomial in N.  Summed over l, the recurrence is
 the functional equation
@@ -37,10 +38,10 @@ by 1 - r * x * y^a leaves
     y_n = r * ([x^(n-1)] y^(a+1) - [x^(n-1)] y^a)
           + sum_i p_i * [x^(n-i)] y^(a*i+b);
 
-for catpair, C(t) = (1+t) * K(t) - 1 with K = 1 + t * K^2, so the
-Catalan series K(x * y^a) satisfies
+for catpair, C = t * (2 + t + C + C^2), the equation bell's rows read,
+so Y = C(x * y^a) satisfies
 
-    K = 1 + x * y^a * K^2.
+    Y = x * y^a * (2 + x * y^a + Y + Y^2),  y = 1 + y^b * Y.
 
 The recurrence builds only the powers of y that its rule reads, and
 their factors, each online: the square of y, y^a or y^b (half the
@@ -53,7 +54,8 @@ y^1500), Miller's rule
 from y alone (Knuth, TAOCP vol. 2, section 4.7), with the division
 checked.  The closed form raises the coloring series C to powers and
 never reads y.  Neither route reads the other's tables: both read
-C's description (p, r), which is the input, not a table of either.
+C's description (p, r), or catpair's equation, which is the input,
+not a table of either.
 
 Each formula term is an exact integer quotient; a nonzero remainder
 raises NonIntegerTerm and certifies a bug, since integrality is a
@@ -168,8 +170,8 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
                 + sum_i p_i * [x^(n-i)] y^(a*i+b),
 
       with p_i read for i <= N alone;
-    - catpair, C(t) = (1+t) * K(t) - 1 with K = 1 + t * K^2 the Catalan
-      series: K(x * y^a) and its square, reading y^a and y^b.
+    - catpair, C = t * (2 + t + C + C^2): Y = C(x * y^a) and its
+      square, reading y^a and y^b (_catpair_terms).
 
     Terms of one power of y at one shift are added up first, so a
     power whose coefficients cancel is never read (y^a for ones at
@@ -286,68 +288,67 @@ def _power_steps(a, b, reads, y):
 
 def _catpair_terms(a, b, rows):
     """y_n for c_l = C_(l-1) + C_l as a function of n, with
-    rows[e] = y^e.  With Z = y^a and K the Catalan series K(x * Z),
-    K = 1 + x * Z * K^2 and y = 1 + y^b * W with W = (1 + x * Z) * K - 1,
-    so
+    rows[e] = y^e.  With X = x * y^a and Y = C(X), C's own equation
+    C = t * (2 + t + C + C^2), the one bell._catpair_rows reads, gives
 
-        K_n = (Z * K^2)_(n-1),  W_n = (Z * K)_(n-1) + K_n,
-        y_n = sum_(i<n) (y^b)_i * W_(n-i),
+        Y = X * T,  T = 2 + X + Y + Y^2,  y = 1 + y^b * Y,
 
-    Z * u reading u alone at a = 0 and y^b * W reading W_n alone at
-    b = 0, where either power is the unit series."""
-    K, K2 = [1], []
-    W = []  # W[i] = W_(i+1); W_0 = 0
+    so T_0 = 2, T_1 = X_1 + Y_1 = 1 + 2 and, for m >= 2,
 
-    def times_z(u, i):
-        return _conv_at(rows[a], u, i) if a else u[i]
+        T_m = (y^a)_(m-1) + Y_m + (Y^2)_m,
+
+    and Y_n = (y^a * T)_(n-1), y_n = sum_(i<n) (y^b)_i * Y_(n-i):
+    y^a * T reads T_(n-1) alone at a = 0 and y^b * Y reads Y_n alone
+    at b = 0, where either power is the unit series."""
+    Y, T = [], [2, 3]  # Y[i] = Y_(i+1); Y_0 = 0
 
     def term(n):
-        K2.append(_conv_at(K, K, n - 1))
-        K.append(times_z(K2, n - 1))
-        W.append(times_z(K, n - 1) + K[n])
-        return _conv_at(rows[b], W, n - 1) if b else W[n - 1]
+        m = n - 1
+        if m > 1:
+            x_m = rows[a][m - 1] if a else 0
+            T.append(x_m + Y[m - 1] + _conv_at(Y, Y, m - 2))
+        Y.append(_conv_at(rows[a], T, m) if a else T[m])
+        return _conv_at(rows[b], Y, m) if b else Y[m]
 
     return term
 
 
-def _bell_terms(params, colors, n, r=1):
-    """The exact terms r * C(a*n + b*k + r - 1, k-1) * P_{k,n} / k for
-    k = 1..n, reading the one cell P_{k,n} at the end of each row of
-    power_rows(n).  The binomial needs no range check: its top is at
-    least k-1 >= 0.  Each term is divided in place; on a remainder
-    exact_div raises NonIntegerTerm, naming n, r and both operands."""
+def _bell_terms(out, params, colors, N, first=1, r=1):
+    """Add the exact terms r * C(a*n + b*k + r - 1, k-1) * P_{k,n} / k
+    of each row k = 1..N of power_rows(N), for n = s..N with
+    s = max(k, first), into out[k + n - s] as the row arrives: the one
+    term loop of the Bell route.  At first = 1 each term goes to out[n]
+    (count_bell); at first = N each row has one term, which goes to
+    out[k] (peak_table, convolution_power_closed).  It adds in place
+    rather than yielding the terms: at N <= 20 a yield per term adds
+    about 40% to the loop.  The binomial needs no
+    range check: its top is at least k-1 >= 0.  Each term is divided
+    in place; on a remainder exact_div raises NonIntegerTerm, naming
+    n, r and both operands."""
     a, b = params.a, params.b
-    terms = []
-    for k, row in enumerate(power_rows(n, colors.rational()), 1):
-        num = r * comb(a * n + b * k + r - 1, k - 1) * row[-1]
-        q, rem = divmod(num, k)
-        if rem:
-            exact_div(num, k, f"Bell term n={n}, r={r}")
-        terms.append(q)
-    return terms
+    for k, row in enumerate(power_rows(N, colors.rational()), 1):
+        s = first if first > k else k
+        top = a * s + b * k + r - 1
+        cells = row[s - k :] if r == 1 else [r * cell for cell in row[s - k :]]
+        for i, cell in enumerate(cells, k):
+            num = comb(top, k - 1) * cell
+            q, rem = divmod(num, k)
+            if rem:
+                exact_div(num, k, f"Bell term n={i + s - k}, r={r}")
+            out[i] += q
+            top += a
 
 
 def count_bell(params: PathParams, colors: ColorSequence, N: int) -> CountSeries:
     """Evaluate the partial-Bell-polynomial closed form up to index N.
 
     The terms C(a*n + b*k, k-1) * P_{k,n} / k of each row k of the
-    power triangle are added into y_k .. y_N as the row arrives, each
-    divided in place as in _bell_terms.  The loop is written out
-    here, not shared with _bell_terms: at the small N of most counts
-    a call per row or per term costs more than the term."""
+    power triangle are added into y_k .. y_N as the row arrives
+    (_bell_terms), so two rows are held at a time, never the triangle."""
     if N < 0:
         raise ValueError("need N >= 0")
-    a, b = params.a, params.b
     values = [1] + [0] * N
-    for k, row in enumerate(power_rows(N, colors.rational()), 1):
-        top = (a + b) * k  # a*n + b*k at n = k
-        for n, cell in enumerate(row, k):
-            num = comb(top, k - 1) * cell
-            q, rem = divmod(num, k)
-            if rem:
-                exact_div(num, k, f"Bell term n={n}, r=1")
-            values[n] += q
-            top += a
+    _bell_terms(values, params, colors, N)
     return CountSeries(tuple(values))
 
 
@@ -359,11 +360,15 @@ def convolution_power_closed(
     summed as r * sum_k C(a*n + b*k + r - 1, k-1) * P_{k,n} / k."""
     if r < 1 or n < 1:
         raise ValueError("need r >= 1 and n >= 1")
-    return sum(_bell_terms(params, colors, n, r))
+    terms = [0] * (n + 1)
+    _bell_terms(terms, params, colors, n, n, r)
+    return sum(terms)
 
 
 def peak_table(params: PathParams, colors: ColorSequence, n: int) -> PeakTable:
     """Counts of words of index n refined by their number of peaks."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return PeakTable(n, _bell_terms(params, colors, n))
+    terms = [0] * (n + 1)  # terms[k] for k peaks
+    _bell_terms(terms, params, colors, n, n)
+    return PeakTable(n, terms[1:])

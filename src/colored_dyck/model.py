@@ -88,6 +88,7 @@ class ColorSequence:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown color sequence kind: {self.kind!r}")
+        object.__setattr__(self, "prefix", tuple(self.prefix))
         if self.prefix and self.kind != "explicit":
             raise ValueError(f"color sequence kind {self.kind!r} takes no prefix")
         if self.tail and self.kind not in ("explicit", "const"):
@@ -132,7 +133,7 @@ class ColorSequence:
 
     @classmethod
     def explicit(cls, prefix, tail: int = 0) -> "ColorSequence":
-        return cls("explicit", prefix=tuple(prefix), tail=tail)
+        return cls("explicit", prefix=prefix, tail=tail)
 
     def rational(self) -> tuple[tuple[int, ...], int] | None:
         """(p, r) with C(t) = (p_1 t + p_2 t^2 + ...) / (1 - r t), p a

@@ -176,6 +176,20 @@ class TestChain:
         count_recurrence(PathParams(4, 3), ColorSequence.ones(), N)
         assert 0 < sum(kind == "miller" for kind, _ in kernel_calls) <= N
 
+    @pytest.mark.parametrize(
+        "a, b, N, calls",
+        [
+            # y^2 = y * y through N-1, then per index Y^2 (none while it
+            # is 0, at n = 1, 2), y^a * T and y^b * Y.
+            (2, 1, 300, {"square": 299 + 298, "product": 2 * 300}),
+            # y^5 by Miller's rule through N-1; y^b * Y is Y at b = 0.
+            (5, 0, 100, {"square": 98, "product": 100, "miller": 99}),
+        ],
+    )
+    def test_catpair_three_convolutions_per_index(self, kernel_calls, a, b, N, calls):
+        count_recurrence(PathParams(a, b), ColorSequence.catalan_pair_sum(), N)
+        assert Counter(kind for kind, _ in kernel_calls) == calls
+
     def test_independent_of_bell_route(self, monkeypatch):
         # One coloring per triangle rule: tail, no tail, catpair.
         params = PathParams(2, 1)

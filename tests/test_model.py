@@ -151,6 +151,27 @@ class TestColorSequence:
             formula(j) for j in range(1, 501)
         ]
 
+    def test_catpair_satisfies_its_equation_to_200(self):
+        # Both count routes read catpair through C = t * (2 + t + C + C^2)
+        # alone, so a wrong constant there would pass the route
+        # cross-check: here at() is checked against the equation.
+        c = [0] + [ColorSequence.catalan_pair_sum().at(j) for j in range(1, 201)]
+        for n in range(1, 201):
+            square = sum(c[i] * c[n - 1 - i] for i in range(1, n - 1))
+            assert c[n] == 2 * (n == 1) + (n == 2) + c[n - 1] + square
+
+    @pytest.mark.parametrize(
+        "prefix", [[1, 2], (1, 2), range(1, 3)], ids=["list", "tuple", "range"]
+    )
+    def test_prefix_stored_as_tuple(self, prefix):
+        colors = ColorSequence("explicit", prefix=prefix)
+        expected = ColorSequence.explicit((1, 2))
+        assert colors == expected
+        assert hash(colors) == hash(expected)
+        assert repr(colors) == repr(expected) == (
+            "ColorSequence(kind='explicit', prefix=(1, 2), tail=0)"
+        )
+
 
 class TestPathParams:
     def test_requires_positive_sum(self):
