@@ -9,15 +9,15 @@ a fixed deterministic order.  The enumeration is one walk that memoizes
 every child index as strings, spelled in an alphabet its caller
 picks: enumerate_all spells each block as a one-character code, which
 it decodes into blocks; the CLI's plain listing spells each block as
-its step text, so each output line is a head's text and one product of
-memo strings, joined without a word object or a translation.  Every
-product of children, in the memo and in the listings, is formed by
+its step text, so each output line is a head's text and one of the
+walk's finished child strings, without a word object or a
+translation.  Every product of children, in the memo and in the
+groups the walk hands its callers, is formed in one place, by
 itertools.product and str.join.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress, islice, product
 from math import prod
@@ -192,39 +192,39 @@ def _walk(
     block: chr(0) for a down step and chr(k) for rises[k].  Otherwise
     spell maps a list of blocks to their texts (model._step_texts with
     params bound, say), and a string is the concatenated texts of its
-    blocks.  Returns (rises, groups); groups yields pairs
-    (head, children) in enumeration order, where head is the block
-    tuple (Rise(ell, color),) (the empty tuple at n = 0) and children
-    one list of strings per child of one composition: the words are
-    head followed by each tuple of itertools.product(*children), its
-    strings joined by the spelling of a down step, in turn.
+    blocks.  Returns (rises, groups); groups yields pairs (head, tails)
+    in enumeration order, one per head and composition, where head is
+    the block tuple (Rise(ell, color),) (the empty tuple at n = 0) and
+    tails iterates the strings of that composition's children: each
+    word is head followed by one tail, in turn.
 
     Every index that a word of index n can hold as a child is memoized
     as strings and counted against the cap, lowest first, before
     this returns, so the lowest index over the cap is the one reported;
     no other index is built or counted.  An index that only heads with
     one child read (a link of a chain, as at a = 0, b = 1) leaves the
-    memo once every index that reads it is built.  Nothing is yielded
+    memo once no index still to be built reads it.  Nothing is yielded
     from an index over the cap.  Index n is never held: each group
-    names the memo lists of one composition's children, and its caller
-    streams their product.  Heads at index n get no code: they may have
-    more colors than characters.
+    streams the product of one composition's memo lists.  Heads at
+    index n get no code: they may have more colors than characters.
     """
-    if n < 0:
-        raise ValueError("need n >= 0")
-    if cap < 0:
-        raise ValueError("need cap >= 0")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("need an integer n >= 0")
+    if not isinstance(cap, int) or cap < 0:
+        raise ValueError("need an integer cap >= 0")
     # No head is larger than a polynomial coloring's degree.
     form = colors.rational()
     most = len(form[0]) if form is not None and not form[1] else n
     rises = [DOWN]
     sep = "\0" if spell is None else spell(rises)[0]  # between children
     letters: dict[int, list[str]] = {}  # ell -> Rise(ell, 1), ... spelled
-    # memo[m]: the string of every word of index m, in order; sizes[m]
-    # its length, kept after a chain link leaves the memo.
+    # memo[m]: the string of every word of index m, in order.
     memo: dict[int, list[str]] = {0: [""]}
-    sizes = {0: 1}
-    size = sizes.__getitem__
+
+    def tails(comp):
+        """D_1 ++ d ++ D_2 ++ ... ++ d ++ D_r for every choice of the
+        children of indices comp, in product order."""
+        return map(sep.join, product(*[memo[i] for i in comp]))
 
     def plan(m):
         """(ell, c_ell, compositions with words) for each head size
@@ -236,7 +236,7 @@ def _walk(
             if n_colors < 1:
                 continue
             comps = [*weak_compositions(m - ell, params.a * ell + params.b)]
-            counts = [prod(map(size, comp)) for comp in comps]
+            counts = [prod(map(len, map(memo.__getitem__, comp))) for comp in comps]
             comps = [*compress(comps, counts)]
             total += n_colors * sum(counts)
             if total > cap:
@@ -261,8 +261,11 @@ def _walk(
                     single.add(m - ell)
                     reach = max(reach, ell)
         m -= 1
-    held = deque()  # the indices above top in memo, lowest first
     for m in range(1, n):
+        if reach:
+            # A chain: every head has one child, so index m and those
+            # above it read m - reach and up, never m - 1 - reach.
+            memo.pop(m - 1 - reach, None)
         if m > top and m not in single:
             continue
         words = []
@@ -277,34 +280,24 @@ def _walk(
                 codes = range(len(rises), len(rises) + n_colors)
                 letters[ell] = [*map(chr, codes)] if spell is None else spell(new)
                 rises.extend(new)
-            # D_1 ++ d ++ D_2 ++ ... ++ d ++ D_r for every choice of
-            # children, composition by composition, in product order.
-            tails = []
+            ends = []
             for comp in comps:
-                tails.extend(map(sep.join, product(*[memo[i] for i in comp])))
+                ends.extend(tails(comp))
             for letter in letters[ell]:
-                words.extend(map(letter.__add__, tails))
+                words.extend(map(letter.__add__, ends))
         memo[m] = words
-        sizes[m] = len(words)
-        if m > top:
-            held.append(m)
-            # Index n and the indices still to build read an index above
-            # top only as the child of a single-child head, so none reads
-            # one at or below m - reach.
-            while held[0] <= m - reach:
-                del memo[held.popleft()]
 
     def groups(heads):
         for ell, n_colors, comps in heads:
             for color in range(1, n_colors + 1):
                 head = (Rise(ell, color),)
                 for comp in comps:
-                    yield head, [memo[i] for i in comp]
+                    yield head, tails(comp)
 
     if n == 0:
         if cap < 1:
             raise ResourceLimit(f"more than {cap} words at index 0")
-        return rises, iter([((), [memo[0]])])
+        return rises, iter([((), tails(()))])
     return rises, groups(plan(n))
 
 
@@ -330,6 +323,6 @@ def enumerate_all(
     decode = rises.__getitem__
     return tuple([
         _trusted_word(params, head + tuple(map(decode, map(ord, tail))), n)
-        for head, children in groups
-        for tail in map("\0".join, product(*children))
+        for head, tails in groups
+        for tail in tails
     ])

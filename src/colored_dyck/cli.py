@@ -155,22 +155,20 @@ def _cmd_enumerate(args):
         blocks = ["," + _block_json(block) for block in rises]
         down = chr(0)  # the code of a down step; every other code is a peak
 
-        def lines(head, children):
+        def lines(head, tails):
             pre = f'{{"n":{args.n},"blocks":[' + "".join(map(_block_json, head))
             text = "".join(spell(head))
             return (
                 f'{pre}{tail.translate(blocks)}],"peaks":'
                 f'{len(head) + len(tail) - tail.count(down)},'
                 f'"steps":"{text}{tail.translate(steps)}"}}'
-                for tail in map(down.join, itertools.product(*children))
+                for tail in tails
             )
     else:
         _, groups = bijection._walk(params, args.colors, args.n, args.cap, spell)
-        sep = spell([model.DOWN])[0]
 
-        def lines(head, children):
-            text = "".join(spell(head))
-            return map(text.__add__, map(sep.join, itertools.product(*children)))
+        def lines(head, tails):
+            return map("".join(spell(head)).__add__, tails)
 
     out = itertools.chain.from_iterable(itertools.starmap(lines, groups))
     first = next(out, None)

@@ -88,7 +88,10 @@ class ColorSequence:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown color sequence kind: {self.kind!r}")
-        object.__setattr__(self, "prefix", tuple(self.prefix))
+        try:
+            object.__setattr__(self, "prefix", tuple(self.prefix))
+        except TypeError:
+            raise ValueError("color prefix must be an iterable of counts") from None
         if self.prefix and self.kind != "explicit":
             raise ValueError(f"color sequence kind {self.kind!r} takes no prefix")
         if self.tail and self.kind not in ("explicit", "const"):
@@ -144,6 +147,8 @@ class ColorSequence:
 
     def at(self, j: int) -> int:
         """Evaluate c_j for j >= 1."""
+        if not isinstance(j, int):
+            raise ValueError("color index must be an integer")
         if j < 1:
             raise ValueError("color index must be positive")
         rule = self._rule

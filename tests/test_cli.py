@@ -424,6 +424,21 @@ class TestEnumerateAtSize:
                 assert run(*argv) == expected, (limit, cap)
         assert kinds == {False, True}
 
+    @pytest.mark.parametrize("prefix", ["0,1,1", "0,0,1,0,1", "0,2,0,1"])
+    def test_chains_past_reach_two(self, run, prefix):
+        # At (0, 1) with c_1 = 0 every head has one child, and index i
+        # leaves the memo once i + reach, the last index to read it, is
+        # built (reach = 3, 5 and 4 here): links drop past n = reach + 1.
+        params, spec = PathParams(0, 1), f"explicit:{prefix}"
+        colors = parse_color_spec(spec)
+        y = count_recurrence(params, colors, 60).values
+        for n in (m for m in range(61) if y[m] <= 20000):
+            words = enumerate_all(params, colors, n)
+            assert len(words) == y[n]
+            code, plain, err = run(*enumerate_argv(params, spec, n))
+            assert (code, err) == (0, "")
+            assert plain == "".join(to_steps(w) + "\n" for w in words)
+
 
 @st.composite
 def sparse_cases(draw):

@@ -505,3 +505,33 @@ class TestSeriesInvariants:
         s = count_recurrence(params, colors, 10)
         assert all(v >= 0 for v in s.values)
         assert s[0] == 1
+
+
+CATALAN_SETTING = (PathParams(1, 0), ColorSequence.ones())
+
+
+class TestNonIntegerArguments:
+    # An index, N, r or cap that is not an int is rejected at the call,
+    # as PathParams, ColorSequence and Rise reject theirs, rather than
+    # giving a wrong answer (2^0.5 colors), a TypeError from inside the
+    # arithmetic, or a cap of "4.5 words".
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ColorSequence.powers_of_two().at(1.5),
+            lambda: ColorSequence.ones().at(2.0),
+            lambda: count_recurrence(*CATALAN_SETTING, 2.0),
+            lambda: count_bell(*CATALAN_SETTING, 2.0),
+            lambda: peak_table(*CATALAN_SETTING, 2.0),
+            lambda: convolution_power_closed(*CATALAN_SETTING, 2.0, 3),
+            lambda: convolution_power_closed(*CATALAN_SETTING, 2, 3.0),
+            lambda: enumerate_all(*CATALAN_SETTING, 3.0),
+            lambda: enumerate_all(*CATALAN_SETTING, 3, cap=4.5),
+        ],
+        ids=["at-half", "at-whole-float", "count_recurrence", "count_bell",
+             "peak_table", "convolution-r", "convolution-n", "enumerate-n",
+             "enumerate-cap"],
+    )
+    def test_rejected_at_the_call(self, call):
+        with pytest.raises(ValueError, match="integer"):
+            call()

@@ -160,6 +160,11 @@ class TestColorSequence:
             square = sum(c[i] * c[n - 1 - i] for i in range(1, n - 1))
             assert c[n] == 2 * (n == 1) + (n == 2) + c[n - 1] + square
 
+    @pytest.mark.parametrize("prefix", [5, None], ids=["int", "None"])
+    def test_prefix_not_iterable_rejected(self, prefix):
+        with pytest.raises(ValueError, match="^color prefix must be an iterable of counts$"):
+            ColorSequence("explicit", prefix=prefix)
+
     @pytest.mark.parametrize(
         "prefix", [[1, 2], (1, 2), range(1, 3)], ids=["list", "tuple", "range"]
     )
