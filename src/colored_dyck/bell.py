@@ -48,17 +48,14 @@ __all__ = [
 
 def binomial(m: int, r: int) -> int:
     """C(m, r), with the convention C(m, r) = 0 for r < 0 or r > m."""
-    if m < 0:
-        raise ValueError("binomial requires a nonnegative top argument")
-    if r < 0 or r > m:
-        return 0
-    return math.comb(m, r)
+    _need_index(m, 0, "m")
+    _need_index(r, None, "r")
+    return math.comb(m, r) if r >= 0 else 0
 
 
 def catalan(n: int) -> int:
     """The n-th Catalan number C(2n, n) / (n + 1), exactly."""
-    if n < 0:
-        raise ValueError("catalan index must be nonnegative")
+    _need_index(n, 0, "n")
     return math.comb(2 * n, n) // (n + 1)
 
 
@@ -81,6 +78,16 @@ def exact_div(num: int, den: int, context: str) -> int:
     return q
 
 
+def _need_index(value, least, name: str) -> None:
+    """The one check of an index argument, named name in the message:
+    InvalidIndex unless value is an int and, where least is not None,
+    value >= least."""
+    if not isinstance(value, int):
+        raise InvalidIndex(f"need an integer {name}, got {type(value).__name__}")
+    if least is not None and value < least:
+        raise InvalidIndex(f"need {name} >= {least}, got {name}={_int_text(value)}")
+
+
 def power_rows(N: int, form):
     """The rows P_{k,k..N} of the power triangle P_{k,n} = [t^n] C(t)^k,
     for k = 1..N in turn (row 0 is the unit series 1), of the coloring
@@ -96,8 +103,7 @@ def power_rows(N: int, form):
 
     N is checked here, at the call, not when the first row is read.
     """
-    if N < 0:
-        raise InvalidIndex(f"need N >= 0, got N={_int_text(N)}")
+    _need_index(N, 0, "N")
     if form is None:
         return _catpair_rows(N)
     p, r = form

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement, compress, islice, product
 from math import prod
 from operator import sub
 
-from .bell import _int_text
+from .bell import _int_text, _need_index
 from .errors import EmptyWord, InvalidTuple, MalformedWord, ResourceLimit
 from .model import (
     DOWN,
@@ -167,7 +167,10 @@ def decompose(
 def weak_compositions(total: int, parts: int):
     """Yield weak compositions of `total` into `parts` nonnegative
     integers in lexicographic order: stars and bars, cutting 0..total
-    at each nondecreasing choice of parts - 1 points in turn."""
+    at each nondecreasing choice of parts - 1 points in turn.  Like
+    the rest of the body, the argument check runs at the first next()."""
+    _need_index(total, 0, "total")
+    _need_index(parts, 0, "parts")
     if parts == 0:
         if total == 0:
             yield ()
@@ -208,10 +211,8 @@ def _walk(
     streams the product of one composition's memo lists.  Heads at
     index n get no code: they may have more colors than characters.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("need an integer n >= 0")
-    if not isinstance(cap, int) or cap < 0:
-        raise ValueError("need an integer cap >= 0")
+    _need_index(n, 0, "n")
+    _need_index(cap, 0, "cap")
     # No head is larger than a polynomial coloring's degree.
     form = colors.rational()
     most = len(form[0]) if form is not None and not form[1] else n

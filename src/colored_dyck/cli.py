@@ -15,6 +15,7 @@ import sys
 from contextlib import contextmanager
 
 from . import bijection, counting, model, sequences
+from .bell import _int_text
 from .errors import ColoredDyckError, NonIntegerTerm
 
 __all__ = ["main", "parse_color_spec"]
@@ -110,12 +111,9 @@ def _cmd_count(args):
     if args.route in ("both", "bell"):
         bell_series = counting.count_bell(params, args.colors, args.N)
         if series is not None and series.values != bell_series.values:
-            with _int_text_unlimited():
-                print(
-                    "route disagreement: recurrence="
-                    f"{list(series.values)} bell={list(bell_series.values)}",
-                    file=sys.stderr,
-                )
+            n = next(n for n, v in enumerate(bell_series.values) if v != series[n])
+            values = f"recurrence={_int_text(series[n])} bell={_int_text(bell_series[n])}"
+            print(f"route disagreement at n={n}: {values}", file=sys.stderr)
             return 1
         series = bell_series
     with _int_text_unlimited():
@@ -323,6 +321,8 @@ def main(argv=None) -> int:
     except NonIntegerTerm as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # InvalidIndex too: a usage error
+        parser.error(str(exc))
     except ColoredDyckError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -335,8 +335,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    except ValueError as exc:
-        parser.error(str(exc))
 
 
 if __name__ == "__main__":

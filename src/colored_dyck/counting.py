@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import mul
 
-from .bell import exact_div, power_rows
+from .bell import _need_index, exact_div, power_rows
 from .model import ColorSequence, PathParams
 
 __all__ = [
@@ -181,8 +181,7 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
     products for every coloring with a short prefix.  Inner sums over
     weak compositions are never enumerated.
     """
-    if not isinstance(N, int) or N < 0:
-        raise ValueError("need an integer N >= 0")
+    _need_index(N, 0, "N")
     if N >= sys.maxsize:  # checked here, not after a loop of N steps
         raise OverflowError("y_0..y_N do not fit in a list")
     a, b = params.a, params.b
@@ -345,8 +344,7 @@ def count_bell(params: PathParams, colors: ColorSequence, N: int) -> CountSeries
     The terms C(a*n + b*k, k-1) * P_{k,n} / k of each row k of the
     power triangle are added into y_k .. y_N as the row arrives
     (_bell_terms), so two rows are held at a time, never the triangle."""
-    if not isinstance(N, int) or N < 0:
-        raise ValueError("need an integer N >= 0")
+    _need_index(N, 0, "N")
     values = [1] + [0] * N
     _bell_terms(values, params, colors, N)
     return CountSeries(tuple(values))
@@ -358,8 +356,8 @@ def convolution_power_closed(
     """Closed form for the r-fold convolution power at index n >= 1:
     r * sum_k C(a*n + b*k + r - 1, k-1) * (k-1)!/n! * B_{n,k}(1!c_1, ...),
     summed as r * sum_k C(a*n + b*k + r - 1, k-1) * P_{k,n} / k."""
-    if not (isinstance(r, int) and isinstance(n, int)) or r < 1 or n < 1:
-        raise ValueError("need integers r >= 1 and n >= 1")
+    _need_index(r, 1, "r")
+    _need_index(n, 1, "n")
     terms = [0] * (n + 1)
     _bell_terms(terms, params, colors, n, n, r)
     return sum(terms)
@@ -367,8 +365,7 @@ def convolution_power_closed(
 
 def peak_table(params: PathParams, colors: ColorSequence, n: int) -> PeakTable:
     """Counts of words of index n refined by their number of peaks."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("need an integer n >= 1")
+    _need_index(n, 1, "n")
     terms = [0] * (n + 1)  # terms[k] for k peaks
     _bell_terms(terms, params, colors, n, n)
     return PeakTable(n, terms[1:])

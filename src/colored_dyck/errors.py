@@ -25,8 +25,11 @@ class MalformedAnnotation(ColoredDyckError):
     """A color annotation is syntactically invalid or misplaced."""
 
 
-class InvalidIndex(ColoredDyckError):
-    """Index arguments outside the defined range (e.g. k > n)."""
+class InvalidIndex(ColoredDyckError, ValueError):
+    """The one error for an index argument (N, n, k, j, r, cap, ...)
+    that is not an int or lies outside its defined range (e.g. k > n).
+    It is also a ValueError, as the package's other argument checks
+    raise, so an `except ValueError` catches it too."""
 
 
 class NonIntegerTerm(ColoredDyckError):

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .bell import _int_text, catalan
+from .bell import _int_text, _need_index, catalan
 from .errors import (
     BadAscent,
     ColorOutOfRange,
@@ -147,10 +147,7 @@ class ColorSequence:
 
     def at(self, j: int) -> int:
         """Evaluate c_j for j >= 1."""
-        if not isinstance(j, int):
-            raise ValueError("color index must be an integer")
-        if j < 1:
-            raise ValueError("color index must be positive")
+        _need_index(j, 1, "j")
         rule = self._rule
         if rule is None:
             return catalan(j - 1) + catalan(j)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from math import comb, lcm
 
-from .bell import _int_text, binomial, catalan, exact_div
+from .bell import _int_text, _need_index, binomial, catalan, exact_div
 from .errors import InvalidIndex
 
 __all__ = [
@@ -24,11 +24,18 @@ __all__ = [
 ]
 
 
+def _need_peaks(n, k) -> None:
+    """The index check of a peak count k of index n: integers with
+    1 <= k <= n, else InvalidIndex."""
+    _need_index(n, None, "n")
+    _need_index(k, None, "k")
+    if not 1 <= k <= n:
+        raise InvalidIndex(f"need 1 <= k <= n, got n={_int_text(n)}, k={_int_text(k)}")
+
+
 def narayana(n: int, k: int) -> int:
     """The Narayana number (1/n) * C(n, k-1) * C(n, k)."""
-    if not 1 <= k <= n:
-        n, k = map(_int_text, (n, k))
-        raise InvalidIndex(f"need 1 <= k <= n, got n={n}, k={k}")
+    _need_peaks(n, k)
     return exact_div(comb(n, k - 1) * comb(n, k), n, "narayana")
 
 
@@ -40,8 +47,7 @@ def motzkin_colored(c1: int, c2: int, n: int) -> int:
     walked by T_{k+1} = T_k * (n-2k)(n-2k-1) / ((k+1)(k+2)), and the
     sum by Horner's rule in c1^2, so no step divides by c1.
     """
-    if n < 0:
-        raise ValueError("need n >= 0")
+    _need_index(n, 0, "n")
     t = total = c2_k = 1
     c1_sq = c1 * c1
     for k in range(n // 2):
@@ -60,8 +66,7 @@ def schroeder_little(n: int) -> int:
     N(n, k+1) = N(n,k) * (n-k)(n-k+1) / (k(k+1)), and the sum by
     Horner's rule in 2.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _need_index(n, 1, "n")
     t = total = 1
     for k in range(1, n):
         t = exact_div(t * (n - k) * (n - k + 1), k * (k + 1), "schroeder_little")
@@ -71,17 +76,16 @@ def schroeder_little(n: int) -> int:
 
 def fuss_catalan(m: int, n: int) -> int:
     """The Fuss-Catalan number (1/(m*n+1)) * C((m+1)*n, n)."""
-    if m < 1 or n < 0:
-        raise ValueError("need m >= 1 and n >= 0")
+    _need_index(m, 1, "m")
+    _need_index(n, 0, "n")
     return exact_div(comb((m + 1) * n, n), m * n + 1, "fuss_catalan")
 
 
 def fuss_catalan_peaks(m: int, n: int, k: int) -> int:
     """m-ary paths of length (m+1)n with exactly k peaks:
     (1/n) * C(m*n, k-1) * C(n, k)."""
-    if not 1 <= k <= n:
-        n, k = map(_int_text, (n, k))
-        raise InvalidIndex(f"need 1 <= k <= n, got n={n}, k={k}")
+    _need_index(m, 0, "m")
+    _need_peaks(n, k)
     return exact_div(
         binomial(m * n, k - 1) * comb(n, k), n, "fuss_catalan_peaks"
     )
@@ -94,8 +98,7 @@ def a052709_closed(n: int) -> int:
     Each term is an integer, since (1/k) * C(2k, k-1) = C_k (Catalan).
     C_k and C(k, n-k) are walked from k to k+1 by their ratios.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _need_index(n, 1, "n")
     lo = (n + 1) // 2
     cat, pick = catalan(lo), binomial(lo, n - lo)
     total = cat * pick
@@ -115,8 +118,7 @@ def a186997_closed(n: int) -> int:
     L = lcm(ceil(n/2), ..., n) and divided by L once.  C(n+2k, k-1) and
     C(k, n-k) are walked from k to k+1 by their ratios.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _need_index(n, 1, "n")
     lo = (n + 1) // 2
     den = lcm(*range(lo, n + 1))
     top, pick = binomial(n + 2 * lo, lo - 1), binomial(lo, n - lo)
@@ -137,8 +139,7 @@ def duchon_d(n: int) -> int:
     L = lcm(5n+1, ..., 6n+1) and divided by L once.  C(5n+1, n-j) and
     C(5n+2j, j) are walked from j to j+1 by their ratios.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _need_index(n, 1, "n")
     den = lcm(*range(5 * n + 1, 6 * n + 2))
     first, second = comb(5 * n + 1, n), 1
     total = den // (5 * n + 1) * first
@@ -158,18 +159,18 @@ def duchon_alt(n: int) -> int:
     sum_k C(5n, k-1) sum_j ((-1)^j/n) [C(k-1,j) - C(k-1,j-1)] C(2n+k-2j-1, n-1).
 
     Every term but the 1/n is an integer: they are summed as integers
-    and the sum is divided by n once.
+    and the sum is divided by n once.  Every binomial is math.comb's
+    (0 for j > k - 1), but C(k-1, j-1) at j = 0, which is 0.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _need_index(n, 1, "n")
     total = 0
     for k in range(1, n + 1):
         for j in range(k + 1):
             total += (
                 (-1) ** j
                 * comb(5 * n, k - 1)
-                * (binomial(k - 1, j) - binomial(k - 1, j - 1))
-                * binomial(2 * n + k - 2 * j - 1, n - 1)
+                * (comb(k - 1, j) - (comb(k - 1, j - 1) if j else 0))
+                * comb(2 * n + k - 2 * j - 1, n - 1)
             )
     return exact_div(total, n, "duchon_alt")
 

@@ -2,6 +2,7 @@ import operator
 import random
 import re
 import tracemalloc
+from itertools import accumulate, chain
 
 import pytest
 
@@ -488,6 +489,23 @@ class TestEnumeration:
 
 
 class TestRoundTrips:
+    def test_blocks_then_down_are_the_preorder_sequence(self, params, colors):
+        # A word's blocks followed by one DOWN are its decomposition
+        # tree in preorder: the head, then each child's own blocks and
+        # one DOWN (the empty child is DOWN alone, a leaf).  A rise of
+        # size j weighs a*j+b-1, its children less one, and DOWN -1,
+        # so the sequence is Lukasiewicz: every proper prefix sums to
+        # at least 0, and the whole to -1.
+        n_max = 5 if params.a + params.b <= 2 else 3
+        for n in range(1, n_max + 1):
+            for w in enumerate_all(params, colors, n):
+                seq = (*w.blocks, DOWN)
+                t = decompose(w, params, colors)
+                subtrees = [(*child.blocks, DOWN) for child in t.children]
+                assert seq == (Rise(t.ell, t.color), *chain.from_iterable(subtrees))
+                *prefixes, whole = accumulate(_block_net(block, params) for block in seq)
+                assert min(prefixes) >= 0 and whole == -1
+
     def test_word_tuple_word(self, params, colors):
         for n in range(1, 7 // params.period + 1):
             for w in enumerate_all(params, colors, n):

@@ -152,7 +152,7 @@ class TestCount:
         code, out, err = run("count", "--a", "1", "--b", "0", "--N", "3")
         assert code == 1
         assert out == ""
-        assert err == "route disagreement: recurrence=[1, 1, 2, 5] bell=[1, 1, 2, 6]\n"
+        assert err == "route disagreement at n=3: recurrence=5 bell=6\n"
 
     def test_single_route(self, run):
         for route in ("recurrence", "bell"):

@@ -16,9 +16,9 @@ from colored_dyck import (
     peak_table,
     peaks,
 )
-from colored_dyck import bell, counting, oracles
-from colored_dyck.bijection import enumerate_all
-from colored_dyck.errors import NonIntegerTerm
+from colored_dyck import bell, counting, oracles, sequences
+from colored_dyck.bijection import enumerate_all, weak_compositions
+from colored_dyck.errors import InvalidIndex, NonIntegerTerm
 from colored_dyck.oracles import convolution_power_direct
 from colored_dyck.sequences import duchon_d, fuss_catalan, narayana
 from conftest import COLOR_GRID, DRAWN_COLORS, PARAM_GRID, padded_triangle
@@ -527,11 +527,62 @@ class TestNonIntegerArguments:
             lambda: convolution_power_closed(*CATALAN_SETTING, 2, 3.0),
             lambda: enumerate_all(*CATALAN_SETTING, 3.0),
             lambda: enumerate_all(*CATALAN_SETTING, 3, cap=4.5),
+            lambda: bell.catalan(2.0),
+            lambda: bell.binomial(4.0, 2),
+            lambda: sequences.narayana(4, 2.0),
+            lambda: sequences.fuss_catalan(2, 3.0),
+            lambda: sequences.schroeder_little(3.0),
+            lambda: bell.power_rows(3.0, ((1,), 1)),
+            lambda: next(weak_compositions(2.0, 2)),
         ],
         ids=["at-half", "at-whole-float", "count_recurrence", "count_bell",
              "peak_table", "convolution-r", "convolution-n", "enumerate-n",
-             "enumerate-cap"],
+             "enumerate-cap", "catalan", "binomial", "narayana-k",
+             "fuss_catalan", "schroeder_little", "power_rows",
+             "weak_compositions"],
     )
     def test_rejected_at_the_call(self, call):
         with pytest.raises(ValueError, match="integer"):
             call()
+
+    # Every index argument below its least value raises the one error
+    # of an index, InvalidIndex, which is also a ValueError.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: bell.binomial(-1, 0),
+            lambda: bell.catalan(-1),
+            lambda: bell.power_rows(-1, ((1,), 1)),
+            lambda: count_recurrence(*CATALAN_SETTING, -1),
+            lambda: count_bell(*CATALAN_SETTING, -1),
+            lambda: convolution_power_closed(*CATALAN_SETTING, 0, 3),
+            lambda: convolution_power_closed(*CATALAN_SETTING, 2, 0),
+            lambda: peak_table(*CATALAN_SETTING, 0),
+            lambda: ColorSequence.ones().at(0),
+            lambda: enumerate_all(*CATALAN_SETTING, -1),
+            lambda: enumerate_all(*CATALAN_SETTING, 3, cap=-1),
+            lambda: next(weak_compositions(-1, 2)),
+            lambda: next(weak_compositions(2, -1)),
+            lambda: sequences.narayana(3, -1),
+            lambda: sequences.motzkin_colored(1, 1, -1),
+            lambda: sequences.schroeder_little(0),
+            lambda: sequences.fuss_catalan(0, 3),
+            lambda: sequences.fuss_catalan(2, -1),
+            lambda: sequences.fuss_catalan_peaks(2, 3, -1),
+            lambda: sequences.a052709_closed(0),
+            lambda: sequences.a186997_closed(0),
+            lambda: sequences.duchon_d(0),
+            lambda: sequences.duchon_alt(0),
+        ],
+        ids=["binomial", "catalan", "power_rows", "count_recurrence",
+             "count_bell", "convolution-r", "convolution-n", "peak_table",
+             "at", "enumerate-n", "enumerate-cap", "compositions-total",
+             "compositions-parts", "narayana", "motzkin_colored",
+             "schroeder_little", "fuss_catalan-m", "fuss_catalan-n",
+             "fuss_catalan_peaks", "a052709_closed", "a186997_closed",
+             "duchon_d", "duchon_alt"],
+    )
+    def test_below_range_is_invalid_index(self, call):
+        with pytest.raises(InvalidIndex) as caught:
+            call()
+        assert isinstance(caught.value, ValueError)
