@@ -264,12 +264,12 @@ def build_parser():
     p.add_argument(
         "--format", choices=("plain", "bfile", "jsonl"), default="plain"
     )
-    p.set_defaults(func=_cmd_count)
+    p.set_defaults(func=_cmd_count, parser=p)
 
     p = sub.add_parser("peaks", help="print the peak-refined counts for one n")
     _add_common(p)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_peaks)
+    p.set_defaults(func=_cmd_peaks, parser=p)
 
     p = sub.add_parser("enumerate", help="list every word of index n")
     _add_common(p)
@@ -278,31 +278,30 @@ def build_parser():
     p.add_argument(
         "--cap", type=int, default=bijection.DEFAULT_ENUMERATION_CAP
     )
-    p.set_defaults(func=_cmd_enumerate)
+    p.set_defaults(func=_cmd_enumerate, parser=p)
 
     p = sub.add_parser("decompose", help="print the tuple of one word")
     _add_common(p)
     p.add_argument("word", nargs="?", help="step text; stdin if omitted")
-    p.set_defaults(func=_cmd_decompose)
+    p.set_defaults(func=_cmd_decompose, parser=p)
 
     p = sub.add_parser("validate", help="check one word")
     _add_common(p)
     p.add_argument("word", nargs="?", help="step text; stdin if omitted")
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_validate, parser=p)
 
     p = sub.add_parser("preset", help="compare a named family to its colored count")
     p.add_argument("name", choices=sorted(_PRESETS))
     p.add_argument("--N", type=int, default=8)
     p.add_argument("--n", type=int, help="row index (narayana)")
     p.add_argument("--m", type=int, default=2, help="arity (mary)")
-    p.set_defaults(func=_cmd_preset)
+    p.set_defaults(func=_cmd_preset, parser=p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         # Flush here so that a closed pipe is handled below, not at
@@ -321,8 +320,8 @@ def main(argv=None) -> int:
     except NonIntegerTerm as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # InvalidIndex too: a usage error
-        parser.error(str(exc))
+    except ValueError as exc:  # InvalidIndex too: a usage error of the subcommand
+        args.parser.error(str(exc))
     except ColoredDyckError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

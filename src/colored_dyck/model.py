@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import comb
 from operator import itemgetter
 
-from .bell import _int_text, _need_index, catalan
+from .bell import _int_text, _need_index, exact_div
 from .errors import (
     BadAscent,
     ColorOutOfRange,
@@ -146,11 +147,14 @@ class ColorSequence:
         return self._form
 
     def at(self, j: int) -> int:
-        """Evaluate c_j for j >= 1."""
+        """Evaluate c_j for j >= 1.  A catpair color
+        C_(j-1) + C_j = C_(j-1) * (5j-1)/(j+1) is read as
+        C(2j-2, j-1) * (5j-1) / (j(j+1)): one binomial, one checked
+        division."""
         _need_index(j, 1, "j")
         rule = self._rule
         if rule is None:
-            return catalan(j - 1) + catalan(j)
+            return exact_div(comb(2 * j - 2, j - 1) * (5 * j - 1), j * (j + 1), "catpair")
         lead, r = rule
         if j <= len(lead):
             return lead[j - 1]

@@ -666,6 +666,28 @@ class TestParser:
         code, out, err = run("count", "--a", "1", "--b", "0", "--N", "3")
         assert (code, out, err) == (0, "1\n1\n2\n5\n", "")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("count", "--a", "1", "--b", "0", "--N", "-1"), "need N >= 0, got N=-1"),
+            (("peaks", "--a", "1", "--b", "0", "--n", "0"), "need n >= 1, got n=0"),
+            (("preset", "narayana", "--N", "0"), "need n >= 1, got n=0"),
+        ],
+        ids=["count", "peaks", "preset"],
+    )
+    def test_library_error_names_the_subcommand_usage(self, run, capsys, argv, message):
+        # An index the library rejects is a usage error of the
+        # subcommand whose option it is, not of the whole program.
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: colored-dyck {argv[0]} ")
+        assert captured.err.endswith(f"colored-dyck {argv[0]}: error: {message}\n")
+        code, out, err = run("count", "--a", "1", "--b", "0", "--N", "3")
+        assert (code, out, err) == (0, "1\n1\n2\n5\n", "")
+
     def test_colors_read_through_module_attribute(self, run, monkeypatch):
         # A wrapper put on cli.parse_color_spec after the parser was
         # built is the one --colors calls.

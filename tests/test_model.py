@@ -14,6 +14,7 @@ from colored_dyck import (
     ColorSequence,
     PathParams,
     Rise,
+    catalan,
     parse_steps,
     peaks,
     semilength,
@@ -150,6 +151,12 @@ class TestColorSequence:
         assert [colors.at(j) for j in range(1, 501)] == [
             formula(j) for j in range(1, 501)
         ]
+
+    def test_catpair_is_the_catalan_pair_sum_to_500(self):
+        # at() reads C_(j-1) + C_j as C(2j-2, j-1) * (5j-1) / (j(j+1))
+        colors = ColorSequence.catalan_pair_sum()
+        for j in range(1, 501):
+            assert colors.at(j) == catalan(j - 1) + catalan(j), j
 
     def test_catpair_satisfies_its_equation_to_200(self):
         # Both count routes read catpair through C = t * (2 + t + C + C^2)

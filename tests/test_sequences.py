@@ -86,11 +86,14 @@ def duchon_alt_reference(n):
 
 
 class TestIntegerSums:
+    # Each walk is checked through the top index the bfile benchmark
+    # reads (a052709 300, a186997 250, duchon_d 100, motzkin 400) or
+    # past it.
     @pytest.mark.parametrize(
         "form, reference, top",
         [
-            (a052709_closed, a052709_reference, 150),
-            (a186997_closed, a186997_reference, 150),
+            (a052709_closed, a052709_reference, 300),
+            (a186997_closed, a186997_reference, 250),
             (duchon_d, duchon_d_reference, 150),
             (duchon_alt, duchon_alt_reference, 100),
         ],
@@ -107,6 +110,23 @@ class TestIntegerSums:
             assert motzkin_colored(c1, c2, n) == motzkin_colored_reference(
                 c1, c2, n
             ), n
+
+    def test_motzkin_unit_colors_to_400(self):
+        for n in range(151, 401):
+            assert motzkin_colored(1, 1, n) == motzkin_colored_reference(1, 1, n), n
+
+    @pytest.mark.parametrize("a, b", [(1, 2), (0, 2)], ids=["a186997", "a052709"])
+    def test_walked_term_is_the_peak_count(self, a, b):
+        # The a186997 and a052709 walks sum the terms
+        # (1/k) * C(a*n + b*k, k-1) * C(k, n-k) as integers: each is the
+        # Bell term of the words of index n with k peaks at (a, b),
+        # c = (1, 1), where P_{k,n} = C(k, n-k).
+        colors = ColorSequence.explicit((1, 1))
+        for n in range(1, 41):
+            table = peak_table(PathParams(a, b), colors, n)
+            for k in range(1, n + 1):
+                term = Fraction(comb(a * n + b * k, k - 1) * comb(k, n - k), k)
+                assert term == table[k], (n, k)
 
 
 class TestNarayana:
@@ -178,7 +198,7 @@ class TestSchroeder:
 
     def test_matches_narayana_sum(self):
         # the walked form against its definition, one narayana per term
-        for n in range(1, 121):
+        for n in range(1, 201):
             assert schroeder_little(n) == sum(
                 narayana(n, k) * 2 ** (n - k) for k in range(1, n + 1)
             )
