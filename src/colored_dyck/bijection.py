@@ -63,7 +63,10 @@ class DecompositionTuple:
     children: tuple[ColoredDyckWord, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
+        try:
+            object.__setattr__(self, "children", tuple(self.children))
+        except TypeError:
+            raise InvalidTuple("children must be an iterable of words") from None
         if not (isinstance(self.ell, int) and isinstance(self.color, int)):
             raise InvalidTuple("ell and color must be integers")
         if self.ell < 1 or self.color < 1:

@@ -22,16 +22,22 @@ __all__ = ["main", "parse_color_spec"]
 
 
 def _plain_int(text: str) -> int:
-    """A count as the grammar writes it: ASCII digits only, no sign,
-    blank or underscore."""
-    if not (text.isascii() and text.isdigit()):
+    """A number as the CLI writes it, in an option or a color spec:
+    ASCII digits after at most one leading "-", with no "+", blank or
+    underscore.  The library checks its range."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a plain integer: {text!r}")
     return int(text)
 
 
+# argparse names the type function in its "invalid ... value" message.
+_plain_int.__name__ = "int"
+
+
 def parse_color_spec(spec: str) -> model.ColorSequence:
     """Grammar: ones | pow2 | catpair | const:V | explicit:c1,c2,...[+tail:T],
-    each number written in ASCII digits."""
+    each number read by _plain_int."""
     if spec == "ones":
         return model.ColorSequence.ones()
     if spec == "pow2":
@@ -62,8 +68,8 @@ _color_spec_arg.__name__ = "parse_color_spec"
 
 
 def _add_common(parser):
-    parser.add_argument("--a", type=int, required=True)
-    parser.add_argument("--b", type=int, required=True)
+    parser.add_argument("--a", type=_plain_int, required=True)
+    parser.add_argument("--b", type=_plain_int, required=True)
     parser.add_argument(
         "--colors", type=_color_spec_arg, default=model.ColorSequence.ones()
     )
@@ -72,7 +78,7 @@ def _add_common(parser):
 def _read_word_text(args) -> str:
     if args.word is not None:
         return args.word
-    return sys.stdin.read().strip()
+    return sys.stdin.read()
 
 
 @contextmanager
@@ -91,9 +97,9 @@ def _int_text_unlimited():
         sys.set_int_max_str_digits(saved)
 
 
-def _emit_series(values, fmt, start=0):
+def _emit_series(values, fmt):
     lines = []
-    for n, v in enumerate(values, start=start):
+    for n, v in enumerate(values):
         if fmt == "plain":
             lines.append(str(v))
         elif fmt == "bfile":
@@ -257,7 +263,7 @@ def build_parser():
 
     p = sub.add_parser("count", help="print y_0..y_N")
     _add_common(p)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_plain_int, required=True)
     p.add_argument(
         "--route", choices=("both", "recurrence", "bell"), default="both"
     )
@@ -268,15 +274,15 @@ def build_parser():
 
     p = sub.add_parser("peaks", help="print the peak-refined counts for one n")
     _add_common(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_plain_int, required=True)
     p.set_defaults(func=_cmd_peaks, parser=p)
 
     p = sub.add_parser("enumerate", help="list every word of index n")
     _add_common(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_plain_int, required=True)
     p.add_argument("--format", choices=("plain", "jsonl"), default="plain")
     p.add_argument(
-        "--cap", type=int, default=bijection.DEFAULT_ENUMERATION_CAP
+        "--cap", type=_plain_int, default=bijection.DEFAULT_ENUMERATION_CAP
     )
     p.set_defaults(func=_cmd_enumerate, parser=p)
 
@@ -292,9 +298,9 @@ def build_parser():
 
     p = sub.add_parser("preset", help="compare a named family to its colored count")
     p.add_argument("name", choices=sorted(_PRESETS))
-    p.add_argument("--N", type=int, default=8)
-    p.add_argument("--n", type=int, help="row index (narayana)")
-    p.add_argument("--m", type=int, default=2, help="arity (mary)")
+    p.add_argument("--N", type=_plain_int, default=8)
+    p.add_argument("--n", type=_plain_int, help="row index (narayana)")
+    p.add_argument("--m", type=_plain_int, default=2, help="arity (mary)")
     p.set_defaults(func=_cmd_preset, parser=p)
 
     return parser

@@ -123,6 +123,10 @@ class PeakTable:
             raise IndexError(f"peak count k must be in 1..{self.n}")
         return self.row[k - 1]
 
+    def __iter__(self):
+        """The counts for k = 1..n peaks, in order."""
+        return iter(self.row)
+
     def total(self) -> int:
         return sum(self.row)
 
@@ -177,7 +181,7 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
     power whose coefficients cancel is never read (y^a for ones at
     b = 0).  y^0 is the unit series and y^1 is y; every other power
     is one row, built as _factors says, and filled online, one entry
-    per new term of y, only through the last index read: O(N^2)
+    per new term of y, through index n - 1 before y_n is formed: O(N^2)
     products for every coloring with a short prefix.  Inner sums over
     weak compositions are never enumerated.
     """
@@ -188,20 +192,18 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
     form = colors.rational()
     y = [1]
     if form is None:  # catpair reads y^a and y^b through index n-1
-        rows, steps, ky = _power_steps(a, b, [(1, a), (1, b)], y)
+        rows, steps, ky = _power_steps(a, b, (a, b), y)
         term = _catpair_terms(a, b, rows)
     else:
         reads = _reads(a, b, form, N)
-        rows, steps, ky = _power_steps(a, b, [(shift, e) for shift, e, _ in reads], y)
+        rows, steps, ky = _power_steps(a, b, [e for _, e, _ in reads], y)
         if any(e == 0 for _, e, _ in reads):
             rows[0] = [1] + [0] * N
         term = _read_terms(reads, rows)
     for n in range(1, N + 1):
-        for lag, row, left, right, e in steps:
-            if lag >= n:
-                break
-            i = n - lag
-            row.append(_miller_at(left, right, row, e, i) if e else _conv_at(left, right, i))
+        m = n - 1  # every row is read through index m; its entry 0 is 1
+        for row, left, right, e in steps if m else ():
+            row.append(_miller_at(left, right, row, e, m) if e else _conv_at(left, right, m))
         y.append(term(n))
         if ky is not None:
             ky.append(n * y[n])
@@ -256,32 +258,31 @@ def _factors(a, b, e):
     return None
 
 
-def _power_steps(a, b, reads, y):
-    """Rows for the powers y^e, e > 1, of reads, pairs (shift, e), and
-    for their factors.  Each row is filled through index n - lag before
-    y_n is formed, where lag is the smallest shift it is read at or
-    the lag of a row built from it, so its factors are filled first.
+def _power_steps(a, b, exponents, y):
+    """Rows for the powers y^e, e > 1, of exponents and for their
+    factors.  Each row is filled through index n - 1 before y_n is
+    formed, in ascending e: a factor's exponent is smaller, so it is
+    filled first.
 
     Returns rows (e: row, each [1] until filled, with rows[1] = y),
-    the steps (lag, row, left, right, e) ascending by lag, each filling
-    row as left * right (e = 0) or by Miller's rule for y^e (left = y,
+    the steps (row, left, right, e) ascending by e, each filling row as
+    left * right (e = 0) or by Miller's rule for y^e (left = y,
     right = ky), and ky, the list k * y_k that Miller's rule reads, or
     None where no step uses it."""
-    lags = {}
-    todo = list(reads)
+    powers, todo = set(), list(exponents)
     while todo:
-        lag, e = todo.pop()
-        if e > 1 and lag < lags.get(e, lag + 1):
-            lags[e] = lag
-            todo.extend((lag, f) for f in _factors(a, b, e) or ())
+        e = todo.pop()
+        if e > 1 and e not in powers:
+            powers.add(e)
+            todo.extend(_factors(a, b, e) or ())
     rows, steps, ky = {1: y}, [], [0]
-    for lag, e in sorted((lag, e) for e, lag in lags.items()):
+    for e in sorted(powers):
         rows[e] = row = [1]
         pair = _factors(a, b, e)
         if pair is None:
-            steps.append((lag, row, y, ky, e))
+            steps.append((row, y, ky, e))
         else:
-            steps.append((lag, row, rows[pair[0]], rows[pair[1]], 0))
+            steps.append((row, rows[pair[0]], rows[pair[1]], 0))
     return rows, steps, ky if any(e for *_, e in steps) else None
 
 

@@ -18,6 +18,7 @@ from .bell import _int_text, _need_index, exact_div
 from .errors import (
     BadAscent,
     ColorOutOfRange,
+    InvalidIndex,
     MalformedAnnotation,
     MalformedWord,
     NotDyck,
@@ -48,12 +49,10 @@ class PathParams:
     b: int
 
     def __post_init__(self):
-        if not (isinstance(self.a, int) and isinstance(self.b, int)):
-            raise ValueError("a and b must be integers")
-        if self.a < 0 or self.b < 0:
-            raise ValueError("a and b must be nonnegative")
+        _need_index(self.a, 0, "a")
+        _need_index(self.b, 0, "b")
         if self.a + self.b < 1:
-            raise ValueError("a + b must be at least 1")
+            raise InvalidIndex(f"need a + b >= 1, got a={self.a}, b={self.b}")
 
     @property
     def period(self) -> int:
@@ -97,10 +96,9 @@ class ColorSequence:
             raise ValueError(f"color sequence kind {self.kind!r} takes no prefix")
         if self.tail and self.kind not in ("explicit", "const"):
             raise ValueError(f"color sequence kind {self.kind!r} takes no tail")
-        if not all(isinstance(c, int) for c in (*self.prefix, self.tail)):
-            raise ValueError("color counts must be integers")
-        if any(c < 0 for c in self.prefix) or self.tail < 0:
-            raise ValueError("color counts must be nonnegative")
+        for j, c in enumerate(self.prefix, 1):
+            _need_index(c, 0, f"c_{j}")
+        _need_index(self.tail, 0, "tail")
         # c_1..c_m and r, with c_j = c_m * r^(j-m) for j > m, so that
         # C * (1 - r t) is the polynomial p of degree m at most, with
         # p_i = c_i - r * c_(i-1) (c_0 = 0).
@@ -175,12 +173,8 @@ class Rise:
     color: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.j, int) and isinstance(self.color, int)):
-            raise ValueError("rise size and color must be integers")
-        if self.j < 1:
-            raise ValueError("rise size must be positive")
-        if self.color < 1:
-            raise ValueError("color index must be positive")
+        _need_index(self.j, 1, "j")
+        _need_index(self.color, 1, "color")
 
 
 DOWN = DownStep()

@@ -154,6 +154,11 @@ class TestCompose:
         with pytest.raises(InvalidTuple, match="^ell and color must be integers$"):
             compose(DecompositionTuple(ell, color, (empty,)), PathParams(1, 0), ONES)
 
+    @pytest.mark.parametrize("children", [None, 3])
+    def test_children_not_iterable(self, children):
+        with pytest.raises(InvalidTuple, match="^children must be an iterable of words$"):
+            DecompositionTuple(1, 1, children)
+
     def test_child_not_a_word(self):
         with pytest.raises(InvalidTuple):
             compose(DecompositionTuple(1, 1, ((),)), PathParams(1, 0), ONES)

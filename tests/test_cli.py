@@ -688,6 +688,39 @@ class TestParser:
         code, out, err = run("count", "--a", "1", "--b", "0", "--N", "3")
         assert (code, out, err) == (0, "1\n1\n2\n5\n", "")
 
+    @pytest.mark.parametrize(
+        "text", ["\u0663", "1_0", "+5", " 5"], ids=["arabic", "underscore", "plus", "blank"]
+    )
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("count", "--a", "1", "--b", "0", "--N", "3"), "--a"),
+            (("count", "--a", "1", "--b", "0", "--N", "3"), "--b"),
+            (("count", "--a", "1", "--b", "0", "--N", "3"), "--N"),
+            (("peaks", "--a", "1", "--b", "0", "--n", "3"), "--n"),
+            (("enumerate", "--a", "1", "--b", "0", "--n", "3"), "--n"),
+            (("enumerate", "--a", "1", "--b", "0", "--n", "3", "--cap", "9"), "--cap"),
+            (("preset", "mary", "--N", "3", "--m", "2"), "--N"),
+            (("preset", "mary", "--N", "3", "--m", "2"), "--m"),
+            (("preset", "narayana", "--n", "3"), "--n"),
+        ],
+        ids=["count-a", "count-b", "count-N", "peaks-n", "enumerate-n",
+             "enumerate-cap", "preset-N", "preset-m", "preset-n"],
+    )
+    def test_number_not_in_ascii_digits_is_a_usage_error(self, capsys, argv, option, text):
+        # int() would read each of these; every option reads the color
+        # specs' grammar
+        argv = list(argv)
+        argv[argv.index(option) + 1] = text
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument {option}: invalid int value: {text!r}\n"
+        )
+
     def test_colors_read_through_module_attribute(self, run, monkeypatch):
         # A wrapper put on cli.parse_color_spec after the parser was
         # built is the one --colors calls.

@@ -499,6 +499,13 @@ class TestPeakTable:
         with pytest.raises(ValueError):
             peak_table(PathParams(1, 0), ColorSequence.ones(), 0)
 
+    def test_iterates_over_its_row(self):
+        # __getitem__ is 1-based, so iteration must not fall back to it
+        table = peak_table(PathParams(1, 0), ColorSequence.ones(), 5)
+        assert list(table) == [1, 10, 20, 10, 1]
+        assert sum(table) == table.total() == 42
+        assert 10 in table
+
 
 class TestSeriesInvariants:
     def test_values_nonnegative(self, params, colors):

@@ -26,6 +26,7 @@ from colored_dyck.errors import (
     BadAscent,
     ColoredDyckError,
     ColorOutOfRange,
+    InvalidIndex,
     MalformedAnnotation,
     MalformedWord,
     NotDyck,
@@ -74,21 +75,30 @@ class TestColorSequence:
             ColorSequence.explicit((1, -1))
 
     @pytest.mark.parametrize(
-        "make",
+        "make, message",
         [
-            lambda: ColorSequence.explicit((1.5,)),
-            lambda: ColorSequence.explicit((1, 2.0)),
-            lambda: ColorSequence.explicit((1,), 1.0),
-            lambda: ColorSequence.explicit((Fraction(3, 2),)),
-            lambda: ColorSequence.explicit((1,), Fraction(2)),
-            lambda: ColorSequence.constant(3.0),
-            lambda: ColorSequence.constant(Fraction(1, 2)),
+            (lambda: ColorSequence.explicit((1.5,)), "need an integer c_1, got float"),
+            (lambda: ColorSequence.explicit((1, 2.0)), "need an integer c_2, got float"),
+            (lambda: ColorSequence.explicit((1,), 1.0), "need an integer tail, got float"),
+            (
+                lambda: ColorSequence.explicit((Fraction(3, 2),)),
+                "need an integer c_1, got Fraction",
+            ),
+            (
+                lambda: ColorSequence.explicit((1,), Fraction(2)),
+                "need an integer tail, got Fraction",
+            ),
+            (lambda: ColorSequence.constant(3.0), "need an integer tail, got float"),
+            (
+                lambda: ColorSequence.constant(Fraction(1, 2)),
+                "need an integer tail, got Fraction",
+            ),
         ],
         ids=["float", "float-whole", "float-tail", "fraction", "fraction-tail",
              "const-float", "const-fraction"],
     )
-    def test_non_integer_counts_rejected(self, make):
-        with pytest.raises(ValueError, match="color counts must be integers"):
+    def test_non_integer_counts_rejected(self, make, message):
+        with pytest.raises(InvalidIndex, match=f"^{message}$"):
             make()
 
     @pytest.mark.parametrize(
@@ -195,12 +205,18 @@ class TestPathParams:
             PathParams(-1, 2)
 
     @pytest.mark.parametrize(
-        "a, b",
-        [(1.5, 0), (1.0, 0), (1, 0.0), (Fraction(3, 2), 0), (0, Fraction(1))],
+        "a, b, message",
+        [
+            (1.5, 0, "need an integer a, got float"),
+            (1.0, 0, "need an integer a, got float"),
+            (1, 0.0, "need an integer b, got float"),
+            (Fraction(3, 2), 0, "need an integer a, got Fraction"),
+            (0, Fraction(1), "need an integer b, got Fraction"),
+        ],
         ids=["float", "float-whole-a", "float-whole-b", "fraction", "fraction-whole"],
     )
-    def test_requires_integers(self, a, b):
-        with pytest.raises(ValueError, match="a and b must be integers"):
+    def test_requires_integers(self, a, b, message):
+        with pytest.raises(InvalidIndex, match=f"^{message}$"):
             PathParams(a, b)
 
     def test_descent_run(self):
@@ -210,12 +226,19 @@ class TestPathParams:
 
 class TestRise:
     @pytest.mark.parametrize(
-        "j, color",
-        [(1.5, 1), (1.0, 1), (1, 1.0), (Fraction(3, 2), 1), (1, Fraction(2)), ("1", 1)],
+        "j, color, message",
+        [
+            (1.5, 1, "need an integer j, got float"),
+            (1.0, 1, "need an integer j, got float"),
+            (1, 1.0, "need an integer color, got float"),
+            (Fraction(3, 2), 1, "need an integer j, got Fraction"),
+            (1, Fraction(2), "need an integer color, got Fraction"),
+            ("1", 1, "need an integer j, got str"),
+        ],
         ids=["float", "float-whole-j", "float-whole-color", "fraction", "fraction-whole", "str"],
     )
-    def test_requires_integers(self, j, color):
-        with pytest.raises(ValueError, match="rise size and color must be integers"):
+    def test_requires_integers(self, j, color, message):
+        with pytest.raises(InvalidIndex, match=f"^{message}$"):
             Rise(j, color)
 
     def test_non_integer_size_makes_no_word(self):
@@ -223,10 +246,56 @@ class TestRise:
         with pytest.raises(ValueError):
             ColoredDyckWord(PathParams(2, 0), (Rise(1.5), DOWN, DOWN))
 
-    @pytest.mark.parametrize("j, color", [(0, 1), (1, 0), (-1, 1)])
-    def test_requires_positive(self, j, color):
-        with pytest.raises(ValueError, match="must be positive"):
+    @pytest.mark.parametrize(
+        "j, color, message",
+        [
+            (0, 1, "need j >= 1, got j=0"),
+            (1, 0, "need color >= 1, got color=0"),
+            (-1, 1, "need j >= 1, got j=-1"),
+        ],
+        ids=["0-1", "1-0", "-1-1"],
+    )
+    def test_requires_positive(self, j, color, message):
+        with pytest.raises(InvalidIndex, match=f"^{message}$"):
             Rise(j, color)
+
+
+# Each integer argument of the model's types, as a function of its
+# value, with its name in InvalidIndex's message and its least value.
+INTEGER_ARGUMENTS = {
+    "a": (lambda v: PathParams(v, 1), "a", 0),
+    "b": (lambda v: PathParams(1, v), "b", 0),
+    "j": (lambda v: Rise(v), "j", 1),
+    "color": (lambda v: Rise(1, v), "color", 1),
+    "c_1": (lambda v: ColorSequence.explicit((v,)), "c_1", 0),
+    "c_3": (lambda v: ColorSequence.explicit((1, 2, v)), "c_3", 0),
+    "tail": (lambda v: ColorSequence.explicit((1,), v), "tail", 0),
+    "const": (lambda v: ColorSequence.constant(v), "tail", 0),
+}
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("argument", sorted(INTEGER_ARGUMENTS))
+    @pytest.mark.parametrize(
+        "value, type_name", [(2.0, "float"), (Fraction(2), "Fraction"), ("2", "str")]
+    )
+    def test_non_integer(self, argument, value, type_name):
+        make, name, _ = INTEGER_ARGUMENTS[argument]
+        message = f"need an integer {name}, got {type_name}"
+        with pytest.raises(InvalidIndex, match=f"^{message}$"):
+            make(value)
+
+    @pytest.mark.parametrize("argument", sorted(INTEGER_ARGUMENTS))
+    def test_below_least(self, argument):
+        make, name, least = INTEGER_ARGUMENTS[argument]
+        message = f"need {name} >= {least}, got {name}={least - 1}"
+        with pytest.raises(InvalidIndex, match=f"^{message}$"):
+            make(least - 1)
+        make(least)
+
+    def test_zero_pair(self):
+        with pytest.raises(InvalidIndex, match=r"^need a \+ b >= 1, got a=0, b=0$"):
+            PathParams(0, 0)
 
 
 class TestWordStructure:
