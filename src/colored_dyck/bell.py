@@ -88,6 +88,15 @@ def _need_index(value, least, name: str) -> None:
         raise InvalidIndex(f"need {name} >= {least}, got {name}={_int_text(value)}")
 
 
+def _need_peaks(n, k) -> None:
+    """The index check of a peak count k of index n: integers with
+    1 <= k <= n, else InvalidIndex."""
+    _need_index(n, None, "n")
+    _need_index(k, None, "k")
+    if not 1 <= k <= n:
+        raise InvalidIndex(f"need 1 <= k <= n, got n={_int_text(n)}, k={_int_text(k)}")
+
+
 def power_rows(N: int, form):
     """The rows P_{k,k..N} of the power triangle P_{k,n} = [t^n] C(t)^k,
     for k = 1..N in turn (row 0 is the unit series 1), of the coloring

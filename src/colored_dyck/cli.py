@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 from . import bijection, counting, model, sequences
 from .bell import _int_text
-from .errors import ColoredDyckError, NonIntegerTerm
+from .errors import ColoredDyckError, InvalidIndex, NonIntegerTerm
 
 __all__ = ["main", "parse_color_spec"]
 
@@ -60,7 +60,12 @@ def parse_color_spec(spec: str) -> model.ColorSequence:
 def _color_spec_arg(spec: str) -> model.ColorSequence:
     # The parser is built once per process; looking parse_color_spec up
     # at call time lets a wrapper installed later (a tracer) see it.
-    return parse_color_spec(spec)
+    # argparse replaces a ValueError's text with its own, so a count the
+    # library rejects keeps its message as an ArgumentTypeError.
+    try:
+        return parse_color_spec(spec)
+    except InvalidIndex as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # argparse names the type function in its "invalid ... value" message.
@@ -131,8 +136,8 @@ def _cmd_peaks(args):
     params = model.PathParams(args.a, args.b)
     table = counting.peak_table(params, args.colors, args.n)
     with _int_text_unlimited():
-        for k in range(1, table.n + 1):
-            print(f"{k} {table[k]}")
+        for k, count in enumerate(table, 1):
+            print(f"{k} {count}")
     return 0
 
 

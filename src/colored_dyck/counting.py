@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import mul
 
-from .bell import _need_index, exact_div, power_rows
+from .bell import _need_index, _need_peaks, exact_div, power_rows
 from .model import ColorSequence, PathParams
 
 __all__ = [
@@ -96,6 +96,9 @@ class CountSeries:
             raise ValueError("counts are nonnegative")
 
     def __getitem__(self, n: int) -> int:
+        """y_n; InvalidIndex for an n that is not an int or is below 0.
+        An n past N raises the tuple's IndexError, which ends iteration."""
+        _need_index(n, 0, "n")
         return self.values[n]
 
     def __len__(self):
@@ -118,9 +121,8 @@ class PeakTable:
             raise ValueError("counts are nonnegative")
 
     def __getitem__(self, k: int) -> int:
-        """Count of words with exactly k peaks (1-based)."""
-        if not 1 <= k <= self.n:
-            raise IndexError(f"peak count k must be in 1..{self.n}")
+        """Count of words with exactly k peaks, 1 <= k <= n."""
+        _need_peaks(self.n, k)
         return self.row[k - 1]
 
     def __iter__(self):

@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .bell import _int_text, binomial, exact_div
+from .bell import _int_text, _need_index, _need_peaks, binomial, exact_div
 from .counting import CountSeries, _conv_at
 from .errors import InvalidIndex, ResourceLimit
 
@@ -89,9 +89,7 @@ def partial_bell_sum(n: int, k: int, x) -> int:
     is a multinomial and therefore an exact integer; the division is
     performed in integer arithmetic.
     """
-    if k < 1 or k > n:
-        n, k = map(_int_text, (n, k))
-        raise InvalidIndex(f"need 1 <= k <= n, got n={n}, k={k}")
+    _need_peaks(n, k)
     if len(x) < n - k + 1:
         raise InvalidIndex(
             f"need at least n-k+1 = {_int_text(n - k + 1)} arguments, got {len(x)}"
@@ -118,8 +116,7 @@ def partial_bell_triangle(N: int, x) -> list[list[int]]:
 
     in O(N^3) big-integer products.
     """
-    if N < 0:
-        raise InvalidIndex(f"need N >= 0, got N={_int_text(N)}")
+    _need_index(N, 0, "N")
     if len(x) < N:
         raise InvalidIndex(
             f"need at least N = {_int_text(N)} arguments, got {len(x)}"
@@ -148,8 +145,7 @@ def power_triangle(N: int, c) -> list[list[int]]:
     j weighing c_j, and equals k!/n! * B_{n,k}(1!c_1, 2!c_2, ...).  It
     shares no code with power_rows: the tests compare the two.
     """
-    if N < 0:
-        raise InvalidIndex(f"need N >= 0, got N={_int_text(N)}")
+    _need_index(N, 0, "N")
     if len(c) < N:
         raise InvalidIndex(
             f"need at least N = {_int_text(N)} arguments, got {len(c)}"
@@ -171,8 +167,8 @@ def power_triangle(N: int, c) -> list[list[int]]:
 def convolution_power_direct(series: CountSeries, r: int, n: int) -> int:
     """The r-fold self-convolution of the series at index n, by
     iterated pairwise convolution."""
-    if r < 1:
-        raise ValueError("need r >= 1")
+    _need_index(r, 1, "r")
+    _need_index(n, 0, "n")
     z = series.values[: n + 1]
     if len(z) < n + 1:
         raise ValueError(f"series must be defined through index {n}")
@@ -189,8 +185,7 @@ def step_lattice_count(steps, end_x: int) -> int:
     Generic DP oracle for the closed forms in sequences (and, with the
     unit step sets, for Dyck and Motzkin paths).
     """
-    if end_x < 0:
-        raise ValueError("need end_x >= 0")
+    _need_index(end_x, 0, "end_x")
     steps = sorted(set(steps))
     if any(dx < 1 for dx, _ in steps):
         raise ValueError("steps must advance in x")
@@ -209,8 +204,7 @@ def step_lattice_count(steps, end_x: int) -> int:
 def duchon_alt_first(n: int) -> int:
     """First rewriting of duchon_d, with a falling-factorial kernel:
     sum_k C(5n, k-1) sum_j ((-1)^(k-j)/k) C(k,j) (2j-k) (2j-k+2n-1)_(n-1) / n!."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _need_index(n, 1, "n")
     total = Fraction(0)
     for k in range(1, n + 1):
         inner = Fraction(0)
@@ -228,8 +222,7 @@ def duchon_alt_first(n: int) -> int:
 def duchon_alt_mid(n: int) -> int:
     """Second rewriting, with a binomial kernel:
     sum_k C(5n, k-1) sum_j ((-1)^(k-j)/(n*k)) C(k,j) (2j-k) C(2j-k+2n-1, n-1)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _need_index(n, 1, "n")
     total = Fraction(0)
     for k in range(1, n + 1):
         for j in range(k + 1):
@@ -258,16 +251,14 @@ def rational_dyck_count(n: int) -> int:
     lowers it by 2, and h >= 0 is the condition 2y <= 3x: the words
     are the height paths of 5n steps from 0 back to 0.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _need_index(n, 1, "n")
     return step_lattice_count({(1, 3), (1, -2)}, 5 * n)
 
 
 def rational_dyck_words(n: int):
     """All slope-3/2 Dyck words of length 5n, as strings over {a, b},
     in lexicographic order; ResourceLimit past _WORD_CAP words."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _need_index(n, 1, "n")
     width, height = 2 * n, 3 * n
     out = []
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from math import comb, lcm
 
-from .bell import _int_text, _need_index, binomial, catalan, exact_div
-from .errors import InvalidIndex
+from .bell import _need_index, _need_peaks, binomial, catalan, exact_div
 
 __all__ = [
     "narayana",
@@ -27,15 +26,6 @@ __all__ = [
     "duchon_d",
     "duchon_alt",
 ]
-
-
-def _need_peaks(n, k) -> None:
-    """The index check of a peak count k of index n: integers with
-    1 <= k <= n, else InvalidIndex."""
-    _need_index(n, None, "n")
-    _need_index(k, None, "k")
-    if not 1 <= k <= n:
-        raise InvalidIndex(f"need 1 <= k <= n, got n={_int_text(n)}, k={_int_text(k)}")
 
 
 def narayana(n: int, k: int) -> int:

@@ -654,17 +654,22 @@ class TestParser:
         assert (code, out.split()) == (0, ["1", "1", "2", "5", "14"])
 
     def test_usage_error_then_good_call(self, run, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["count", "--a", "1", "--b", "0", "--N", "3", "--colors", "const:x"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("usage: colored-dyck count ")
-        assert captured.err.endswith(
-            "error: argument --colors: invalid parse_color_spec value: 'const:x'\n"
-        )
-        code, out, err = run("count", "--a", "1", "--b", "0", "--N", "3")
-        assert (code, out, err) == (0, "1\n1\n2\n5\n", "")
+        # A spec out of the grammar gets argparse's text; a count the
+        # library rejects keeps the library's.
+        for spec, message in [
+            ("const:x", "invalid parse_color_spec value: 'const:x'"),
+            ("const:-1", "need tail >= 0, got tail=-1"),
+            ("explicit:1,-2", "need c_2 >= 0, got c_2=-2"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main(["count", "--a", "1", "--b", "0", "--N", "3", "--colors", spec])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage: colored-dyck count ")
+            assert captured.err.endswith(f"error: argument --colors: {message}\n")
+            code, out, err = run("count", "--a", "1", "--b", "0", "--N", "3")
+            assert (code, out, err) == (0, "1\n1\n2\n5\n", "")
 
     @pytest.mark.parametrize(
         "argv, message",

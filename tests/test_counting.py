@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -506,12 +507,49 @@ class TestPeakTable:
         assert sum(table) == table.total() == 42
         assert 10 in table
 
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            (0, "need 1 <= k <= n, got n=5, k=0"),
+            (6, "need 1 <= k <= n, got n=5, k=6"),
+            (1.5, "need an integer k, got float"),
+        ],
+        ids=["below", "above", "float"],
+    )
+    def test_peak_count_out_of_range_is_invalid_index(self, k, message):
+        # the peak-count check of narayana and partial_bell_sum
+        table = peak_table(PathParams(1, 0), ColorSequence.ones(), 5)
+        with pytest.raises(InvalidIndex, match=f"^{re.escape(message)}$"):
+            table[k]
+
 
 class TestSeriesInvariants:
     def test_values_nonnegative(self, params, colors):
         s = count_recurrence(params, colors, 10)
         assert all(v >= 0 for v in s.values)
         assert s[0] == 1
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (-1, "need n >= 0, got n=-1"),
+            (slice(1, 3), "need an integer n, got slice"),
+            (1.5, "need an integer n, got float"),
+        ],
+        ids=["negative", "slice", "float"],
+    )
+    def test_index_is_checked(self, n, message):
+        # y_{-1} is not y_N, and a slice of counts is not a count
+        series = count_recurrence(PathParams(1, 0), ColorSequence.ones(), 5)
+        with pytest.raises(InvalidIndex, match=f"^{re.escape(message)}$"):
+            series[n]
+
+    def test_index_past_N_ends_iteration(self):
+        # CountSeries has no __iter__: iteration stops at the tuple's IndexError
+        series = count_recurrence(PathParams(1, 0), ColorSequence.ones(), 5)
+        with pytest.raises(IndexError):
+            series[6]
+        assert list(series) == list(series.values) == [1, 1, 2, 5, 14, 42]
 
 
 CATALAN_SETTING = (PathParams(1, 0), ColorSequence.ones())

@@ -333,5 +333,6 @@ class TestDuchon:
 
 def test_sequences_imports_only_bell_and_errors_from_the_package():
     # The closed forms stand apart from the colored model they are
-    # checked against: nothing from model or counting.
-    assert package_imports(sequences) == {".bell", ".errors"}
+    # checked against: nothing from model or counting.  Their index
+    # checks, _need_index and _need_peaks, are bell's.
+    assert package_imports(sequences) == {".bell"}
