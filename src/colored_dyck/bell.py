@@ -80,9 +80,12 @@ def exact_div(num: int, den: int, context: str) -> int:
 
 def _need_index(value, least, name: str) -> None:
     """The one check of an index argument, named name in the message:
-    InvalidIndex unless value is an int and, where least is not None,
-    value >= least."""
-    if not isinstance(value, int):
+    InvalidIndex unless value is an int other than a bool and, where
+    least is not None, value >= least."""
+    # An exact int, the common case, passes the type test at once.
+    if type(value) is not int and (
+        not isinstance(value, int) or isinstance(value, bool)
+    ):
         raise InvalidIndex(f"need an integer {name}, got {type(value).__name__}")
     if least is not None and value < least:
         raise InvalidIndex(f"need {name} >= {least}, got {name}={_int_text(value)}")

@@ -19,7 +19,7 @@ itertools.product and str.join.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, compress, islice, product
+from itertools import chain, combinations_with_replacement, compress, islice, product
 from math import prod
 from operator import sub
 
@@ -33,6 +33,7 @@ from .model import (
     Rise,
     _block_net,
     _check_colors,
+    _colors_checked,
     _trusted_word,
 )
 
@@ -79,9 +80,10 @@ def compose(
     """Build the word [Rise(ell, color)] ++ D_1 ++ d ++ D_2 ++ d ++ ...
     with exactly a*ell+b-1 separating down steps.
 
-    The children's rises are checked against the coloring after every
+    The rises of each child that does not carry the coloring
+    (model._colors_checked) are checked against it after every
     InvalidTuple check, in block order, with each c_j read once per
-    call."""
+    call.  The word carries the coloring."""
     expected = params.a * t.ell + params.b
     if len(t.children) != expected:
         raise InvalidTuple(
@@ -93,6 +95,7 @@ def compose(
         raise InvalidTuple(f"color {color} out of range (c_{ell} = {limit})")
     blocks = [Rise(t.ell, t.color)]
     n = t.ell
+    unchecked = []
     for i, child in enumerate(t.children):
         if not isinstance(child, ColoredDyckWord):
             raise InvalidTuple(f"child {i} is not a ColoredDyckWord")
@@ -105,10 +108,14 @@ def compose(
             blocks.append(DOWN)
         blocks.extend(child.blocks)
         n += child.n
-    # The head color is checked above; the children's rises in order.
-    _check_colors(islice(blocks, 1, None), colors)
+        if not _colors_checked(child, colors):
+            unchecked.append(child.blocks)
+    # The head color is checked above; the other children's rises have
+    # none out of range, so the first bad rise is still the first in
+    # block order.
+    _check_colors(chain.from_iterable(unchecked), colors)
     # The head leaves balance a*ell+b-1, which the separators close.
-    return _trusted_word(params, tuple(blocks), n)
+    return _trusted_word(params, tuple(blocks), n, colors)
 
 
 def decompose(
@@ -128,10 +135,11 @@ def decompose(
     balance zero separates), and as each separator needs word balance
     >= 1 and the word ends at zero, there are a*ell+b-1 separators.
 
-    Colors are checked first, head first, then the separators are
-    scanned for.  Each c_j and each rise's net a*j+b-1 is read once per
+    Colors are checked first, head first, unless the word carries the
+    coloring (model._colors_checked), then the separators are scanned
+    for.  Each c_j and each rise's net a*j+b-1 is read once per
     distinct size j per call, and each child is cut from the word's
-    block tuple as one slice.
+    block tuple as one slice; the children carry the coloring.
     """
     if w.params != params:
         raise MalformedWord(
@@ -141,7 +149,8 @@ def decompose(
     blocks = w.blocks
     if not blocks:
         raise EmptyWord("cannot decompose the empty word")
-    _check_colors(blocks, colors)
+    if not _colors_checked(w, colors):
+        _check_colors(blocks, colors)
 
     # Each child is the slice between two separators; balance and size
     # are the open child's.
@@ -160,9 +169,9 @@ def decompose(
         elif balance:
             balance += down
         else:
-            children.append(_trusted_word(params, blocks[start:end], size))
+            children.append(_trusted_word(params, blocks[start:end], size, colors))
             start, size = end + 1, 0
-    children.append(_trusted_word(params, blocks[start:], size))
+    children.append(_trusted_word(params, blocks[start:], size, colors))
     head = blocks[0]
     return DecompositionTuple(head.j, head.color, tuple(children))
 
@@ -321,12 +330,13 @@ def enumerate_all(
     The words are those of the walk spelled in block codes, each
     decoded into its block tuple and not re-validated: the head leaves
     balance r - 1, the r - 1 separators close it, every child is
-    balanced, and color <= c_ell by the loop bounds.
+    balanced, and color <= c_ell by the loop bounds, so each word
+    carries the coloring.
     """
     rises, groups = _walk(params, colors, n, cap)
     decode = rises.__getitem__
     return tuple([
-        _trusted_word(params, head + tuple(map(decode, map(ord, tail))), n)
+        _trusted_word(params, head + tuple(map(decode, map(ord, tail))), n, colors)
         for head, tails in groups
         for tail in tails
     ])

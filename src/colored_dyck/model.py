@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from math import comb
-from operator import itemgetter
 
 from .bell import _int_text, _need_index, exact_div
 from .errors import (
@@ -205,12 +205,22 @@ class ColoredDyckWord:
     instead, with n taken from a pass already made.  Color-range checks
     against a ColorSequence are separate (validate_colors), so that
     externally supplied words report ColorOutOfRange during
-    decomposition rather than construction.
+    decomposition rather than construction.  A word the package builds
+    carries the coloring its rises were checked against, and
+    validate_colors, decompose and compose check the colors only of a
+    word that does not carry the one they are given (or an equal one:
+    a ColorSequence is frozen).  The tag takes no part in ==, hash or
+    repr.
     """
 
     params: PathParams
     blocks: tuple[Block, ...]
     n: int = field(init=False)
+    # The ColorSequence every rise was checked against, set only by
+    # _trusted_word; None for a word a caller builds.
+    _colors: ColorSequence | None = field(
+        init=False, default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         blocks = tuple(self.blocks)
@@ -236,10 +246,13 @@ class ColoredDyckWord:
         return len(self.blocks)
 
 
-def _trusted_word(params: PathParams, blocks: tuple, n: int) -> ColoredDyckWord:
+def _trusted_word(
+    params: PathParams, blocks: tuple, n: int, colors: ColorSequence | None = None
+) -> ColoredDyckWord:
     """A word whose invariants the caller already guarantees: `blocks`
     is a tuple of blocks built for `params` whose expansion is a
-    balanced Dyck word of index `n`.
+    balanced Dyck word of index `n`, and, unless `colors` is None,
+    every rise's color is in range for `colors`.
 
     The package builds every word of its own through here, from parts
     it has already checked; the O(len) walk of the checked constructor
@@ -250,7 +263,15 @@ def _trusted_word(params: PathParams, blocks: tuple, n: int) -> ColoredDyckWord:
     object.__setattr__(word, "params", params)
     object.__setattr__(word, "blocks", blocks)
     object.__setattr__(word, "n", n)
+    object.__setattr__(word, "_colors", colors)
     return word
+
+
+def _colors_checked(word: ColoredDyckWord, colors: ColorSequence) -> bool:
+    """Whether every rise of word is known to be in range for colors:
+    the word carries colors, or a coloring equal to it."""
+    tag = word._colors
+    return tag is not None and (tag is colors or tag == colors)
 
 
 def peaks(word: ColoredDyckWord) -> int:
@@ -291,14 +312,15 @@ def _check_colors(blocks, colors: ColorSequence) -> None:
 
 
 def validate_colors(word: ColoredDyckWord, colors: ColorSequence) -> None:
-    """Check every Rise block's color against the coloring rule."""
-    _check_colors(word.blocks, colors)
+    """Check every Rise block's color against the coloring rule, unless
+    the word carries that coloring (_colors_checked)."""
+    if not _colors_checked(word, colors):
+        _check_colors(word.blocks, colors)
 
 
-# The most distinct pieces whose blocks parse_steps keeps, and the most
-# distinct rises whose text to_steps keeps, in one call.  A word repeats
-# a few (j, color) rises many times and stays far below it; on a word
-# whose rises are all distinct it caps the kept entries.
+# The most distinct rises whose text to_steps keeps in one call.  A
+# word repeats a few (j, color) rises many times and stays far below
+# it; on a word whose rises are all distinct it caps the kept entries.
 _PIECE_TABLE_BOUND = 1024
 
 
@@ -348,6 +370,9 @@ def to_steps(word: ColoredDyckWord) -> str:
 _PIECE = re.compile(
     r"(u+)(?:\[([0-9]+)\])?(d*)(?:\[([0-9]+)\])?|(d+)|(\[[0-9]+\])|(.)", re.DOTALL
 )
+# _PIECE with each group made non-capturing, so that findall gives each
+# piece as one string; the matches are the same.
+_PIECE_TEXT = re.compile(re.sub(r"\((?!\?)", "(?:", _PIECE.pattern), re.DOTALL)
 
 
 def _positive(digits: str) -> int:
@@ -361,10 +386,14 @@ def _positive(digits: str) -> int:
     return color
 
 
-def _read_piece(piece: tuple, params: PathParams, colors: ColorSequence) -> tuple:
+def _read_piece(
+    piece: str, params: PathParams, colors: ColorSequence, limits: dict, rises: dict
+) -> tuple:
     """The blocks of one piece of letter-balanced step text, or the
-    piece's first grammar or color error."""
-    ups, boundary, downs, late, run, misplaced, _ = piece
+    piece's first grammar or color error.  limits (j -> c_j) and rises
+    ((j, color) -> its Rise) are the caller's tables for one parse, so
+    that each c_j is read and each Rise built once."""
+    ups, boundary, downs, late, run, misplaced, _ = _PIECE.fullmatch(piece).groups("")
     rise, downs_after = (), len(run)
     if ups:  # a maximal ascent
         period = params.period
@@ -385,8 +414,15 @@ def _read_piece(piece: tuple, params: PathParams, colors: ColorSequence) -> tupl
         # descent run instead of at the ascent/descent boundary.
         if late and not boundary and extra == 0:
             color, late = _positive(late), ""
-        _check_color(j, color, colors)
-        rise, downs_after = (Rise(j, color),), downs_after + extra
+        limit = limits.get(j)
+        if limit is None:
+            limit = limits[j] = colors.at(j)
+        if color > limit:  # color >= 1 already
+            _check_color(j, color, colors)
+        block = rises.get((j, color))
+        if block is None:
+            block = rises[j, color] = Rise(j, color)
+        rise, downs_after = (block,), downs_after + extra
     if late or misplaced:
         raise MalformedAnnotation("annotation not at an ascent/descent boundary")
     return rise + (DOWN,) * downs_after
@@ -402,37 +438,34 @@ def parse_steps(text: str, params: PathParams, colors: ColorSequence) -> Colored
     fixed order: an unexpected character anywhere (MalformedAnnotation),
     then the letter balance (NotDyck), then the blocks in text order.
 
-    Each distinct piece (a rise with its annotations and descent run, a
-    down run, or an annotation) is read once per call, and its blocks
-    are reused wherever it repeats; a bad piece raises at its first
-    occurrence, where every earlier piece has passed, so errors still
-    come in text order.  At most _PIECE_TABLE_BOUND pieces are kept;
-    pieces past that are read wherever they occur.
+    The text is split into pieces (a rise with its annotations and
+    descent run, a down run, an annotation, or a stray character), and
+    each check is a pass over the distinct pieces or a whole-list pass
+    over a table of them.  Each distinct piece is read once, in the
+    order of its first occurrence, so a bad piece raises where every
+    earlier piece has passed, and errors still come in text order.
+    The word carries colors: its every rise has just been checked.
     """
-    pieces = _PIECE.findall(text.strip())
-    stray = next(filter(None, map(itemgetter(6), pieces)), "")
+    pieces = _PIECE_TEXT.findall(text.strip())
+    distinct = dict.fromkeys(pieces)
+    # A stray character is a piece of one character that is not a step
+    # letter.
+    stray = next((p for p in distinct if len(p) == 1 and p not in "ud"), "")
     if stray:
         raise MalformedAnnotation(f"unexpected character {stray!r}")
 
-    # Dyck property on the bare letters, before any grammar checks.
-    balance = up_steps = 0
-    for ups, _, downs, _, run, _, _ in pieces:
-        up_steps += len(ups)
-        balance += len(ups) - len(downs) - len(run)
-        if balance < 0:
-            raise NotDyck("prefix has more d's than u's")
-    if balance != 0:
+    # Dyck property on the bare letters, before any grammar checks; with
+    # no stray character left, u and d are the only letters.
+    net = {p: p.count("u") - p.count("d") for p in distinct}
+    if min(accumulate(map(net.__getitem__, pieces)), default=0) < 0:
+        raise NotDyck("prefix has more d's than u's")
+    up_steps = text.count("u")
+    if up_steps != text.count("d"):
         raise NotDyck("unbalanced word")
 
-    blocks, read = [], {}
-    for piece in pieces:
-        known = read.get(piece)
-        if known is None:
-            known = _read_piece(piece, params, colors)
-            if len(read) < _PIECE_TABLE_BOUND:
-                read[piece] = known
-        blocks += known
-
+    limits, rises = {}, {}
+    read = {p: _read_piece(p, params, colors, limits, rises) for p in distinct}
     # The blocks expand to the letters just checked, and every ascent
     # is a whole number of periods.
-    return _trusted_word(params, tuple(blocks), up_steps // params.period)
+    blocks = tuple(chain.from_iterable(map(read.__getitem__, pieces)))
+    return _trusted_word(params, blocks, up_steps // params.period, colors)

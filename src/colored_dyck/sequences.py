@@ -44,7 +44,8 @@ def motzkin_colored(c1: int, c2: int, n: int) -> int:
         U_(k+1) / U_k = c2 (n-2k)(n-2k-1) / ((k+1)(k+2)),
 
     and the sum is taken by Horner's rule in c1^2, so no step divides
-    by c1.
+    by c1; where c1^2 = 1 (the Motzkin preset has c1 = 1) each step is
+    a plain sum.
     """
     _need_index(n, 0, "n")
     u = total = 1
@@ -54,7 +55,9 @@ def motzkin_colored(c1: int, c2: int, n: int) -> int:
         u, rem = divmod(num, (k + 1) * (k + 2))
         if rem:
             exact_div(num, (k + 1) * (k + 2), "motzkin_colored")
-        total = total * c1_sq + u
+        if c1_sq != 1:
+            total *= c1_sq
+        total += u
     return total * c1 ** (n % 2)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from colored_dyck import (
     ColorSequence,
     PathParams,
+    Rise,
     convolution_power_closed,
     count_bell,
     count_recurrence,
@@ -550,6 +551,32 @@ class TestSeriesInvariants:
         with pytest.raises(IndexError):
             series[6]
         assert list(series) == list(series.values) == [1, 1, 2, 5, 14, 42]
+
+
+
+class TestBoolIsNotAnIndex:
+    # bool is an int subclass, but True is no size, color, count or index
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: PathParams(True, False), "a"),
+            (lambda: PathParams(1, False), "b"),
+            (lambda: Rise(True), "j"),
+            (lambda: Rise(1, True), "color"),
+            (lambda: ColorSequence.explicit((1, True)), "c_2"),
+            (lambda: ColorSequence.constant(True), "tail"),
+            (lambda: ColorSequence.ones().at(True), "j"),
+            (lambda: count_recurrence(PathParams(1, 0), ColorSequence.ones(), True), "N"),
+            (lambda: count_recurrence(PathParams(1, 0), ColorSequence.ones(), 3)[True], "n"),
+            (lambda: peak_table(PathParams(1, 0), ColorSequence.ones(), 3)[True], "k"),
+        ],
+        ids=["a", "b", "j", "color", "c_2", "tail", "at", "count_recurrence",
+             "CountSeries", "PeakTable"],
+    )
+    def test_rejected(self, call, name):
+        message = f"need an integer {name}, got bool"
+        with pytest.raises(InvalidIndex, match=f"^{message}$"):
+            call()
 
 
 CATALAN_SETTING = (PathParams(1, 0), ColorSequence.ones())

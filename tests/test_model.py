@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 import sys
@@ -21,12 +23,14 @@ from colored_dyck import (
     to_steps,
     validate_colors,
 )
-from colored_dyck.bijection import decompose, enumerate_all
+from colored_dyck import bijection, model
+from colored_dyck.bijection import DecompositionTuple, compose, decompose, enumerate_all
 from colored_dyck.errors import (
     BadAscent,
     ColoredDyckError,
     ColorOutOfRange,
     InvalidIndex,
+    InvalidTuple,
     MalformedAnnotation,
     MalformedWord,
     NotDyck,
@@ -36,6 +40,7 @@ from colored_dyck.model import (
     _PIECE_TABLE_BOUND,
     Block,
     _check_color,
+    _colors_checked,
     _step_texts,
     _trusted_word,
 )
@@ -638,6 +643,103 @@ class TestColorCheckOrder:
             errors += expected is not None
         assert 40 < errors < 150 and several > 20 and wide > 10
 
+
+
+# Narrower than WIDE_COLORS at j = 1 and j = 3: a word WIDE_COLORS
+# accepts may have rises out of range for it.
+NARROW_COLORS = ColorSequence.explicit((1, 0, 99_000, 0, 1))
+
+
+def _checked_outcome(call, *args):
+    try:
+        return call(*args)
+    except (ColorOutOfRange, InvalidTuple) as exc:
+        return type(exc), str(exc)
+
+
+def _untagged(word):
+    return ColoredDyckWord(word.params, word.blocks)
+
+
+class TestColorTag:
+    def test_words_the_package_builds_carry_their_coloring(self):
+        params, colors = PathParams(1, 0), ColorSequence.powers_of_two()
+        word = parse_steps("uu[2]dudd", params, colors)
+        t = decompose(word, params, colors)
+        built = [word, *t.children, compose(t, params, colors)]
+        built += enumerate_all(params, colors, 3)
+        assert all(w._colors is colors for w in built)
+        assert _untagged(word)._colors is None
+
+    def test_other_coloring_checks_as_an_untagged_word(self):
+        # words parsed under WIDE_COLORS, then checked under a narrower
+        # coloring: each check raises what it raises for the same blocks
+        # built by the checked constructor, and compose names the first
+        # bad rise in block order among children tagged with either
+        # coloring or with none
+        rng = random.Random(30)
+        errors, passed, tuples = 0, 0, 0
+        for _ in range(120):
+            params = rng.choice(ROUND_TRIP_PARAMS)
+            raw = random_block_word(
+                rng, params, WIDE_COLORS, rng.choice((1, 3, 10, 60, 300)),
+                rng.choice([(3,), (1, 3), (1, 3, 5)]),
+            )
+            tagged = parse_steps(to_steps(raw), params, WIDE_COLORS)
+            untagged = _untagged(tagged)
+            for check in (validate_colors, lambda w, c: decompose(w, params, c)):
+                got = _checked_outcome(check, tagged, NARROW_COLORS)
+                assert got == _checked_outcome(check, untagged, NARROW_COLORS)
+                if got is None or isinstance(got, DecompositionTuple):
+                    passed += 1
+                else:
+                    errors += 1
+            t = decompose(tagged, params, WIDE_COLORS)
+            children = []
+            for child in t.children:
+                try:
+                    narrow = parse_steps(to_steps(child), params, NARROW_COLORS)
+                except ColorOutOfRange:
+                    narrow = child
+                children.append(rng.choice((child, _untagged(child), narrow)))
+            mixed = DecompositionTuple(t.ell, t.color, children)
+            plain = DecompositionTuple(t.ell, t.color, map(_untagged, children))
+            got = _checked_outcome(compose, mixed, params, NARROW_COLORS)
+            assert got == _checked_outcome(compose, plain, params, NARROW_COLORS)
+            tuples += isinstance(got, tuple) and got[0] is InvalidTuple
+        assert errors > 50 and passed > 50 and tuples > 5, (errors, passed, tuples)
+
+    def test_equal_coloring_is_accepted(self, monkeypatch):
+        # a distinct but equal ColorSequence: no block is checked again
+        params = PathParams(2, 1)
+        word = parse_steps("uuu[2]d" + "u" * 9 + "[1]" + "d" * 11, params, WIDE_COLORS)
+        equal = ColorSequence.explicit((2, 0, 10**5, 0, 1))
+        assert equal is not WIDE_COLORS and _colors_checked(word, equal)
+        assert not _colors_checked(word, ColorSequence.constant(2))
+        assert not _colors_checked(_untagged(word), WIDE_COLORS)
+        checked = []
+        for module in (model, bijection):
+            monkeypatch.setattr(module, "_check_colors", lambda b, c: checked.extend(b))
+        validate_colors(word, equal)
+        t = decompose(word, params, equal)
+        compose(t, params, equal)
+        assert checked == []
+        validate_colors(_untagged(word), equal)
+        assert checked == [*word.blocks]
+
+    def test_tag_is_invisible(self):
+        params, colors = PathParams(0, 2), ColorSequence.explicit((1, 1))
+        tagged = parse_steps("uu[1]duuuu[1]ddddd", params, colors)
+        untagged = _untagged(tagged)
+        assert tagged._colors is colors and untagged._colors is None
+        assert tagged == untagged and hash(tagged) == hash(untagged)
+        assert repr(tagged) == repr(untagged)
+        for word in (tagged, untagged):
+            for again in (pickle.loads(pickle.dumps(word)), copy.deepcopy(word)):
+                assert again == tagged and hash(again) == hash(untagged)
+                assert repr(again) == repr(untagged)
+                assert again._colors == word._colors
+                validate_colors(again, colors)
 
 class TestToSteps:
     def test_joins_the_step_texts(self):
