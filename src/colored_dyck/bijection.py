@@ -31,7 +31,6 @@ from .model import (
     ColorSequence,
     PathParams,
     Rise,
-    _block_net,
     _check_colors,
     _colors_checked,
     _trusted_word,
@@ -68,7 +67,7 @@ class DecompositionTuple:
             object.__setattr__(self, "children", tuple(self.children))
         except TypeError:
             raise InvalidTuple("children must be an iterable of words") from None
-        if not (isinstance(self.ell, int) and isinstance(self.color, int)):
+        if not all(isinstance(v, int) and type(v) is not bool for v in (self.ell, self.color)):
             raise InvalidTuple("ell and color must be integers")
         if self.ell < 1 or self.color < 1:
             raise InvalidTuple("ell and color must be positive")
@@ -137,9 +136,9 @@ def decompose(
 
     Colors are checked first, head first, unless the word carries the
     coloring (model._colors_checked), then the separators are scanned
-    for.  Each c_j and each rise's net a*j+b-1 is read once per
-    distinct size j per call, and each child is cut from the word's
-    block tuple as one slice; the children carry the coloring.
+    for.  Each c_j is read once per distinct size j per call, and each
+    child is cut from the word's block tuple as one slice; the children
+    carry the coloring.
     """
     if w.params != params:
         raise MalformedWord(
@@ -154,20 +153,16 @@ def decompose(
 
     # Each child is the slice between two separators; balance and size
     # are the open child's.
-    nets: dict[int, int] = {}
-    down = _block_net(DOWN, params)
+    a, b = params.a, params.b
     children = []
     start, balance, size = 1, 0, 0
     for end, block in enumerate(islice(blocks, 1, None), 1):
         if isinstance(block, Rise):
             j = block.j
-            net = nets.get(j)
-            if net is None:
-                net = nets[j] = _block_net(block, params)
-            balance += net
+            balance += a * j + b - 1  # the net of the block
             size += j
         elif balance:
-            balance += down
+            balance -= 1
         else:
             children.append(_trusted_word(params, blocks[start:end], size, colors))
             start, size = end + 1, 0

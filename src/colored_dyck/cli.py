@@ -91,9 +91,6 @@ def _int_text_unlimited():
     """Lift the interpreter's limit on int-to-str digits (4300 by
     default) while output is formatted, so that a legal count of any
     size is printed; argv is parsed with the limit in force."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -102,16 +99,8 @@ def _int_text_unlimited():
         sys.set_int_max_str_digits(saved)
 
 
-def _emit_series(values, fmt):
-    lines = []
-    for n, v in enumerate(values):
-        if fmt == "plain":
-            lines.append(str(v))
-        elif fmt == "bfile":
-            lines.append(f"{n} {v}")
-        else:
-            lines.append(f'{{"n":{n},"value":{v}}}')
-    return lines
+# The line of y_n = v in each output format of count.
+_SERIES_LINE = {"plain": "{v}", "bfile": "{n} {v}", "jsonl": '{{"n":{n},"value":{v}}}'}
 
 
 def _cmd_count(args):
@@ -128,7 +117,8 @@ def _cmd_count(args):
             return 1
         series = bell_series
     with _int_text_unlimited():
-        print("\n".join(_emit_series(series.values, args.format)))
+        line = _SERIES_LINE[args.format].format
+        print("\n".join(line(n=n, v=v) for n, v in enumerate(series.values)))
     return 0
 
 
@@ -273,7 +263,7 @@ def build_parser():
         "--route", choices=("both", "recurrence", "bell"), default="both"
     )
     p.add_argument(
-        "--format", choices=("plain", "bfile", "jsonl"), default="plain"
+        "--format", choices=_SERIES_LINE, default="plain"
     )
     p.set_defaults(func=_cmd_count, parser=p)
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from functools import partial
+from itertools import accumulate, chain, islice
 from math import comb
 
 from .bell import _int_text, _need_index, exact_div
@@ -239,9 +240,6 @@ class ColoredDyckWord:
             raise NotDyck("unbalanced word")
         object.__setattr__(self, "n", n)
 
-    def __iter__(self):
-        return iter(self.blocks)
-
     def __len__(self):
         return len(self.blocks)
 
@@ -318,9 +316,10 @@ def validate_colors(word: ColoredDyckWord, colors: ColorSequence) -> None:
         _check_colors(word.blocks, colors)
 
 
-# The most distinct rises whose text to_steps keeps in one call.  A
-# word repeats a few (j, color) rises many times and stays far below
-# it; on a word whose rises are all distinct it caps the kept entries.
+# The most distinct pieces (of step text, or rises) that to_steps and
+# parse_steps keep in one call.  A word repeats a few pieces many times
+# and stays far below it; on a word whose pieces are all distinct it
+# caps the kept entries.
 _PIECE_TABLE_BOUND = 1024
 
 
@@ -339,11 +338,11 @@ def to_steps(word: ColoredDyckWord) -> str:
     """Serialize to step text over {u, d}.
 
     The color annotation "[k]" sits at the ascent/descent boundary of
-    each Rise block and is always emitted.  Each distinct (j, color)
+    each Rise block and is always emitted.  Under the policy of _made,
+    each of the first _PIECE_TABLE_BOUND distinct (j, color)
     is spelled by _step_texts once per call and its text reused where
-    it repeats, for up to _PIECE_TABLE_BOUND of them; from the first
-    rise past that on, the rest of the word is spelled in one
-    _step_texts call.
+    it repeats; from the first rise past them on, the rest of the word
+    is spelled in one _step_texts call.
     """
     params, blocks = word.params, word.blocks
     down, = _step_texts(params, (DOWN,))
@@ -386,17 +385,48 @@ def _positive(digits: str) -> int:
     return color
 
 
+def _piece_nets(pieces: list) -> list[int]:
+    """Up steps less down steps of each piece of step text, or
+    MalformedAnnotation for the first that is a stray character."""
+    stray = next((p for p in pieces if len(p) == 1 and p not in "ud"), "")
+    if stray:
+        raise MalformedAnnotation(f"unexpected character {stray!r}")
+    return [p.count("u") - p.count("d") for p in pieces]
+
+
+def _made(make, pieces: list, distinct: dict):
+    """What make gives for each of pieces, in order, under the one
+    piece-table policy of to_steps and parse_steps; make maps a list of
+    pieces to their values, in order.  distinct holds the pieces in the
+    order of their first occurrence, all of them or more than
+    _PIECE_TABLE_BOUND.  The first _PIECE_TABLE_BOUND are kept: each is
+    made once, first, and reused up to the cut, the first occurrence of
+    any other piece; from the cut on, each piece is made where it
+    occurs.  Every kept piece first occurs before the cut, and every
+    piece before it is kept, so make meets a piece only where every
+    earlier piece has been made: its errors come in text order."""
+    kept = [*islice(distinct, _PIECE_TABLE_BOUND)]
+    table = dict(zip(kept, make(kept)))
+    if len(distinct) <= _PIECE_TABLE_BOUND:
+        return map(table.__getitem__, pieces)
+    cut = pieces.index(next(islice(distinct, _PIECE_TABLE_BOUND, None)))
+    return chain(map(table.__getitem__, pieces[:cut]), make(pieces[cut:]))
+
+
 def _read_piece(
-    piece: str, params: PathParams, colors: ColorSequence, limits: dict, rises: dict
+    params: PathParams, colors: ColorSequence, limits: dict, rises: dict, piece: str
 ) -> tuple:
     """The blocks of one piece of letter-balanced step text, or the
     piece's first grammar or color error.  limits (j -> c_j) and rises
-    ((j, color) -> its Rise) are the caller's tables for one parse, so
-    that each c_j is read and each Rise built once."""
+    ((j, color) -> its Rise, at most _PIECE_TABLE_BOUND of them) are the
+    caller's tables for one parse, so that each c_j is read once and a
+    repeated Rise built once."""
     ups, boundary, downs, late, run, misplaced, _ = _PIECE.fullmatch(piece).groups("")
     rise, downs_after = (), len(run)
     if ups:  # a maximal ascent
-        period = params.period
+        # params.period and params.descent_run(j), inline: on a text of
+        # distinct pieces this runs once per piece.
+        period = params.a + params.b
         if len(ups) % period != 0:
             raise BadAscent(
                 f"ascent length {len(ups)} not divisible by "
@@ -404,7 +434,7 @@ def _read_piece(
             )
         j = len(ups) // period
         color = _positive(boundary) if boundary else 1
-        need = params.descent_run(j)
+        need = params.b * (j - 1) + 1
         extra = len(downs) - need
         if extra < 0:
             raise TruncatedDescent(
@@ -421,7 +451,12 @@ def _read_piece(
             _check_color(j, color, colors)
         block = rises.get((j, color))
         if block is None:
-            block = rises[j, color] = Rise(j, color)
+            # Rise(j, color) without its checks, which j and color pass
+            block = object.__new__(Rise)
+            object.__setattr__(block, "j", j)
+            object.__setattr__(block, "color", color)
+            if len(rises) < _PIECE_TABLE_BOUND:
+                rises[j, color] = block
         rise, downs_after = (block,), downs_after + extra
     if late or misplaced:
         raise MalformedAnnotation("annotation not at an ascent/descent boundary")
@@ -440,32 +475,26 @@ def parse_steps(text: str, params: PathParams, colors: ColorSequence) -> Colored
 
     The text is split into pieces (a rise with its annotations and
     descent run, a down run, an annotation, or a stray character), and
-    each check is a pass over the distinct pieces or a whole-list pass
-    over a table of them.  Each distinct piece is read once, in the
-    order of its first occurrence, so a bad piece raises where every
-    earlier piece has passed, and errors still come in text order.
-    The word carries colors: its every rise has just been checked.
+    each check is one pass over them, in text order, under the policy
+    of _made: a repeated piece is checked and read once per call, up to
+    _PIECE_TABLE_BOUND distinct pieces.  The word carries colors: its
+    every rise has just been checked.
     """
     pieces = _PIECE_TEXT.findall(text.strip())
-    distinct = dict.fromkeys(pieces)
-    # A stray character is a piece of one character that is not a step
-    # letter.
-    stray = next((p for p in distinct if len(p) == 1 and p not in "ud"), "")
-    if stray:
-        raise MalformedAnnotation(f"unexpected character {stray!r}")
-
-    # Dyck property on the bare letters, before any grammar checks; with
-    # no stray character left, u and d are the only letters.
-    net = {p: p.count("u") - p.count("d") for p in distinct}
-    if min(accumulate(map(net.__getitem__, pieces)), default=0) < 0:
+    # A prefix with more distinct pieces than the table keeps is enough.
+    distinct = dict.fromkeys(pieces[: 2 * _PIECE_TABLE_BOUND])
+    if len(distinct) <= _PIECE_TABLE_BOUND:
+        distinct.update(dict.fromkeys(pieces[2 * _PIECE_TABLE_BOUND :]))
+    # The pass over every piece finds a stray character before the
+    # Dyck property on the bare letters, before any grammar checks.
+    if min(accumulate(_made(_piece_nets, pieces, distinct)), default=0) < 0:
         raise NotDyck("prefix has more d's than u's")
     up_steps = text.count("u")
     if up_steps != text.count("d"):
         raise NotDyck("unbalanced word")
 
-    limits, rises = {}, {}
-    read = {p: _read_piece(p, params, colors, limits, rises) for p in distinct}
+    read = partial(map, partial(_read_piece, params, colors, {}, {}))
     # The blocks expand to the letters just checked, and every ascent
     # is a whole number of periods.
-    blocks = tuple(chain.from_iterable(map(read.__getitem__, pieces)))
+    blocks = tuple(chain.from_iterable(_made(read, pieces, distinct)))
     return _trusted_word(params, blocks, up_steps // params.period, colors)

@@ -1,10 +1,12 @@
 import ast
+import os
 import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import colored_dyck
 from colored_dyck import DOWN, ColoredDyckWord, ColorSequence, DownStep, PathParams, Rise
 from colored_dyck.bell import power_rows
 
@@ -42,12 +44,30 @@ DRAWN_COLORS = st.one_of(
 )
 
 
+@pytest.fixture
+def int_digit_limit():
+    """The interpreter's default limit on int-to-str digits, in force
+    for one test whatever the environment set."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
 # For tests of integers with more digits than the interpreter converts
-# to text, which only interpreters with that limit can run.
-needs_int_digit_limit = pytest.mark.skipif(
-    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-    reason="no int-to-str limit",
-)
+# to text.
+needs_int_digit_limit = pytest.mark.usefixtures("int_digit_limit")
+
+
+def subprocess_env():
+    """The environment of a child interpreter that imports the package
+    these tests import: its source directory first on PYTHONPATH, then
+    the entries already there."""
+    src = str(Path(colored_dyck.__file__).parents[1])
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
 
 # 10^5000, past the default limit of 4300 digits: a message names it by
 # its bit length.

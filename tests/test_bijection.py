@@ -148,11 +148,19 @@ class TestCompose:
         with pytest.raises(InvalidTuple, match=f"^{re.escape(message)}$"):
             compose(DecompositionTuple(1, 1, (child,)), PathParams(1, 0), ONES)
 
-    @pytest.mark.parametrize("ell, color", [(1.0, 1), (1, 1.0), ("1", 1), (1, None)])
+    @pytest.mark.parametrize(
+        "ell, color", [(1.0, 1), (1, 1.0), ("1", 1), (1, None), (True, 1), (1, True)]
+    )
     def test_non_integer_head(self, ell, color):
+        # a bool is an int subclass, but no size or color
         empty = ColoredDyckWord(PathParams(1, 0), ())
         with pytest.raises(InvalidTuple, match="^ell and color must be integers$"):
             compose(DecompositionTuple(ell, color, (empty,)), PathParams(1, 0), ONES)
+
+    @pytest.mark.parametrize("ell, color", [(0, 1), (1, 0), (-1, 1), (1, -2)])
+    def test_non_positive_head(self, ell, color):
+        with pytest.raises(InvalidTuple, match="^ell and color must be positive$"):
+            DecompositionTuple(ell, color, ())
 
     @pytest.mark.parametrize("children", [None, 3])
     def test_children_not_iterable(self, children):

@@ -5,20 +5,18 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import colored_dyck
 from colored_dyck import bijection, cli, counting, sequences
 from colored_dyck.bijection import enumerate_all
 from colored_dyck.cli import build_parser, main, parse_color_spec
 from colored_dyck.counting import CountSeries, count_recurrence
 from colored_dyck.errors import ResourceLimit
 from colored_dyck.model import ColorSequence, PathParams, Rise, to_steps
-from conftest import COLOR_GRID, needs_int_digit_limit
+from conftest import COLOR_GRID, needs_int_digit_limit, subprocess_env
 
 
 @pytest.fixture
@@ -119,15 +117,13 @@ class TestCount:
         # y_50 with every c_j = 10^100 has more than 4300 digits, the
         # interpreter's default limit for int-to-str conversion.
         const = 10**100
-        has_limit = hasattr(sys, "get_int_max_str_digits")
-        limit = sys.get_int_max_str_digits() if has_limit else None
+        limit = sys.get_int_max_str_digits()
         code, out, _ = run(
             "count", "--a", "1", "--b", "0", "--colors", f"const:{const}",
             "--N", "50", "--format", fmt,
         )
         assert code == 0
-        if has_limit:
-            assert sys.get_int_max_str_digits() == limit
+        assert sys.get_int_max_str_digits() == limit
         last = out.splitlines()[-1]
         if fmt == "jsonl":
             prefix = '{"n":50,"value":'
@@ -136,13 +132,11 @@ class TestCount:
         value = count_recurrence(
             PathParams(1, 0), ColorSequence.constant(const), 50
         )[50]
-        if has_limit:
-            sys.set_int_max_str_digits(0)
+        sys.set_int_max_str_digits(0)
         try:
             assert last == str(value)
         finally:
-            if has_limit:
-                sys.set_int_max_str_digits(limit)
+            sys.set_int_max_str_digits(limit)
         assert len(last) > 4300
 
     def test_route_disagreement_exits_1(self, run, monkeypatch):
@@ -185,11 +179,9 @@ CONTRACT_PROBES = [
     "argv, code, out", CONTRACT_PROBES, ids=[" ".join(p[0]) for p in CONTRACT_PROBES]
 )
 def test_contract_probe(argv, code, out):
-    src = str(Path(colored_dyck.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-m", "colored_dyck.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
     )
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
@@ -228,15 +220,53 @@ class TestUnallocatableTable:
         self.assert_resource_limit(*run(*argv), "MemoryError")
 
 
+# A Bell route with one wrong power-triangle cell: at (1, 0), n = 3,
+# k = 2 the term is C(3, 1) * P_{2,3} / 2, and ones has P_{2,3} = 2; a
+# cell of 1 leaves 3/2.  Run as a module's text, so that a child
+# interpreter can run it at startup.
+WRONG_BELL_TERM = """
+from colored_dyck import counting
+
+power_rows = counting.power_rows
+
+
+def odd(N, form):
+    for k, row in enumerate(power_rows(N, form), 1):
+        yield row[:1] + [1] + row[2:] if k == 2 else row
+
+
+counting.power_rows = odd
+"""
+NON_INTEGER_ARGV = ("count", "--a", "1", "--b", "0", "--N", "5")
+NON_INTEGER_ERR = "NonIntegerTerm: non-integer value in Bell term n=3, r=1: 3/2\n"
+
+
+class TestNonIntegerTermExits3:
+    def test_in_process(self, run, monkeypatch):
+        monkeypatch.setattr(counting, "power_rows", counting.power_rows)  # restored after
+        exec(WRONG_BELL_TERM, {})
+        assert run(*NON_INTEGER_ARGV) == (3, "", NON_INTEGER_ERR)
+
+    def test_subprocess(self, tmp_path):
+        # The child imports sitecustomize from the first PYTHONPATH entry
+        # at startup, before the CLI module runs.
+        (tmp_path / "sitecustomize.py").write_text(WRONG_BELL_TERM)
+        env = subprocess_env()
+        env["PYTHONPATH"] = f"{tmp_path}{os.pathsep}{env['PYTHONPATH']}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "colored_dyck.cli", *NON_INTEGER_ARGV],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", NON_INTEGER_ERR)
+
+
 def test_closed_stdout_exits_quietly():
     # The reader takes one line and closes the pipe, as `| head -n 1`
     # does; the output (about 0.6 MB) is far larger than a pipe buffer.
-    src = str(Path(colored_dyck.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.Popen(
         [sys.executable, "-m", "colored_dyck.cli",
          "enumerate", "--a", "1", "--b", "0", "--n", "10"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(),
     )
     try:
         assert proc.stdout.readline().startswith(b"u")
@@ -511,6 +541,15 @@ class TestDecomposeValidate:
         )
         assert code == 1
         assert "BadAscent" in err
+
+    @pytest.mark.parametrize(
+        "command, out",
+        [("validate", "valid\n"), ("decompose", "ell 1\ncolor 1\nchild u[1]d\n")],
+    )
+    def test_word_from_stdin(self, run, monkeypatch, command, out):
+        # with no word argument, the word is read from stdin
+        monkeypatch.setattr(sys, "stdin", io.StringIO("udud\n"))
+        assert run(command, "--a", "1", "--b", "0") == (0, out, "")
 
     def test_decompose(self, run):
         code, out, _ = run(

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from colored_dyck import (
     ColorSequence,
+    CountSeries,
     PathParams,
+    PeakTable,
     Rise,
     convolution_power_closed,
     count_bell,
@@ -509,6 +511,18 @@ class TestPeakTable:
         assert 10 in table
 
     @pytest.mark.parametrize(
+        "n, row, message",
+        [
+            (3, (1, 3), "peak table row must have length n"),
+            (2, (1, -1), "counts are nonnegative"),
+        ],
+        ids=["length", "negative"],
+    )
+    def test_constructor_checks_its_row(self, n, row, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PeakTable(n, row)
+
+    @pytest.mark.parametrize(
         "k, message",
         [
             (0, "need 1 <= k <= n, got n=5, k=0"),
@@ -544,6 +558,19 @@ class TestSeriesInvariants:
         series = count_recurrence(PathParams(1, 0), ColorSequence.ones(), 5)
         with pytest.raises(InvalidIndex, match=f"^{re.escape(message)}$"):
             series[n]
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((), "a count series must start with y_0 = 1"),
+            ((2, 1), "a count series must start with y_0 = 1"),
+            ((1, 2, -1), "counts are nonnegative"),
+        ],
+        ids=["empty", "y0", "negative"],
+    )
+    def test_constructor_checks_its_values(self, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CountSeries(values)
 
     def test_index_past_N_ends_iteration(self):
         # CountSeries has no __iter__: iteration stops at the tuple's IndexError

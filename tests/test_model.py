@@ -119,6 +119,11 @@ class TestColorSequence:
         with pytest.raises(ValueError, match=f"^color sequence kind '{kind}' takes no {name}$"):
             ColorSequence(kind, **fields)
 
+    @pytest.mark.parametrize("kind", ["rainbow", "Ones", ""])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match=f"^unknown color sequence kind: '{kind}'$"):
+            ColorSequence(kind)
+
     @pytest.mark.parametrize(
         "colors, form",
         [
@@ -310,6 +315,12 @@ class TestWordStructure:
         assert peaks(w) == 0
         assert semilength(w) == 0
         assert to_steps(w) == ""
+
+    def test_length_is_the_block_count(self):
+        # the benchmark's word-mix check reads len(word)
+        params = PathParams(1, 0)
+        assert len(ColoredDyckWord(params, ())) == 0
+        assert len(parse_steps("uu[2]ddud", params, ColorSequence.constant(2))) == 3
 
     def test_down_first_rejected(self):
         with pytest.raises(NotDyck):
@@ -949,6 +960,22 @@ class TestParseDifferential:
             assert outcome[1] == _PIECE_TABLE_BOUND + 99 + 6
         else:
             assert outcome[0] is error
+
+
+    def test_piece_table_policy(self, monkeypatch):
+        # each of the first _PIECE_TABLE_BOUND distinct pieces is read
+        # once; from the first occurrence of any other piece on, every
+        # piece is read where it occurs, a kept one too
+        read = []
+        read_piece = model._read_piece
+        monkeypatch.setattr(
+            model, "_read_piece", lambda *args: read.append(args[-1]) or read_piece(*args)
+        )
+        kept = [f"u[{k}]d" for k in range(1, _PIECE_TABLE_BOUND + 1)]
+        text = "".join(kept * 2 + ["u[2000]d", "u[1]d", "u[2000]d"])
+        word = parse_steps(text, PathParams(1, 0), ColorSequence.constant(10**6))
+        assert to_steps(word) == text
+        assert read == kept + ["u[2000]d", "u[1]d", "u[2000]d"]
 
 
 # Characters of random step text: mostly step letters, so that some

@@ -3,19 +3,17 @@ imports colored_dyck.oracles, and loading the CLI loads none of them.
 They check their index arguments with the library's one check."""
 
 import importlib
-import os
 import pkgutil
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import colored_dyck
 from colored_dyck import ColorSequence, PathParams, count_recurrence, oracles
 from colored_dyck.errors import InvalidIndex
-from conftest import package_imports
+from conftest import package_imports, subprocess_env
 
 SERIES = count_recurrence(PathParams(1, 0), ColorSequence.ones(), 4)
 
@@ -32,15 +30,13 @@ def test_only_oracles_names_oracles():
 
 def test_cli_loads_no_oracle():
     # -S: no site hooks, so only the package's own imports are counted.
-    src = str(Path(colored_dyck.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
     code = (
         "import sys, colored_dyck.cli; "
         "print(sorted({'colored_dyck.oracles', 'fractions', 'json'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
@@ -75,3 +71,19 @@ def test_oracle_index_is_invalid_index(call, low, name, least):
     for value, message in ((2.0, f"need an integer {name}, got float"), (low, below)):
         with pytest.raises(InvalidIndex, match=f"^{re.escape(message)}$"):
             call(value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # SERIES holds y_0..y_4
+        (lambda: oracles.convolution_power_direct(SERIES, 2, 5),
+         "series must be defined through index 5"),
+        (lambda: oracles.step_lattice_count({(1, 1), (0, -1)}, 4), "steps must advance in x"),
+        (lambda: oracles.step_lattice_count({(-1, 1)}, 4), "steps must advance in x"),
+    ],
+    ids=["series-too-short", "step-in-place", "step-back"],
+)
+def test_oracle_argument_is_checked(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
