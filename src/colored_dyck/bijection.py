@@ -5,23 +5,23 @@ A nonempty word of index n corresponds uniquely to a tuple
 ell with its color, followed by the children words separated by single
 down steps.  compose builds the word from the tuple, decompose inverts
 it via the excess procedure, and enumerate_all lists the whole set in
-a fixed deterministic order.  The enumeration is one walk that memoizes
-every child index as strings, spelled in an alphabet its caller
-picks: enumerate_all spells each block as a one-character code, which
-it decodes into blocks; the CLI's plain listing spells each block as
-its step text, so each output line is a head's text and one of the
-walk's finished child strings, without a word object or a
-translation.  Every product of children, in the memo and in the
-groups the walk hands its callers, is formed in one place, by
-itertools.product and str.join.
+a fixed deterministic order.  The enumeration is one walk that counts
+every index by the convolution recurrence first, then memoizes every
+child index as strings, spelled in an alphabet its caller picks:
+enumerate_all spells each block as a one-character code, which it
+decodes into blocks; the CLI's plain listing spells each block as its
+step text, so each output line is a head's text and one of the walk's
+finished child strings, without a word object or a translation.
+Every product of children, in the memo and in the groups the walk
+hands its callers, is formed in one place, by itertools.product and
+str.join.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, compress, islice, product
-from math import prod
-from operator import sub
+from itertools import chain, combinations_with_replacement, count, islice, product
+from operator import mul, sub
 
 from .bell import _int_text, _need_index
 from .errors import EmptyWord, InvalidTuple, MalformedWord, ResourceLimit
@@ -175,7 +175,11 @@ def weak_compositions(total: int, parts: int):
     """Yield weak compositions of `total` into `parts` nonnegative
     integers in lexicographic order: stars and bars, cutting 0..total
     at each nondecreasing choice of parts - 1 points in turn.  Like
-    the rest of the body, the argument check runs at the first next()."""
+    the rest of the body, the argument check runs at the first next().
+
+    This is the oracle of _compositions, with which the walk lists
+    children: that yields those of these compositions whose parts all
+    have words, in the same order."""
     _need_index(total, 0, "total")
     _need_index(parts, 0, "parts")
     if parts == 0:
@@ -184,6 +188,83 @@ def weak_compositions(total: int, parts: int):
         return
     for cuts in combinations_with_replacement(range(total + 1), parts - 1):
         yield tuple(map(sub, (*cuts, total), (0, *cuts)))
+
+
+def _compositions(total: int, parts: int, forests):
+    """Yield the weak compositions of `total` into `parts` >= 1 parts
+    whose every part has words, lazily and in weak_compositions' order.
+
+    forests[q][s] is nonzero exactly when s is the sum of q parts that
+    have words, for q < parts and s <= total; forests[1] marks the
+    parts themselves, 0 among them (the empty word).  A part is chosen
+    only where the rest is such a sum, so no choice is a dead end, and
+    once the rest is 0 so is every later part.  There is one iterator
+    of choices per part, not one frame: no recursion, however many
+    parts."""
+    support = forests[1]
+    if parts == 1:
+        if support[total]:
+            yield (total,)
+        return
+    firsts = {}  # (q, s) -> the first parts, ascending, of q parts summing to s
+
+    def choices(q, s):
+        if (q, s) not in firsts:
+            rest = forests[q - 1]
+            firsts[q, s] = [p for p in range(s + 1) if support[p] and rest[s - p]]
+        return iter(firsts[q, s])
+
+    comp = [0] * parts
+    rests = [total] * parts  # rests[i]: the sum of parts i, i + 1, ...
+    stack = [choices(parts, total)]
+    while stack:
+        i = len(stack) - 1
+        p = next(stack[-1], None)
+        if p is None:
+            stack.pop()
+            continue
+        comp[i] = p
+        rest = rests[i] - p
+        if not rest or i + 2 == parts:
+            comp[i + 1 : -1] = [0] * (parts - i - 2)
+            comp[-1] = rest  # has words, as forests[1][rest] was read
+            yield tuple(comp)
+        else:
+            rests[i + 1] = rest
+            stack.append(choices(parts - i - 1, rest))
+
+
+def _forests(params: PathParams, color, most: int):
+    """The forest counts F_r(s) = [x^s] y^r, filled one index at a time.
+
+    Yields the table once per index m = 0, 1, 2, ..., after appending
+    y_m to its row 1, which is y itself (row 0 is y^0 = 1).  Index m
+    is the paper's convolution recurrence,
+
+        y_m = [m = 0] + sum_l c_l * F_(a*l+b)(m - l),
+
+    over the head sizes l <= min(m, most), with color(l) = c_l read in
+    turn.  Each row r >= 2 is y times row r - 1, and it is filled as
+    far as index m reads it, to s = m - l for the smallest head size l
+    with a*l + b >= r, which is as far as the rows above it read it in
+    turn: nothing is sized by an index not yet reached."""
+    a, b = params.a, params.b
+    y = []
+    forests = [[1], y]
+    for m in count():
+        total = 0 if m else 1
+        for ell in range(1, min(m, most) + 1):
+            s = m - ell
+            # the rows whose smallest head size is ell (row 1 is y)
+            for r in range(a * (ell - 1) + b + 1 if ell > 1 else 2, a * ell + b + 1):
+                if s:
+                    forests[r].append(sum(map(mul, y, forests[r - 1][s::-1])))
+                else:
+                    forests.append([1])
+            if c := color(ell):
+                total += c * forests[a * ell + b][s]
+        y.append(total)
+        yield forests
 
 
 # chr() names each integer below 0x110000, so the walk has at most
@@ -202,56 +283,50 @@ def _walk(
     block: chr(0) for a down step and chr(k) for rises[k].  Otherwise
     spell maps a list of blocks to their texts (model._step_texts with
     params bound, say), and a string is the concatenated texts of its
-    blocks.  Returns (rises, groups); groups yields pairs (head, tails)
-    in enumeration order, one per head and composition, where head is
-    the block tuple (Rise(ell, color),) (the empty tuple at n = 0) and
-    tails iterates the strings of that composition's children: each
-    word is head followed by one tail, in turn.
+    blocks.  Returns (rises, groups); groups is a generator of pairs
+    (head, tails) that together hold every word in enumeration order:
+    head is the block tuple (Rise(ell, color),) of index n's head (the
+    empty tuple at n = 0) and tails iterates strings, each word being
+    head followed by one tail, in turn.
 
-    Every index that a word of index n can hold as a child is memoized
-    as strings and counted against the cap, lowest first, before
-    this returns, so the lowest index over the cap is the one reported;
-    no other index is built or counted.  An index that only heads with
-    one child read (a link of a chain, as at a = 0, b = 1) leaves the
-    memo once no index still to be built reads it.  Nothing is yielded
-    from an index over the cap.  Index n is never held: each group
-    streams the product of one composition's memo lists.  Heads at
-    index n get no code: they may have more colors than characters.
+    Before this returns, the words are counted and every limit is
+    checked, with no word built.  _forests counts the words of each
+    index by the recurrence.  Every index that a word of index n can
+    hold as a child, and n itself, is checked against the cap, lowest
+    first, so the error names the lowest index over the cap; no other
+    index is checked.  The same pass gives out the codes, so going over
+    _CODE_LIMIT fails here too.  Each color is read once, in order, and
+    no head is larger than a polynomial coloring's degree.
+
+    groups builds those child indices lowest first, each memoized whole
+    as strings, one composition of children at a time.  It lists only
+    the compositions whose children all have words (_compositions).
+    Its first words come before the memo is whole.  The first
+    composition of index n's first head, color 1, is (0, ..., 0, L)
+    when index L has words; index L's is likewise, and so on down: a
+    chain.  Every word of the chain's deepest index, behind the chain's
+    text above it, is a word of index n, and these go out as soon as
+    that index is built (at once when it is index 0).  Each chain index
+    above it gives the words after its first group as soon as it is
+    built.  Index n's other groups follow the memo, and the walk stops
+    once y_n words are out.  An index that only heads with one child
+    read (a link of a chain, as at a = 0, b = 1) leaves the memo once
+    no index still to be built reads it.  Index n is never held: each
+    group streams the product of one composition's memo lists.  Heads
+    at index n get no code: they may have more colors than characters.
     """
     _need_index(n, 0, "n")
     _need_index(cap, 0, "cap")
+    a, b = params.a, params.b
     # No head is larger than a polynomial coloring's degree.
     form = colors.rational()
     most = len(form[0]) if form is not None and not form[1] else n
-    rises = [DOWN]
-    sep = "\0" if spell is None else spell(rises)[0]  # between children
-    letters: dict[int, list[str]] = {}  # ell -> Rise(ell, 1), ... spelled
-    # memo[m]: the string of every word of index m, in order.
-    memo: dict[int, list[str]] = {0: [""]}
+    known = [0]  # known[ell] = c_ell, once read
 
-    def tails(comp):
-        """D_1 ++ d ++ D_2 ++ ... ++ d ++ D_r for every choice of the
-        children of indices comp, in product order."""
-        return map(sep.join, product(*[memo[i] for i in comp]))
-
-    def plan(m):
-        """(ell, c_ell, compositions with words) for each head size
-        with words at index m, whose child indices are all built."""
-        heads = []
-        total = 0
-        for ell in range(1, min(m, most) + 1):
-            n_colors = colors.at(ell)
-            if n_colors < 1:
-                continue
-            comps = [*weak_compositions(m - ell, params.a * ell + params.b)]
-            counts = [prod(map(len, map(memo.__getitem__, comp))) for comp in comps]
-            comps = [*compress(comps, counts)]
-            total += n_colors * sum(counts)
-            if total > cap:
-                raise ResourceLimit(f"more than {cap} words at index {m}")
-            if comps:  # else no word has this head, however many colors
-                heads.append((ell, n_colors, comps))
-        return heads
+    def color(ell):
+        if ell >= len(known):
+            known.extend(map(colors.at, range(len(known), ell + 1)))
+        return known[ell]
 
     # The child indices, found from n down: every index up to top, and
     # those in single.  A head of size ell leaves children summing to
@@ -262,51 +337,114 @@ def _walk(
     while m > top:
         if m in single:
             for ell in range(1, min(m, most) + 1):
-                if colors.at(ell) > 0:
-                    if params.a * ell + params.b > 1 or ell == 1:
+                if color(ell) > 0:
+                    if a * ell + b > 1 or ell == 1:
                         top = max(top, m - ell)
                         break
                     single.add(m - ell)
                     reach = max(reach, ell)
         m -= 1
-    for m in range(1, n):
-        if reach:
-            # A chain: every head has one child, so index m and those
-            # above it read m - reach and up, never m - 1 - reach.
-            memo.pop(m - 1 - reach, None)
-        if m > top and m not in single:
+
+    def sizes(m):
+        """The head sizes with words at index m, ascending."""
+        return (
+            ell for ell in range(1, min(m, most) + 1)
+            if color(ell) and forests[a * ell + b][m - ell]
+        )
+
+    rises = [DOWN]
+    sep = "\0" if spell is None else spell(rises)[0]  # between children
+    letters: dict[int, list[str]] = {}  # ell -> Rise(ell, 1), ... spelled
+    for m, forests in zip(range(n + 1), _forests(params, color, most)):
+        if m != n and (m == 0 or m > top and m not in single):
             continue
-        words = []
-        for ell, n_colors, comps in plan(m):
+        if forests[1][m] > cap:
+            raise ResourceLimit(f"more than {cap} words at index {m}")
+        if m == n:
+            break
+        for ell in sizes(m):
             if ell not in letters:
+                n_colors = color(ell)
                 if len(rises) + n_colors > _CODE_LIMIT:
                     raise ResourceLimit(
                         f"more than {_CODE_LIMIT - 1} distinct rise blocks "
                         f"below index {n}"
                     )
-                new = [Rise(ell, color) for color in range(1, n_colors + 1)]
+                new = [Rise(ell, c) for c in range(1, n_colors + 1)]
                 codes = range(len(rises), len(rises) + n_colors)
                 letters[ell] = [*map(chr, codes)] if spell is None else spell(new)
                 rises.extend(new)
-            ends = []
-            for comp in comps:
-                ends.extend(tails(comp))
-            for letter in letters[ell]:
-                words.extend(map(letter.__add__, ends))
-        memo[m] = words
+    y = forests[1]
+    # memo[m]: the string of every word of index m, in order.
+    memo: dict[int, list[str]] = {0: [""]}
 
-    def groups(heads):
-        for ell, n_colors, comps in heads:
-            for color in range(1, n_colors + 1):
-                head = (Rise(ell, color),)
-                for comp in comps:
+    def tails(comp):
+        """D_1 ++ d ++ D_2 ++ ... ++ d ++ D_r for every choice of the
+        children of indices comp, in product order."""
+        return map(sep.join, product(*[memo[i] for i in comp]))
+
+    def groups():
+        if n == 0:
+            yield (), tails(())
+            return
+        left = y[n]
+        if not left:
+            return
+        # The chain of first compositions.  chain[m] is the length of
+        # the text above index m, and the number of words in m's first
+        # group, which the chain's deeper indices give (none at the
+        # deepest), for each chain index with words past that group.
+        # Every word of the chain starts with the head of index n's
+        # first group.
+        ell = next(sizes(n))
+        head = (Rise(ell, 1),)
+        pieces = [sep * (a * ell + b - 1)]
+        length, m, chain = len(pieces[0]), n - ell, {}
+        while y[m]:
+            ell = next(sizes(m), None)  # None at index 0
+            skip = y[m - ell] if ell else 0
+            if y[m] > skip:
+                chain[m] = length, skip
+            if not skip:
+                break
+            pieces.append(letters[ell][0] + sep * (a * ell + b - 1))
+            length += len(pieces[-1])
+            m -= ell
+        text = "".join(pieces)
+        if 0 in chain:
+            yield head, iter((text,))
+            left -= 1
+        for m in range(1, n):
+            if not left:
+                return
+            if reach:
+                # A chain: every head has one child, so index m and those
+                # above it read m - reach and up, never m - 1 - reach.
+                memo.pop(m - 1 - reach, None)
+            if m > top and m not in single:
+                continue
+            words = []
+            for ell in sizes(m):
+                ends = []
+                for comp in _compositions(m - ell, a * ell + b, forests):
+                    ends.extend(tails(comp))
+                for letter in letters[ell]:
+                    words.extend(map(letter.__add__, ends))
+            memo[m] = words
+            if m in chain:
+                length, skip = chain[m]
+                yield head, map(text[:length].__add__, islice(words, skip, None))
+                left -= len(words) - skip
+        first = 1 if chain else 0  # index n's first group went out with the chain
+        for ell in sizes(n):
+            comps = [*_compositions(n - ell, a * ell + b, forests)]
+            for c in range(1, color(ell) + 1):
+                head = (Rise(ell, c),)
+                for comp in islice(comps, first, None):
                     yield head, tails(comp)
+                first = 0
 
-    if n == 0:
-        if cap < 1:
-            raise ResourceLimit(f"more than {cap} words at index 0")
-        return rises, iter([((), tails(()))])
-    return rises, groups(plan(n))
+    return rises, groups()
 
 
 def enumerate_all(

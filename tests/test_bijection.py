@@ -2,9 +2,12 @@ import operator
 import random
 import re
 import tracemalloc
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colored_dyck import (
     DOWN,
@@ -32,7 +35,7 @@ from colored_dyck.errors import (
     NotDyck,
     ResourceLimit,
 )
-from colored_dyck.model import _block_net, _check_color
+from colored_dyck.model import _block_net, _check_color, _step_texts
 from conftest import HUGE, HUGE_TEXT, needs_int_digit_limit, random_block_word
 
 
@@ -75,6 +78,71 @@ class TestWeakCompositions:
     def test_many_parts_need_no_deep_recursion(self):
         assert list(weak_compositions(0, 5000)) == [(0,) * 5000]
         assert len(list(weak_compositions(1, 5000))) == 5000
+
+
+def sums_of_parts(support, parts):
+    """rows[q][s]: whether s <= len(support) - 1 is the sum of q parts
+    p with support[p], for q < max(parts, 2); rows[1] is support."""
+    rows = [[s == 0 for s in range(len(support))]]
+    for _ in range(1, max(parts, 2)):
+        below = rows[-1]
+        rows.append([
+            any(support[p] and below[s - p] for p in range(s + 1))
+            for s in range(len(support))
+        ])
+    return rows
+
+
+class TestCompositionsWithWords:
+    """bijection._compositions lists the weak compositions whose parts
+    all have words, pruned by the walk's forest table, and is checked
+    against weak_compositions filtered to those parts."""
+
+    @staticmethod
+    def filtered(total, parts, support):
+        with_words = {p for p, has in enumerate(support) if has}
+        return [c for c in weak_compositions(total, parts) if with_words.issuperset(c)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.integers(1, 12)), st.integers(0, 12), st.integers(1, 6))
+    def test_equals_weak_compositions_filtered(self, with_words, total, parts):
+        support = [p == 0 or p in with_words for p in range(total + 1)]
+        got = bijection._compositions(total, parts, sums_of_parts(support, parts))
+        assert list(got) == self.filtered(total, parts, support)
+
+    @pytest.mark.parametrize(
+        "with_words, total, parts",
+        [({2}, 3, 1), ({2}, 2, 1), ({2, 3}, 5, 2), ({3, 5}, 4, 3), ({1, 4}, 12, 6)],
+    )
+    def test_one_part_and_no_composition(self, with_words, total, parts):
+        support = [p == 0 or p in with_words for p in range(total + 1)]
+        got = list(bijection._compositions(total, parts, sums_of_parts(support, parts)))
+        assert got == self.filtered(total, parts, support)
+
+    @pytest.mark.parametrize("total, one_has_words", [(0, False), (1, False), (1, True)])
+    def test_1500_parts_need_no_recursion(self, total, one_has_words):
+        support = [True, one_has_words][: total + 1]
+        got = list(bijection._compositions(total, 1500, sums_of_parts(support, 1500)))
+        assert got == self.filtered(total, 1500, support)
+        assert len(got) == (1 if total == 0 else 1500 * one_has_words)
+
+
+class TestForestCounts:
+    def test_y_is_the_recurrence_and_each_row_its_power(self, params, colors):
+        # two implementations of y_m = sum_l c_l [x^(m-l)] y^(a l + b):
+        # the walk's forest table and count_recurrence; row r of the
+        # table is [x^s] y^r as far as it is filled
+        forests = next(islice(bijection._forests(params, colors.at, 30), 30, None))
+        y = forests[1]
+        assert y == list(count_recurrence(params, colors, 30).values)
+        power = [1] + [0] * 30
+        for row in forests[1:]:
+            power = [sum(map(mul, y, power[s::-1])) for s in range(31)]
+            assert row == power[: len(row)]
+        # row a*l + b is filled to s = 30 - l, what index 30 reads
+        for ell in range(1, 31):
+            if params.a * ell + params.b < len(forests):
+                assert len(forests[params.a * ell + params.b]) >= 31 - ell
 
 
 class TestCompose:
@@ -391,6 +459,23 @@ class TestEnumeration:
         colors = ColorSequence.explicit((0, 1))
         words = enumerate_all(PathParams(0, 1), colors, 1200)
         assert [w.blocks for w in words] == [(Rise(2, 1),) * 600]
+
+    def test_first_word_comes_before_the_memo(self):
+        # the first word of index 14 under (1, 0), c_j = 1, is a chain
+        # of size-1 heads with one child each: it goes out before the
+        # 742,900 words of index 13 are built, which take about 80 MB
+        params = PathParams(1, 0)
+        tracemalloc.start()
+        try:
+            rises, groups = bijection._walk(params, ONES, 14, cap=10**7)
+            head, tails = next(groups)
+            tail = next(tails)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        blocks = head + tuple(rises[ord(code)] for code in tail)
+        assert "".join(_step_texts(params, blocks)) == "u[1]d" * 14
 
     def test_chain_links_leave_the_memo_once_read(self):
         # each link of the chain at (0, 1), c = (0, 1) is read once, by

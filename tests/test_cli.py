@@ -503,6 +503,29 @@ class TestEnumerateSparseColorings:
             assert out.getvalue() == "".join(line(w) + "\n" for w in words)
 
 
+
+class TestNoErrorAfterOutput:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_cases(), st.integers(0, 12), st.data())
+    def test_every_word_or_a_resource_limit_and_nothing(self, case, n, data):
+        # the walk writes its first words before the memo is built, so
+        # every limit must be found before: with a cap near the count
+        # of any index up to n, a listing is whole or absent
+        params, prefix, tail, _ = case
+        spec = f"explicit:{','.join(map(str, prefix))}+tail:{tail}"
+        y = count_recurrence(params, parse_color_spec(spec), n).values
+        n = max(m for m in range(n + 1) if y[m] <= 3000)  # y_0 = 1
+        caps = sorted({max(0, y[m] + d) for m in range(n + 1) for d in (-1, 0, 1)})
+        cap = data.draw(st.sampled_from(caps))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*enumerate_argv(params, spec, n, "--cap", str(cap))])
+        if code == 0:
+            assert (len(out.getvalue().splitlines()), err.getvalue()) == (y[n], "")
+        else:
+            assert (code, out.getvalue()) == (1, "")
+            assert err.getvalue().startswith("ResourceLimit: more than ")
+
 class TestDecomposeValidate:
     def test_validate_ok(self, run):
         code, out, _ = run(
