@@ -312,8 +312,11 @@ def _walk(
     once y_n words are out.  An index that only heads with one child
     read (a link of a chain, as at a = 0, b = 1) leaves the memo once
     no index still to be built reads it.  Index n is never held: each
-    group streams the product of one composition's memo lists.  Heads
-    at index n get no code: they may have more colors than characters.
+    group streams the product of one composition's memo lists, and a
+    head of index n with one color streams its compositions too (one
+    with more colors lists them once, for every color reads them).
+    Heads at index n get no code: they may have more colors than
+    characters.
     """
     _need_index(n, 0, "n")
     _need_index(cap, 0, "cap")
@@ -437,7 +440,9 @@ def _walk(
                 left -= len(words) - skip
         first = 1 if chain else 0  # index n's first group went out with the chain
         for ell in sizes(n):
-            comps = [*_compositions(n - ell, a * ell + b, forests)]
+            comps = _compositions(n - ell, a * ell + b, forests)
+            if color(ell) > 1:  # each color reads them again
+                comps = [*comps]
             for c in range(1, color(ell) + 1):
                 head = (Rise(ell, c),)
                 for comp in islice(comps, first, None):

@@ -247,10 +247,37 @@ def _cmd_preset(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that keeps what _plain_args reads, through
+    argparse's public interface only: the arguments added to it in
+    order, each option by its option strings, the values given to
+    set_defaults, and its subcommands."""
+
+    def __init__(self, **kwargs):
+        # Before argparse's own __init__, which adds -h through add_argument.
+        self.arguments, self.options, self.fixed, self.commands = [], {}, {}, None
+        super().__init__(**kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.arguments.append(action)
+        self.options.update(dict.fromkeys(action.option_strings, action))
+        return action
+
+    def set_defaults(self, **kwargs):
+        super().set_defaults(**kwargs)
+        self.fixed.update(kwargs)
+
+    def add_subparsers(self, **kwargs):
+        # Its choices map each subcommand's name to its parser, a _Parser too.
+        self.commands = super().add_subparsers(**kwargs)
+        return self.commands
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built on the first call and then shared."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="colored-dyck",
         description="Count, generate, validate, and decompose colored Dyck paths.",
     )
@@ -301,8 +328,61 @@ def build_parser():
     return parser
 
 
+def _plain_args(argv: list):
+    """The Namespace of build_parser().parse_args(argv) when argv is a
+    plain command line, read from the parser's own actions; else None.
+
+    Plain: every token a str, the first a subcommand's name, the rest
+    that subcommand's positionals, in order, and exact `--option value`
+    pairs of its options, none twice and no value starting with "-".
+    A value is converted by its action's type and checked against its
+    choices, and every required argument must be given.  Anything else
+    (help, --opt=value, an abbreviation, "--", a negative number, a
+    value that its type or choices reject, a missing or extra argument)
+    is None: argparse parses it, with its own messages and exit codes."""
+    if not (argv and all(isinstance(token, str) for token in argv)):
+        return None
+    commands = build_parser().commands
+    command = commands.choices.get(argv[0])
+    if command is None:
+        return None
+    positionals = (action for action in command.arguments if not action.option_strings)
+    texts = {}  # action -> the token given for it
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            action = command.options.get(token)
+            token = next(tokens, "-")  # a missing value reads as an option
+            if action is None or action in texts or token.startswith("-"):
+                return None
+        elif (action := next(positionals, None)) is None:
+            return None
+        if action.nargs not in (None, "?"):  # -h, say: no value, or several
+            return None
+        texts[action] = token
+    values = {commands.dest: argv[0], **command.fixed}
+    for action in command.arguments:
+        if action.required and action not in texts:
+            return None
+        value = texts.get(action, action.default)
+        if value is argparse.SUPPRESS:  # -h's: no attribute
+            continue
+        if isinstance(value, str) and action.type is not None:  # a str default too
+            try:
+                value = action.type(value)
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                return None
+        if action in texts and action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         # Flush here so that a closed pipe is handled below, not at

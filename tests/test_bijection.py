@@ -497,6 +497,21 @@ class TestEnumeration:
         [word] = enumerate_all(params, colors, 3000)
         assert blocks == word.blocks == (Rise(2, 1),) * 1500
 
+    def test_one_color_heads_stream_their_compositions(self):
+        # at (60, 0), c_j = 1, index 3's size-1 head has C(62, 2) = 1891
+        # compositions into 61 children: held as one list of 61-tuples
+        # they peak near 1.1 MB, streamed near 80 KB
+        params = PathParams(60, 0)
+        tracemalloc.start()
+        try:
+            rises, groups = bijection._walk(params, ONES, 3, bijection.DEFAULT_ENUMERATION_CAP)
+            words = sum(sum(1 for _ in tails) for _, tails in groups)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400_000
+        assert words == count_recurrence(params, ONES, 3)[3] == 5551
+
     @pytest.mark.parametrize("prefix", [(0, 1, 1), (0, 0, 1, 2), (0, 1, 0, 3)])
     def test_chains_with_several_head_sizes(self, prefix):
         # at (0, 1) with c_1 = 0 every head has one child, so index m

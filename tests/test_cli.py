@@ -1,13 +1,17 @@
 import contextlib
 import functools
+import hashlib
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colored_dyck import bijection, cli, counting, sequences
@@ -819,3 +823,300 @@ class TestDeterminism:
             second = run(*case)
             assert first == second
             assert first[0] == 0
+
+
+# --- the plain command line, parsed without argparse ------------------
+
+INT_TEXT = st.integers(0, 40).map(str)
+COUNT_OPTIONS = ({"--a": INT_TEXT, "--b": INT_TEXT}, {
+    "--colors": st.sampled_from(
+        ["ones", "pow2", "catpair", "const:3", "explicit:1,1", "explicit:2,0,1+tail:1", "explicit:"]
+    )
+})
+WORDS = st.sampled_from(["ud", "uudd", "u[1]d", "u[2]dd", "udud", "x", ""])
+# Each subcommand: its required options, its other options, and its
+# positional with whether it is required; each with the values drawn.
+GRAMMAR = {
+    "count": ({**COUNT_OPTIONS[0], "--N": INT_TEXT}, {
+        **COUNT_OPTIONS[1],
+        "--route": st.sampled_from(["both", "recurrence", "bell"]),
+        "--format": st.sampled_from(["plain", "bfile", "jsonl"]),
+    }, None),
+    "peaks": ({**COUNT_OPTIONS[0], "--n": INT_TEXT}, COUNT_OPTIONS[1], None),
+    "enumerate": ({**COUNT_OPTIONS[0], "--n": INT_TEXT}, {
+        **COUNT_OPTIONS[1],
+        "--format": st.sampled_from(["plain", "jsonl"]),
+        "--cap": INT_TEXT,
+    }, None),
+    "decompose": (*COUNT_OPTIONS, (WORDS, False)),
+    "validate": (*COUNT_OPTIONS, (WORDS, False)),
+    "preset": ({}, {"--N": INT_TEXT, "--n": INT_TEXT, "--m": INT_TEXT},
+               (st.sampled_from(sorted(cli._PRESETS)), True)),
+}
+# Values of any option, the wrong ones among them.
+ANY_VALUE = st.sampled_from(
+    ["0", "3", "-1", "٣", "1_0", "+5", "x", "", "ones", "const:x", "const:-1",
+     "bell", "bfile", "jsonl", "mary", "ud"]
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A command line of one subcommand's grammar, options and
+    positional in any order, and the mutations made to it."""
+    name = draw(st.sampled_from(sorted(GRAMMAR)))
+    required, optional, positional = GRAMMAR[name]
+    chosen = [*required, *draw(st.sets(st.sampled_from(sorted(optional))))]
+    items = [[option, draw({**required, **optional}[option])] for option in chosen]
+    if positional and (positional[1] or draw(st.booleans())):
+        items.append([draw(positional[0])])
+    argv = [name, *itertools.chain.from_iterable(draw(st.permutations(items)))]
+    options = sorted({*required, *optional})
+    mutations = draw(st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=2))
+    for mutation in mutations:
+        argv = MUTATIONS[mutation](draw, argv, options)
+    return argv, mutations
+
+
+def _value_indices(argv):
+    return [i for i in range(1, len(argv)) if not str(argv[i]).startswith("-")]
+
+
+def _replace_value(values):
+    def mutate(draw, argv, options):
+        at = _value_indices(argv)
+        if at:
+            argv = [*argv]
+            argv[draw(st.sampled_from(at))] = draw(values)
+        return argv
+    return mutate
+
+
+def _insert(tokens):
+    def mutate(draw, argv, options):
+        at = draw(st.integers(1, len(argv)))
+        return [*argv[:at], *draw(tokens(options)), *argv[at:]]
+    return mutate
+
+
+def _option_token(rewrite):
+    def mutate(draw, argv, options):
+        at = [i for i in range(1, len(argv) - 1) if str(argv[i]).startswith("--")]
+        if not at:
+            return argv
+        i = draw(st.sampled_from(at))
+        return [*argv[:i], *rewrite(draw, argv[i], argv[i + 1]), *argv[i + 2:]]
+    return mutate
+
+
+def _drop_option(draw, argv, options):
+    at = [i for i in range(1, len(argv)) if str(argv[i]).startswith("--")]
+    if not at:
+        return argv[1:]  # no subcommand at all
+    i = draw(st.sampled_from(at))
+    return [*argv[:i], *argv[i + 2:]]
+
+
+def _non_str(draw, argv, options):
+    argv = [*argv]
+    argv[draw(st.integers(0, len(argv) - 1))] = draw(st.sampled_from([5, None, b"--a", 1.5]))
+    return argv
+
+
+MUTATIONS = {
+    "repeat": _insert(lambda options: st.tuples(st.sampled_from(options), ANY_VALUE)),
+    "equals": _option_token(lambda draw, option, value: [f"{option}={value}"]),
+    "abbreviation": _option_token(
+        lambda draw, option, value: [option[:draw(st.integers(3, max(3, len(option) - 1)))], value]
+    ),
+    "help": _insert(lambda options: st.tuples(st.sampled_from(["-h", "--help"]))),
+    "dashes": _insert(lambda options: st.just(("--",))),
+    "dash value": _replace_value(st.sampled_from(["-1", "-0", "-x", "-", "-ud"])),
+    "digits": _replace_value(st.sampled_from(["٣", "1_0", "+5", " 5"])),
+    "bad choice": _replace_value(st.sampled_from(["nope", "PLAIN", "Bell", "catalan"])),
+    "missing": _drop_option,
+    "positional": _insert(lambda options: st.tuples(st.sampled_from(["ud", "mary", "3"]))),
+    "subcommand": lambda draw, argv, options: [
+        draw(st.sampled_from(["coun", "Count", "-h", "--a", "", "peak"])), *argv[1:]
+    ],
+    "non-str": _non_str,
+}
+
+
+def argparse_namespace(argv):
+    """vars() of build_parser().parse_args(argv), or None where it
+    exits or fails, with its output dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except (SystemExit, Exception):  # a usage error, help, or a token not a str
+            return None
+
+
+class TestPlainArgs:
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    @given(command_lines())
+    @example((["preset", "-h", "mary"], ["help"]))  # help followed by a value
+    @example((["decompose", "--a", "1", "--b", "0", "--help", "ud"], ["help"]))
+    def test_same_namespace_as_argparse_or_none(self, drawn):
+        argv, mutations = drawn
+        plain = cli._plain_args(argv)
+        parsed = argparse_namespace(argv)
+        if plain is not None:
+            assert vars(plain) == parsed
+        elif not mutations:
+            # an unmutated draw is a plain command line
+            pytest.fail(f"not read as plain: {argv}")
+
+    def test_grammar_covers_every_subcommand(self):
+        assert set(GRAMMAR) == set(build_parser().commands.choices)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# Every command line that .github/workflows/tests.yml runs, with its
+# shell variables expanded, and the text it pipes to stdin.  A line
+# piped into `head -n 1` gets a stdout whose reader closes it.
+RISES = "".join(f"u[{k}]d" for k in range(1, 200001)) + "\n"
+WORKFLOW_LINES = {
+    "count --a 1 --b 0 --N 100": None,
+    "preset duchon --N 20": None,
+    "count --a 2 --b 1 --colors catpair --N 30": None,
+    "enumerate --a 1 --b 0 --n 11 | head -n 1": None,
+    "enumerate --a 1 --b 0 --n 13": None,
+    "enumerate --a 2 --b 1 --colors catpair --n 5": None,
+    "enumerate --a 2 --b 1 --colors catpair --n 5 --format jsonl": None,
+    "enumerate --a 1 --b 2 --colors explicit:1,1 --n 7 --format jsonl": None,
+    "enumerate --a 1 --b 0 --n 12 --format jsonl": None,
+    "decompose --a 1 --b 0": "ud" * 100000 + "\n",
+    "validate --a 1 --b 0 --colors const:1000000": RISES,
+    "decompose --a 1 --b 0 --colors const:1000000": RISES,
+    "enumerate --a 1500 --b 0 --n 1": None,
+    "enumerate --a 0 --b 1 --colors explicit:0,1 --n 1200": None,
+    "enumerate --a 0 --b 1 --colors explicit:0,1 --n 6000": None,
+    "count --a 0 --b 1 --colors explicit:0,1,1 --N 40": None,
+    "enumerate --a 0 --b 1 --colors explicit:0,1,1 --n 40": None,
+    "enumerate --a 3 --b 0 --colors explicit:0,0,0,0,0,1 --n 15": None,
+    "enumerate --a 3 --b 0 --colors explicit:0,0,0,0,0,1 --n 18": None,
+    "enumerate --a 3 --b 0 --colors explicit:0,0,0,0,0,1 --n 24": None,
+    "enumerate --a 1 --b 0 --n 15 --cap 100000000 | head -n 1": None,
+    "enumerate --a 1 --b 0 --n 100000000": None,
+    "count --a 1 --b 0 --N 100000000000000000000 --route recurrence": None,
+    "count --a 1 --b 0 --N 100000000000000000000": None,
+    "peaks --a 1 --b 0 --n 0": None,
+    "preset narayana --N 0": None,
+    "count --a 0 --b 0 --N 3": None,
+    "validate --a 1 --b 0": "u[" + "1" * 5000 + "]d\n",
+    "count --a 1 --b 0 --N 2000 --route recurrence": None,
+    "count --a 1500 --b 0 --N 200": None,
+    "count --a 5 --b 0 --colors catpair --N 500 --route recurrence": None,
+    "count --a 5 --b 0 --colors catpair --N 300 --route bell": None,
+    "count --a 5 --b 0 --colors catpair --N 500": None,
+    "count --a 2 --b 1 --colors catpair --N 400": None,
+    "peaks --a 5 --b 0 --colors catpair --n 500": None,
+    "preset motzkin --N 400": None,
+    "preset a052709 --N 300": None,
+    "preset a186997 --N 250": None,
+    "preset schroeder --N 200": None,
+    "preset duchon --N 100": None,
+    "preset narayana --n 100": None,
+    "preset mary --m 3 --N 100": None,
+    "count --a 1 --b 0 --colors const:1" + "0" * 100 + " --N 50": None,
+    "count --a 1 --b 0 --colors ones --N 5": None,
+}
+# The workflow's lines that argparse reads: usage errors, and the
+# abbreviation and --opt=value lines that must print what the plain
+# line does.
+WORKFLOW_ARGPARSE = [
+    "count --a 1 --b 0 --N -1",
+    "count --a -1 --b 0 --N 3",
+    "count --a 1 --b 0 --N 3 --colors const:-1",
+    "count --a 1 --b 0 --N 3 --colors explicit:1,-2",
+    "count --a 1 --b 0 --N ٣",
+    "count --a 1 --b 0 --N 1_0",
+    "count --a 1 --b 0 --N +5",
+    "count --a 1 --b 0 --col ones --N 5",
+    "count --a=1 --b=0 --N=5",
+]
+README_LINES = re.findall(r"^colored-dyck (.+)$", (ROOT / "README.md").read_text(), re.M)
+
+
+class _Pipe:
+    """A captured stdout, kept as a sha256 of its text.  With head, its
+    reader closes it after the first line, as `| head -n 1` does."""
+
+    def __init__(self, head):
+        self.sha, self.head, self.closed = hashlib.sha256(), head, False
+        self.fd = os.open(os.devnull, os.O_WRONLY)
+
+    def write(self, text):
+        if self.closed:
+            raise BrokenPipeError
+        self.sha.update(text.encode())
+        self.closed = self.head and "\n" in text
+        return len(text)
+
+    def fileno(self):
+        return self.fd  # main points it at devnull once the reader is gone
+
+
+def run_line(monkeypatch, line, stdin):
+    """(exit code, stdout sha256, stderr) of main on one command line."""
+    line, _, pipe = line.partition(" | ")
+    out, err = _Pipe(pipe == "head -n 1"), io.StringIO()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(line.split(" "))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.close(out.fd)
+    return code, out.sha.hexdigest(), err.getvalue()
+
+
+class TestPlainTraffic:
+    """The README's and the workflow's command lines: the plain ones are
+    read without argparse, and every one prints the same as through
+    argparse."""
+
+    def test_readme_has_six_examples(self):
+        assert len(README_LINES) == 6
+
+    def test_workflow_lines_are_listed(self):
+        # each colored-dyck line of the workflow with no shell variable
+        text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+        commands = "|".join(build_parser().commands.choices)
+        found = re.findall(rf"(?:colored-dyck|colored_dyck\.cli) ((?:{commands}) [^|>)\n]*)", text)
+        literal = {line.strip(" \\") for line in found if "$" not in line}
+        assert len(literal) > 20  # the pattern still finds them
+        listed = [*WORKFLOW_LINES, *WORKFLOW_ARGPARSE]
+        assert literal <= {line.partition(" | ")[0] for line in listed}
+
+    @pytest.mark.parametrize(
+        "line, stdin",
+        [*((line, None) for line in [*README_LINES, *WORKFLOW_ARGPARSE]), *WORKFLOW_LINES.items()],
+        ids=[*README_LINES, *WORKFLOW_ARGPARSE, *(line[:70] for line in WORKFLOW_LINES)],
+    )
+    def test_same_output_without_the_plain_path(self, monkeypatch, line, stdin):
+        argv = line.partition(" | ")[0].split(" ")
+        plain = cli._plain_args(argv)
+        assert (plain is None) == (line in WORKFLOW_ARGPARSE)
+        fast = run_line(monkeypatch, line, stdin)
+        monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
+        assert run_line(monkeypatch, line, stdin) == fast
+
+
+class TestMainReadsSysArgv:
+    def test_plain(self, monkeypatch, capsys):
+        argv = ["colored-dyck", "count", "--a", "1", "--b", "0", "--N", "3"]
+        monkeypatch.setattr(sys, "argv", argv)
+        assert main() == 0
+        assert capsys.readouterr() == ("1\n1\n2\n5\n", "")
+
+    def test_help(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["colored-dyck", "count", "--help"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: colored-dyck count ")
