@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, count, islice, product
-from operator import mul, sub
+from operator import sub
 
 from .bell import _int_text, _need_index
+from .counting import _conv_at
 from .errors import EmptyWord, InvalidTuple, MalformedWord, ResourceLimit
 from .model import (
     DOWN,
@@ -258,7 +259,7 @@ def _forests(params: PathParams, color, most: int):
             # the rows whose smallest head size is ell (row 1 is y)
             for r in range(a * (ell - 1) + b + 1 if ell > 1 else 2, a * ell + b + 1):
                 if s:
-                    forests[r].append(sum(map(mul, y, forests[r - 1][s::-1])))
+                    forests[r].append(_conv_at(y, forests[r - 1], s))
                 else:
                     forests.append([1])
             if c := color(ell):
@@ -324,7 +325,10 @@ def _walk(
     # No head is larger than a polynomial coloring's degree.
     form = colors.rational()
     most = len(form[0]) if form is not None and not form[1] else n
-    known = [0]  # known[ell] = c_ell, once read
+    # known[ell] = c_ell, once read.  Not functools.cache(colors.at):
+    # that builds its wrapper in Python code on every walk, which shows
+    # in a small walk's time to its first word.
+    known = [0]
 
     def color(ell):
         if ell >= len(known):

@@ -12,7 +12,6 @@ import functools
 import itertools
 import os
 import sys
-from contextlib import contextmanager
 
 from . import bijection, counting, model, sequences
 from .bell import _int_text
@@ -72,29 +71,35 @@ def _color_spec_arg(spec: str) -> model.ColorSequence:
 _color_spec_arg.__name__ = "parse_color_spec"
 
 
-def _add_common(parser):
-    parser.add_argument("--a", type=_plain_int, required=True)
-    parser.add_argument("--b", type=_plain_int, required=True)
-    parser.add_argument(
-        "--colors", type=_color_spec_arg, default=model.ColorSequence.ones()
-    )
-
-
 def _read_word_text(args) -> str:
     if args.word is not None:
         return args.word
     return sys.stdin.read()
 
 
-@contextmanager
-def _int_text_unlimited():
-    """Lift the interpreter's limit on int-to-str digits (4300 by
-    default) while output is formatted, so that a legal count of any
-    size is printed; argv is parsed with the limit in force."""
+# Output is written in pieces of about this many characters.
+_WRITE_CHARS = 1 << 16
+
+
+def _write_lines(lines) -> None:
+    """Write each line of lines to stdout, ending it with a newline: the
+    first at once, the rest in pieces of about _WRITE_CHARS characters, as
+    many lines to a piece as the first line's length gives.  The
+    interpreter's limit on int-to-str digits (4300 by default) is lifted
+    while lines are formed, so that a legal count of any size is
+    written; argv is parsed with the limit in force."""
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        yield
+        lines = iter(lines)
+        first = next(lines, None)
+        if first is None:
+            return
+        sys.stdout.write(first + "\n")
+        per_write = max(1, _WRITE_CHARS // (len(first) + 1))
+        # Each piece is its lines and an empty one, joined by newlines.
+        while len(piece := [*itertools.islice(lines, per_write), ""]) > 1:
+            sys.stdout.write("\n".join(piece))
     finally:
         sys.set_int_max_str_digits(saved)
 
@@ -116,23 +121,16 @@ def _cmd_count(args):
             print(f"route disagreement at n={n}: {values}", file=sys.stderr)
             return 1
         series = bell_series
-    with _int_text_unlimited():
-        line = _SERIES_LINE[args.format].format
-        print("\n".join(line(n=n, v=v) for n, v in enumerate(series.values)))
+    line = _SERIES_LINE[args.format].format
+    _write_lines(line(n=n, v=v) for n, v in enumerate(series.values))
     return 0
 
 
 def _cmd_peaks(args):
     params = model.PathParams(args.a, args.b)
     table = counting.peak_table(params, args.colors, args.n)
-    with _int_text_unlimited():
-        for k, count in enumerate(table, 1):
-            print(f"{k} {count}")
+    _write_lines(f"{k} {count}" for k, count in enumerate(table, 1))
     return 0
-
-
-# Output is written in pieces of about this many characters.
-_WRITE_CHARS = 1 << 16
 
 
 def _block_json(block) -> str:
@@ -169,15 +167,7 @@ def _cmd_enumerate(args):
         def lines(head, tails):
             return map("".join(spell(head)).__add__, tails)
 
-    out = itertools.chain.from_iterable(itertools.starmap(lines, groups))
-    first = next(out, None)
-    if first is None:
-        return 0
-    sys.stdout.write(first + "\n")
-    per_write = max(1, _WRITE_CHARS // (len(first) + 1))
-    # Each piece is its lines and an empty one, joined by newlines.
-    while len(piece := [*itertools.islice(out, per_write), ""]) > 1:
-        sys.stdout.write("\n".join(piece))
+    _write_lines(itertools.chain.from_iterable(itertools.starmap(lines, groups)))
     return 0
 
 
@@ -185,17 +175,15 @@ def _cmd_decompose(args):
     params = model.PathParams(args.a, args.b)
     word = model.parse_steps(_read_word_text(args), params, args.colors)
     t = bijection.decompose(word, params, args.colors)
-    print(f"ell {t.ell}")
-    print(f"color {t.color}")
-    for child in t.children:
-        print(f"child {model.to_steps(child)}".rstrip())
+    children = (f"child {model.to_steps(child)}".rstrip() for child in t.children)
+    _write_lines(itertools.chain((f"ell {t.ell}", f"color {t.color}"), children))
     return 0
 
 
 def _cmd_validate(args):
     params = model.PathParams(args.a, args.b)
     model.parse_steps(_read_word_text(args), params, args.colors)
-    print("valid")
+    _write_lines(["valid"])
     return 0
 
 
@@ -237,9 +225,7 @@ def _cmd_preset(args):
         for name, *fixed in forms
     ]
     rows = [(i, *(f(i) for f in closed), counts[i]) for i in range(1, top + 1)]
-    with _int_text_unlimited():
-        for row in rows:
-            print(" ".join(map(str, row)))
+    _write_lines(" ".join(map(str, row)) for row in rows)
     bad = [row[0] for row in rows if len(set(row[1:])) > 1]
     if bad:
         print(f"closed form disagreement at {where}{bad[0]}", file=sys.stderr)
@@ -247,134 +233,110 @@ def _cmd_preset(args):
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that keeps what _plain_args reads, through
-    argparse's public interface only: the arguments added to it in
-    order, each option by its option strings, the values given to
-    set_defaults, and its subcommands."""
-
-    def __init__(self, **kwargs):
-        # Before argparse's own __init__, which adds -h through add_argument.
-        self.arguments, self.options, self.fixed, self.commands = [], {}, {}, None
-        super().__init__(**kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        self.arguments.append(action)
-        self.options.update(dict.fromkeys(action.option_strings, action))
-        return action
-
-    def set_defaults(self, **kwargs):
-        super().set_defaults(**kwargs)
-        self.fixed.update(kwargs)
-
-    def add_subparsers(self, **kwargs):
-        # Its choices map each subcommand's name to its parser, a _Parser too.
-        self.commands = super().add_subparsers(**kwargs)
-        return self.commands
+# The CLI grammar, which build_parser and _plain_args both read.  Each
+# subcommand: its help, its function, and its arguments in order, each
+# as the flag (a positional's name) and the keywords add_argument takes.
+_COMMON = (
+    ("--a", {"type": _plain_int, "required": True}),
+    ("--b", {"type": _plain_int, "required": True}),
+    ("--colors", {"type": _color_spec_arg, "default": model.ColorSequence.ones()}),
+)
+_WORD = ("word", {"nargs": "?", "help": "step text; stdin if omitted"})
+_COMMANDS = {
+    "count": ("print y_0..y_N", _cmd_count, (
+        *_COMMON,
+        ("--N", {"type": _plain_int, "required": True}),
+        ("--route", {"choices": ("both", "recurrence", "bell"), "default": "both"}),
+        ("--format", {"choices": _SERIES_LINE, "default": "plain"}),
+    )),
+    "peaks": ("print the peak-refined counts for one n", _cmd_peaks, (
+        *_COMMON,
+        ("--n", {"type": _plain_int, "required": True}),
+    )),
+    "enumerate": ("list every word of index n", _cmd_enumerate, (
+        *_COMMON,
+        ("--n", {"type": _plain_int, "required": True}),
+        ("--format", {"choices": ("plain", "jsonl"), "default": "plain"}),
+        ("--cap", {"type": _plain_int, "default": bijection.DEFAULT_ENUMERATION_CAP}),
+    )),
+    "decompose": ("print the tuple of one word", _cmd_decompose, (*_COMMON, _WORD)),
+    "validate": ("check one word", _cmd_validate, (*_COMMON, _WORD)),
+    "preset": ("compare a named family to its colored count", _cmd_preset, (
+        ("name", {"choices": sorted(_PRESETS)}),
+        ("--N", {"type": _plain_int, "default": 8}),
+        ("--n", {"type": _plain_int, "help": "row index (narayana)"}),
+        ("--m", {"type": _plain_int, "default": 2, "help": "arity (mary)"}),
+    )),
+}
 
 
 @functools.cache
 def build_parser():
-    """The argument parser, built on the first call and then shared."""
-    parser = _Parser(
+    """The argument parser, built from _COMMANDS on the first call and
+    then shared.  Its commands attribute is the subparsers action, whose
+    choices map each subcommand's name to its parser."""
+    parser = argparse.ArgumentParser(
         prog="colored-dyck",
         description="Count, generate, validate, and decompose colored Dyck paths.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="print y_0..y_N")
-    _add_common(p)
-    p.add_argument("--N", type=_plain_int, required=True)
-    p.add_argument(
-        "--route", choices=("both", "recurrence", "bell"), default="both"
-    )
-    p.add_argument(
-        "--format", choices=_SERIES_LINE, default="plain"
-    )
-    p.set_defaults(func=_cmd_count, parser=p)
-
-    p = sub.add_parser("peaks", help="print the peak-refined counts for one n")
-    _add_common(p)
-    p.add_argument("--n", type=_plain_int, required=True)
-    p.set_defaults(func=_cmd_peaks, parser=p)
-
-    p = sub.add_parser("enumerate", help="list every word of index n")
-    _add_common(p)
-    p.add_argument("--n", type=_plain_int, required=True)
-    p.add_argument("--format", choices=("plain", "jsonl"), default="plain")
-    p.add_argument(
-        "--cap", type=_plain_int, default=bijection.DEFAULT_ENUMERATION_CAP
-    )
-    p.set_defaults(func=_cmd_enumerate, parser=p)
-
-    p = sub.add_parser("decompose", help="print the tuple of one word")
-    _add_common(p)
-    p.add_argument("word", nargs="?", help="step text; stdin if omitted")
-    p.set_defaults(func=_cmd_decompose, parser=p)
-
-    p = sub.add_parser("validate", help="check one word")
-    _add_common(p)
-    p.add_argument("word", nargs="?", help="step text; stdin if omitted")
-    p.set_defaults(func=_cmd_validate, parser=p)
-
-    p = sub.add_parser("preset", help="compare a named family to its colored count")
-    p.add_argument("name", choices=sorted(_PRESETS))
-    p.add_argument("--N", type=_plain_int, default=8)
-    p.add_argument("--n", type=_plain_int, help="row index (narayana)")
-    p.add_argument("--m", type=_plain_int, default=2, help="arity (mary)")
-    p.set_defaults(func=_cmd_preset, parser=p)
-
+    parser.commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, arguments) in _COMMANDS.items():
+        p = parser.commands.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func, parser=p)
     return parser
+
+
+# The option flags of each subcommand.
+_OPTIONS = {
+    name: {flag for flag, _ in arguments if flag.startswith("-")}
+    for name, (_, _, arguments) in _COMMANDS.items()
+}
 
 
 def _plain_args(argv: list):
     """The Namespace of build_parser().parse_args(argv) when argv is a
-    plain command line, read from the parser's own actions; else None.
+    plain command line, read from _COMMANDS; else None.
 
     Plain: every token a str, the first a subcommand's name, the rest
     that subcommand's positionals, in order, and exact `--option value`
     pairs of its options, none twice and no value starting with "-".
-    A value is converted by its action's type and checked against its
+    A value is converted by its argument's type and checked against its
     choices, and every required argument must be given.  Anything else
     (help, --opt=value, an abbreviation, "--", a negative number, a
     value that its type or choices reject, a missing or extra argument)
     is None: argparse parses it, with its own messages and exit codes."""
-    if not (argv and all(isinstance(token, str) for token in argv)):
+    if not (argv and all(isinstance(token, str) for token in argv) and argv[0] in _COMMANDS):
         return None
-    commands = build_parser().commands
-    command = commands.choices.get(argv[0])
-    if command is None:
-        return None
-    positionals = (action for action in command.arguments if not action.option_strings)
-    texts = {}  # action -> the token given for it
+    name, options = argv[0], _OPTIONS[argv[0]]
+    _, func, arguments = _COMMANDS[name]
+    positionals = (flag for flag, _ in arguments if not flag.startswith("-"))
+    texts = {}  # flag -> the token given for it
     tokens = iter(argv[1:])
     for token in tokens:
         if token.startswith("-"):
-            action = command.options.get(token)
-            token = next(tokens, "-")  # a missing value reads as an option
-            if action is None or action in texts or token.startswith("-"):
+            flag, token = token, next(tokens, "-")  # a missing value reads as an option
+            if flag not in options or flag in texts or token.startswith("-"):
                 return None
-        elif (action := next(positionals, None)) is None:
+        elif (flag := next(positionals, None)) is None:
             return None
-        if action.nargs not in (None, "?"):  # -h, say: no value, or several
-            return None
-        texts[action] = token
-    values = {commands.dest: argv[0], **command.fixed}
-    for action in command.arguments:
-        if action.required and action not in texts:
-            return None
-        value = texts.get(action, action.default)
-        if value is argparse.SUPPRESS:  # -h's: no attribute
-            continue
-        if isinstance(value, str) and action.type is not None:  # a str default too
+        texts[flag] = token
+    parser = build_parser().commands.choices[name]
+    values = {"command": name, "func": func, "parser": parser}
+    for flag, keywords in arguments:
+        if flag in texts:
             try:
-                value = action.type(value)
+                value = keywords.get("type", str)(texts[flag])
             except (ValueError, TypeError, argparse.ArgumentTypeError):
                 return None
-        if action in texts and action.choices is not None and value not in action.choices:
-            return None
-        values[action.dest] = value
+            if value not in keywords.get("choices", (value,)):
+                return None
+        elif keywords.get("required", not flag.startswith("-") and "nargs" not in keywords):
+            return None  # a positional is required unless its nargs is "?"
+        else:
+            value = keywords.get("default")
+        values[flag.lstrip("-")] = value
     return argparse.Namespace(**values)
 
 
@@ -397,6 +359,7 @@ def main(argv=None) -> int:
         # devnull so that the flush at interpreter exit stays quiet.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 0
     except NonIntegerTerm as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

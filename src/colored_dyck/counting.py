@@ -138,13 +138,15 @@ def _conv_at(u, v, i: int) -> int:
 
     The one convolution kernel of this module; both sequences must be
     defined through index i.  A square (u is v) sums each pair of
-    distinct indices once and doubles it, in half the products.
+    distinct indices once and doubles it, in half the products.  map
+    stops with its shorter argument, the reversed slice, so u is read
+    in place, not copied.
     """
     if u is v:
         h = (i + 1) // 2  # the pairs t < i - t
-        total = 2 * sum(map(mul, u[:h], u[i : i - h : -1]))
+        total = 2 * sum(map(mul, u, u[i : i - h : -1]))
         return total + u[h] * u[h] if i % 2 == 0 else total
-    return sum(map(mul, u[: i + 1], v[i::-1]))
+    return sum(map(mul, u, v[i::-1]))
 
 
 def _miller_at(y, ky, z, e: int, m: int) -> int:

@@ -282,6 +282,30 @@ def test_closed_stdout_exits_quietly():
     assert err == b""
 
 
+def test_closed_stdout_leaves_no_descriptor_open(monkeypatch):
+    # In process, main points stdout at devnull and closes the
+    # descriptor it opened for that; each _Pipe closes its own.
+    opened = []
+    os_open = os.open
+
+    def recorded(*args):
+        opened.append(os_open(*args))
+        return opened[-1]
+
+    monkeypatch.setattr(os, "open", recorded)
+    for _ in range(5):
+        out = _Pipe(head=True)
+        try:
+            with contextlib.redirect_stdout(out):
+                assert main(["enumerate", "--a", "1", "--b", "0", "--n", "8"]) == 0
+        finally:
+            os.close(out.fd)
+    assert len(opened) == 10
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
 class TestPeaks:
     def test_narayana_row(self, run):
         code, out, _ = run(
@@ -694,22 +718,12 @@ class TestPreset:
 
 
 class TestParser:
-    def test_built_once(self, run, monkeypatch):
-        # _add_common runs once per subcommand that takes --a/--b/--colors
-        # each time the parser is built.
+    def test_built_once(self, run):
         build_parser.cache_clear()
-        calls = []
-        add_common = cli._add_common
-
-        def counted(parser):
-            calls.append(parser.prog)
-            add_common(parser)
-
-        monkeypatch.setattr(cli, "_add_common", counted)
         for _ in range(3):
             assert run("count", "--a", "1", "--b", "0", "--N", "2")[0] == 0
         assert run("preset", "motzkin", "--N", "2")[0] == 0
-        assert len(calls) == 5
+        assert build_parser.cache_info().misses == 1
 
     def test_no_state_between_calls(self, run):
         code, out, _ = run(
@@ -823,6 +837,69 @@ class TestDeterminism:
             second = run(*case)
             assert first == second
             assert first[0] == 0
+
+
+BIG = "const:1" + "0" * 100  # y_50 has more than 4300 digits
+
+
+class TestStdoutPinned:
+    """The sha256 of stdout of one command line per subcommand and
+    format, each recorded before the subcommands shared one writer."""
+
+    DIGESTS = {
+        "count --a 2 --b 1 --colors catpair --N 30":
+            "22c57c1cf5aeebb6fd77a912ae65f23964fcab97f2822f86a00cba46df5dafd0",
+        "count --a 1 --b 0 --colors pow2 --N 25 --format bfile":
+            "29c74cf509644f4cea3ee3b11341ca1fabec5533727ee5e1f89cdae007ff8817",
+        "count --a 1 --b 1 --colors explicit:1,2+tail:3 --N 25 --format jsonl":
+            "01f748b58e2bea3a9a877740a3f39c9cf71e4738d2ce8033f00a6134d71e8100",
+        f"count --a 1 --b 0 --colors {BIG} --N 50":
+            "cfc07d43a4981b7c0767e5438af496ba3570d0b12a89d3ad4d001bd4aa08e392",
+        f"count --a 1 --b 0 --colors {BIG} --N 50 --format bfile":
+            "6aff15cd0db614e9abe8da808e12e2a15e13bdd8845a2642a99b65316e90892c",
+        f"count --a 1 --b 0 --colors {BIG} --N 50 --format jsonl":
+            "257c29c5fdd961f1a0c2804acb9210a926e40d6bc5128c4c4575a1a00df76f5e",
+        "peaks --a 5 --b 0 --colors catpair --n 40":
+            "1565b68cdcfac24a359a6987ce727d9b145f969fca624cda25b30a8283797bdc",
+        "preset narayana --n 12":
+            "4650890b6dcf83f51d911266d0d765802b3256e9673cc796f46f3d0801c0da2f",
+        "enumerate --a 1 --b 0 --colors pow2 --n 7":
+            "de2ef26b31644b5c88558e28cc961ba33edd8ca5bdff6d650396743c0bdf7ddb",
+        "enumerate --a 2 --b 1 --colors catpair --n 3 --format jsonl":
+            "9366c482e82695ddbe605449e75b474c35879956a1494cb57fe355bb081d3b4b",
+        "decompose --a 1 --b 0 --colors pow2 uu[2]dduu[1]ddud":
+            "b841636da427e7a928ce201ede7cef59eb6d92d5a9f3c8b77270d738df592d5f",
+        "validate --a 1 --b 0 --colors pow2 uu[2]dduu[1]ddud":
+            "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268",
+    }
+
+    @staticmethod
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    @needs_int_digit_limit
+    @pytest.mark.parametrize("line", DIGESTS, ids=lambda line: line.replace(BIG, "const:1e100"))
+    def test_stdout(self, run, line):
+        code, out, err = run(*line.split(" "))
+        assert (code, self.sha(out), err) == (0, self.DIGESTS[line], "")
+
+    def test_preset_disagreement(self, run, monkeypatch):
+        # the rows are printed, then the first bad index, with exit 1
+        alt = sequences.duchon_alt
+        monkeypatch.setattr(sequences, "duchon_alt", lambda n: alt(n) + (n == 3))
+        code, out, err = run("preset", "duchon", "--N", "12")
+        assert (code, self.sha(out), err) == (
+            1,
+            "630053f7591ddf3e34a353dd20e52b1b1bf09ebb97c768610c49e8744f2b581d",
+            "closed form disagreement at n=3\n",
+        )
+
+    def test_count_writes_its_first_line_alone(self, monkeypatch):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys.stdout, "write", writes.append)
+        assert main(["count", "--a", "1", "--b", "0", "--N", "5"]) == 0
+        assert writes == ["1\n", "1\n2\n5\n14\n42\n"]
 
 
 # --- the plain command line, parsed without argparse ------------------
@@ -982,6 +1059,8 @@ WORKFLOW_LINES = {
     "preset duchon --N 20": None,
     "count --a 2 --b 1 --colors catpair --N 30": None,
     "enumerate --a 1 --b 0 --n 11 | head -n 1": None,
+    "count --a 1 --b 0 --N 500 | head -n 1": None,
+    "peaks --a 1 --b 0 --n 300 | head -n 1": None,
     "enumerate --a 1 --b 0 --n 13": None,
     "enumerate --a 2 --b 1 --colors catpair --n 5": None,
     "enumerate --a 2 --b 1 --colors catpair --n 5 --format jsonl": None,
