@@ -34,6 +34,7 @@ from .model import (
     Rise,
     _check_colors,
     _colors_checked,
+    _Table,
     _trusted_word,
 )
 
@@ -207,17 +208,18 @@ def _compositions(total: int, parts: int, forests):
         if support[total]:
             yield (total,)
         return
-    firsts = {}  # (q, s) -> the first parts, ascending, of q parts summing to s
 
-    def choices(q, s):
-        if (q, s) not in firsts:
-            rest = forests[q - 1]
-            firsts[q, s] = [p for p in range(s + 1) if support[p] and rest[s - p]]
-        return iter(firsts[q, s])
+    def firsts(key):
+        """The first parts, ascending, of q parts summing to s, for key
+        (q, s)."""
+        q, s = key
+        rest = forests[q - 1]
+        return [p for p in range(s + 1) if support[p] and rest[s - p]]
 
+    choices = _Table(firsts)
     comp = [0] * parts
     rests = [total] * parts  # rests[i]: the sum of parts i, i + 1, ...
-    stack = [choices(parts, total)]
+    stack = [iter(choices[parts, total])]
     while stack:
         i = len(stack) - 1
         p = next(stack[-1], None)
@@ -232,7 +234,7 @@ def _compositions(total: int, parts: int, forests):
             yield tuple(comp)
         else:
             rests[i + 1] = rest
-            stack.append(choices(parts - i - 1, rest))
+            stack.append(iter(choices[parts - i - 1, rest]))
 
 
 def _forests(params: PathParams, color, most: int):
@@ -296,8 +298,9 @@ def _walk(
     hold as a child, and n itself, is checked against the cap, lowest
     first, so the error names the lowest index over the cap; no other
     index is checked.  The same pass gives out the codes, so going over
-    _CODE_LIMIT fails here too.  Each color is read once, in order, and
-    no head is larger than a polynomial coloring's degree.
+    _CODE_LIMIT fails here too.  Each c_j is read once per walk, at its
+    first use, into a model._Table, and no head is larger than a
+    polynomial coloring's degree.
 
     groups builds those child indices lowest first, each memoized whole
     as strings, one composition of children at a time.  It lists only
@@ -325,15 +328,8 @@ def _walk(
     # No head is larger than a polynomial coloring's degree.
     form = colors.rational()
     most = len(form[0]) if form is not None and not form[1] else n
-    # known[ell] = c_ell, once read.  Not functools.cache(colors.at):
-    # that builds its wrapper in Python code on every walk, which shows
-    # in a small walk's time to its first word.
-    known = [0]
-
-    def color(ell):
-        if ell >= len(known):
-            known.extend(map(colors.at, range(len(known), ell + 1)))
-        return known[ell]
+    # color[ell] = c_ell, read once per walk, at the first use of ell.
+    color = _Table(colors.at)
 
     # The child indices, found from n down: every index up to top, and
     # those in single.  A head of size ell leaves children summing to
@@ -344,7 +340,7 @@ def _walk(
     while m > top:
         if m in single:
             for ell in range(1, min(m, most) + 1):
-                if color(ell) > 0:
+                if color[ell] > 0:
                     if a * ell + b > 1 or ell == 1:
                         top = max(top, m - ell)
                         break
@@ -356,13 +352,13 @@ def _walk(
         """The head sizes with words at index m, ascending."""
         return (
             ell for ell in range(1, min(m, most) + 1)
-            if color(ell) and forests[a * ell + b][m - ell]
+            if color[ell] and forests[a * ell + b][m - ell]
         )
 
     rises = [DOWN]
     sep = "\0" if spell is None else spell(rises)[0]  # between children
     letters: dict[int, list[str]] = {}  # ell -> Rise(ell, 1), ... spelled
-    for m, forests in zip(range(n + 1), _forests(params, color, most)):
+    for m, forests in zip(range(n + 1), _forests(params, color.__getitem__, most)):
         if m != n and (m == 0 or m > top and m not in single):
             continue
         if forests[1][m] > cap:
@@ -371,7 +367,7 @@ def _walk(
             break
         for ell in sizes(m):
             if ell not in letters:
-                n_colors = color(ell)
+                n_colors = color[ell]
                 if len(rises) + n_colors > _CODE_LIMIT:
                     raise ResourceLimit(
                         f"more than {_CODE_LIMIT - 1} distinct rise blocks "
@@ -445,9 +441,9 @@ def _walk(
         first = 1 if chain else 0  # index n's first group went out with the chain
         for ell in sizes(n):
             comps = _compositions(n - ell, a * ell + b, forests)
-            if color(ell) > 1:  # each color reads them again
+            if color[ell] > 1:  # each color reads them again
                 comps = [*comps]
-            for c in range(1, color(ell) + 1):
+            for c in range(1, color[ell] + 1):
                 head = (Rise(ell, c),)
                 for comp in islice(comps, first, None):
                     yield head, tails(comp)

@@ -72,9 +72,7 @@ _color_spec_arg.__name__ = "parse_color_spec"
 
 
 def _read_word_text(args) -> str:
-    if args.word is not None:
-        return args.word
-    return sys.stdin.read()
+    return sys.stdin.read() if args.word is None else args.word
 
 
 # Output is written in pieces of about this many characters.
@@ -83,23 +81,28 @@ _WRITE_CHARS = 1 << 16
 
 def _write_lines(lines) -> None:
     """Write each line of lines to stdout, ending it with a newline: the
-    first at once, the rest in pieces of about _WRITE_CHARS characters, as
-    many lines to a piece as the first line's length gives.  The
-    interpreter's limit on int-to-str digits (4300 by default) is lifted
-    while lines are formed, so that a legal count of any size is
-    written; argv is parsed with the limit in force."""
+    first at once, then batches of as many lines as the last line
+    written fits in _WRITE_CHARS characters.  A batch longer than
+    2 * _WRITE_CHARS, as where lines grow, goes out in pieces that each
+    end at the first line end past _WRITE_CHARS, so no write after the
+    first is longer than 2 * _WRITE_CHARS unless one line is longer
+    than _WRITE_CHARS.  The interpreter's limit on int-to-str digits
+    (4300 by default) is lifted while lines are formed, so that a legal
+    count of any size is written; argv is parsed with the limit in
+    force."""
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        lines = iter(lines)
-        first = next(lines, None)
-        if first is None:
-            return
-        sys.stdout.write(first + "\n")
-        per_write = max(1, _WRITE_CHARS // (len(first) + 1))
-        # Each piece is its lines and an empty one, joined by newlines.
-        while len(piece := [*itertools.islice(lines, per_write), ""]) > 1:
-            sys.stdout.write("\n".join(piece))
+        lines, per_write = iter(lines), 1
+        # Each batch is its lines and an empty one, joined by newlines.
+        while len(batch := [*itertools.islice(lines, per_write), ""]) > 1:
+            text, start = "\n".join(batch), 0
+            while len(text) - start > 2 * _WRITE_CHARS:
+                end = text.find("\n", start + _WRITE_CHARS) + 1
+                sys.stdout.write(text[start:end])
+                start = end
+            sys.stdout.write(text[start:])
+            per_write = max(1, _WRITE_CHARS // (len(batch[-2]) + 1))
     finally:
         sys.set_int_max_str_digits(saved)
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, chain, islice
-from math import comb
+from itertools import accumulate, chain
+from math import comb, inf
 
 from .bell import _int_text, _need_index, exact_div
 from .errors import (
@@ -292,21 +292,36 @@ def _check_color(j: int, color: int, colors: ColorSequence) -> None:
         )
 
 
+class _Table(dict):
+    """key -> make(key), made at the key's first read and kept while the
+    table holds fewer than bound entries; past that, a key that is not
+    kept is made again at each read.  A kept key is read as a plain
+    dict lookup.  The piece, rise and c_j caches of model and bijection
+    are all of this type."""
+
+    __slots__ = ("make", "bound")
+
+    def __init__(self, make, bound=inf):
+        self.make, self.bound = make, bound
+
+    def __missing__(self, key):
+        value = self.make(key)
+        if len(self) < self.bound:
+            self[key] = value
+        return value
+
+
 def _check_colors(blocks, colors: ColorSequence) -> None:
     """Raise what _check_color raises for the first Rise in `blocks`
     whose color is out of range.
 
-    Each c_j is read once per call, into a table of the sizes met: the
+    Each c_j is read once per call, at the first rise of size j: the
     rises of a word of index n have at most sqrt(2n) distinct sizes.
     """
-    limits = {}
+    limits = _Table(colors.at)
     for block in blocks:
-        if isinstance(block, Rise):
-            limit = limits.get(block.j)
-            if limit is None:
-                limit = limits[block.j] = colors.at(block.j)
-            if not 1 <= block.color <= limit:
-                _check_color(block.j, block.color, colors)
+        if isinstance(block, Rise) and not 1 <= block.color <= limits[block.j]:
+            _check_color(block.j, block.color, colors)
 
 
 def validate_colors(word: ColoredDyckWord, colors: ColorSequence) -> None:
@@ -316,20 +331,23 @@ def validate_colors(word: ColoredDyckWord, colors: ColorSequence) -> None:
         _check_colors(word.blocks, colors)
 
 
-# The most distinct pieces (of step text, or rises) that to_steps and
-# parse_steps keep in one call.  A word repeats a few pieces many times
-# and stays far below it; on a word whose pieces are all distinct it
-# caps the kept entries.
+# The bound of the piece tables (_Table) of one call: parse_steps'
+# pieces, their nets and its rises, and to_steps' colors of each size.
+# A word repeats a few pieces many times and stays far below it; on a
+# word whose pieces are all distinct it caps each table, and a piece a
+# full table does not hold is made again wherever it occurs.
 _PIECE_TABLE_BOUND = 1024
+
+
+def _rise_template(params: PathParams, j: int) -> str:
+    """The step text of Rise(j, color) with "{}" in place of color."""
+    return f"{'u' * ((params.a + params.b) * j)}[{{}}]{'d' * (params.b * (j - 1) + 1)}"
 
 
 def _step_texts(params: PathParams, blocks) -> list[str]:
     """The step text of each block, in order."""
-    period, b = params.a + params.b, params.b
     return [
-        f"{'u' * (period * block.j)}[{block.color}]{'d' * (b * (block.j - 1) + 1)}"
-        if isinstance(block, Rise)
-        else "d"
+        _rise_template(params, block.j).format(block.color) if isinstance(block, Rise) else "d"
         for block in blocks
     ]
 
@@ -338,29 +356,19 @@ def to_steps(word: ColoredDyckWord) -> str:
     """Serialize to step text over {u, d}.
 
     The color annotation "[k]" sits at the ascent/descent boundary of
-    each Rise block and is always emitted.  Under the policy of _made,
-    each of the first _PIECE_TABLE_BOUND distinct (j, color)
-    is spelled by _step_texts once per call and its text reused where
-    it repeats; from the first rise past them on, the rest of the word
-    is spelled in one _step_texts call.
+    each Rise block and is always emitted.  spelled[j][color] is the
+    text of Rise(j, color): each size's template is made once per call,
+    at its first rise, and each size's table keeps the texts of its
+    first _PIECE_TABLE_BOUND colors, so a repeated rise is two dict
+    lookups; past the bound a color not kept is spelled, by the
+    template's format, wherever it occurs.
     """
-    params, blocks = word.params, word.blocks
-    down, = _step_texts(params, (DOWN,))
-    spelled: dict[tuple[int, int], str] = {}
-    texts = []
-    for block in blocks:
-        if isinstance(block, Rise):
-            text = spelled.get((block.j, block.color))
-            if text is None:
-                if len(spelled) == _PIECE_TABLE_BOUND:
-                    texts += _step_texts(params, blocks[len(texts):])
-                    break
-                text, = _step_texts(params, (block,))
-                spelled[block.j, block.color] = text
-            texts.append(text)
-        else:
-            texts.append(down)
-    return "".join(texts)
+    params = word.params
+    spelled = _Table(lambda j: _Table(_rise_template(params, j).format, _PIECE_TABLE_BOUND))
+    return "".join([
+        spelled[block.j][block.color] if isinstance(block, Rise) else "d"
+        for block in word.blocks
+    ])
 
 
 # One match per piece of step text: a rise (ascent, boundary annotation,
@@ -385,32 +393,21 @@ def _positive(digits: str) -> int:
     return color
 
 
-def _piece_nets(pieces: list) -> list[int]:
-    """Up steps less down steps of each piece of step text, or
-    MalformedAnnotation for the first that is a stray character."""
-    stray = next((p for p in pieces if len(p) == 1 and p not in "ud"), "")
-    if stray:
-        raise MalformedAnnotation(f"unexpected character {stray!r}")
-    return [p.count("u") - p.count("d") for p in pieces]
+def _piece_net(piece: str) -> int:
+    """Up steps less down steps of a piece of step text, or
+    MalformedAnnotation if the piece is a stray character."""
+    if len(piece) == 1 and piece not in "ud":
+        raise MalformedAnnotation(f"unexpected character {piece!r}")
+    return piece.count("u") - piece.count("d")
 
 
-def _made(make, pieces: list, distinct: dict):
-    """What make gives for each of pieces, in order, under the one
-    piece-table policy of to_steps and parse_steps; make maps a list of
-    pieces to their values, in order.  distinct holds the pieces in the
-    order of their first occurrence, all of them or more than
-    _PIECE_TABLE_BOUND.  The first _PIECE_TABLE_BOUND are kept: each is
-    made once, first, and reused up to the cut, the first occurrence of
-    any other piece; from the cut on, each piece is made where it
-    occurs.  Every kept piece first occurs before the cut, and every
-    piece before it is kept, so make meets a piece only where every
-    earlier piece has been made: its errors come in text order."""
-    kept = [*islice(distinct, _PIECE_TABLE_BOUND)]
-    table = dict(zip(kept, make(kept)))
-    if len(distinct) <= _PIECE_TABLE_BOUND:
-        return map(table.__getitem__, pieces)
-    cut = pieces.index(next(islice(distinct, _PIECE_TABLE_BOUND, None)))
-    return chain(map(table.__getitem__, pieces[:cut]), make(pieces[cut:]))
+def _unchecked_rise(rise: tuple[int, int]) -> Rise:
+    """The Rise whose (j, color) is rise, without the checks of Rise,
+    which every j and color that _read_piece reads pass."""
+    block = object.__new__(Rise)
+    object.__setattr__(block, "j", rise[0])
+    object.__setattr__(block, "color", rise[1])
+    return block
 
 
 def _read_piece(
@@ -418,9 +415,8 @@ def _read_piece(
 ) -> tuple:
     """The blocks of one piece of letter-balanced step text, or the
     piece's first grammar or color error.  limits (j -> c_j) and rises
-    ((j, color) -> its Rise, at most _PIECE_TABLE_BOUND of them) are the
-    caller's tables for one parse, so that each c_j is read once and a
-    repeated Rise built once."""
+    ((j, color) -> its Rise) are the caller's tables for one parse, so
+    that each c_j is read once and a repeated Rise built once."""
     ups, boundary, downs, late, run, misplaced, _ = _PIECE.fullmatch(piece).groups("")
     rise, downs_after = (), len(run)
     if ups:  # a maximal ascent
@@ -444,20 +440,9 @@ def _read_piece(
         # descent run instead of at the ascent/descent boundary.
         if late and not boundary and extra == 0:
             color, late = _positive(late), ""
-        limit = limits.get(j)
-        if limit is None:
-            limit = limits[j] = colors.at(j)
-        if color > limit:  # color >= 1 already
+        if color > limits[j]:  # color >= 1 already
             _check_color(j, color, colors)
-        block = rises.get((j, color))
-        if block is None:
-            # Rise(j, color) without its checks, which j and color pass
-            block = object.__new__(Rise)
-            object.__setattr__(block, "j", j)
-            object.__setattr__(block, "color", color)
-            if len(rises) < _PIECE_TABLE_BOUND:
-                rises[j, color] = block
-        rise, downs_after = (block,), downs_after + extra
+        rise, downs_after = (rises[j, color],), downs_after + extra
     if late or misplaced:
         raise MalformedAnnotation("annotation not at an ascent/descent boundary")
     return rise + (DOWN,) * downs_after
@@ -475,26 +460,25 @@ def parse_steps(text: str, params: PathParams, colors: ColorSequence) -> Colored
 
     The text is split into pieces (a rise with its annotations and
     descent run, a down run, an annotation, or a stray character), and
-    each check is one pass over them, in text order, under the policy
-    of _made: a repeated piece is checked and read once per call, up to
-    _PIECE_TABLE_BOUND distinct pieces.  The word carries colors: its
-    every rise has just been checked.
+    each check is one pass over them, in text order.  Each distinct
+    piece is checked and read at its first occurrence, and kept in a
+    _Table, up to _PIECE_TABLE_BOUND of them, so a kept piece is read
+    once per call; a piece past the bound is read where it occurs.  The
+    word carries colors: its every rise has just been checked.
     """
     pieces = _PIECE_TEXT.findall(text.strip())
-    # A prefix with more distinct pieces than the table keeps is enough.
-    distinct = dict.fromkeys(pieces[: 2 * _PIECE_TABLE_BOUND])
-    if len(distinct) <= _PIECE_TABLE_BOUND:
-        distinct.update(dict.fromkeys(pieces[2 * _PIECE_TABLE_BOUND :]))
     # The pass over every piece finds a stray character before the
     # Dyck property on the bare letters, before any grammar checks.
-    if min(accumulate(_made(_piece_nets, pieces, distinct)), default=0) < 0:
+    nets = _Table(_piece_net, _PIECE_TABLE_BOUND)
+    if min(accumulate(map(nets.__getitem__, pieces)), default=0) < 0:
         raise NotDyck("prefix has more d's than u's")
     up_steps = text.count("u")
     if up_steps != text.count("d"):
         raise NotDyck("unbalanced word")
 
-    read = partial(map, partial(_read_piece, params, colors, {}, {}))
+    limits, rises = _Table(colors.at), _Table(_unchecked_rise, _PIECE_TABLE_BOUND)
+    read = _Table(partial(_read_piece, params, colors, limits, rises), _PIECE_TABLE_BOUND)
     # The blocks expand to the letters just checked, and every ascent
     # is a whole number of periods.
-    blocks = tuple(chain.from_iterable(_made(read, pieces, distinct)))
+    blocks = tuple(chain.from_iterable(map(read.__getitem__, pieces)))
     return _trusted_word(params, blocks, up_steps // params.period, colors)

@@ -901,6 +901,26 @@ class TestStdoutPinned:
         assert main(["count", "--a", "1", "--b", "0", "--N", "5"]) == 0
         assert writes == ["1\n", "1\n2\n5\n14\n42\n"]
 
+    @pytest.mark.parametrize("line, digest, size", [
+        ("count --a 1 --b 0 --N 3000 --route recurrence",
+         "892e95c4d6bcd8481ece6799992bf1f0a49c5d241d590ae94841a44f6b02dfaf", 2700237),
+        ("peaks --a 1 --b 0 --n 600",
+         "a64808131f37f2a6eb5c9f64e982e27a44be90f2c995845d1ff27f00b520830a", 156246),
+    ])
+    def test_growing_lines_go_out_in_bounded_writes(self, monkeypatch, line, digest, size):
+        # lines that grow from a short first one: every write after the
+        # first is at most 2 * _WRITE_CHARS, and stdout is what it was
+        # when all the rest went out in one write
+        writes = []
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys.stdout, "write", writes.append)
+        assert main(line.split(" ")) == 0
+        out = "".join(writes)
+        assert (len(out), self.sha(out)) == (size, digest)
+        assert writes[0] == out[: out.index("\n") + 1]
+        assert max(map(len, writes[1:])) <= 2 * cli._WRITE_CHARS
+        assert len(writes) > size // (2 * cli._WRITE_CHARS)
+
 
 # --- the plain command line, parsed without argparse ------------------
 
@@ -1059,8 +1079,8 @@ WORKFLOW_LINES = {
     "preset duchon --N 20": None,
     "count --a 2 --b 1 --colors catpair --N 30": None,
     "enumerate --a 1 --b 0 --n 11 | head -n 1": None,
-    "count --a 1 --b 0 --N 500 | head -n 1": None,
-    "peaks --a 1 --b 0 --n 300 | head -n 1": None,
+    "count --a 1 --b 0 --N 700 | head -n 1": None,
+    "peaks --a 1 --b 0 --n 600 | head -n 1": None,
     "enumerate --a 1 --b 0 --n 13": None,
     "enumerate --a 2 --b 1 --colors catpair --n 5": None,
     "enumerate --a 2 --b 1 --colors catpair --n 5 --format jsonl": None,

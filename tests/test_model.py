@@ -780,6 +780,72 @@ class TestToSteps:
         assert to_steps(word) == "".join(f"u[{b.color}]d" for b in blocks)
 
 
+class _KeptTable(model._Table):
+    """A _Table that keeps a reference to every instance made."""
+
+    made = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.made.append(self)
+
+
+class TestTable:
+    def test_makes_a_key_at_its_first_read_and_keeps_up_to_the_bound(self):
+        made = []
+        table = model._Table(lambda key: made.append(key) or -key, 3)
+        reads = [1, 2, 1, 3, 4, 2, 4, 5, 1, 3]
+        assert [table[key] for key in reads] == [-key for key in reads]
+        assert made == [1, 2, 3, 4, 4, 5]
+        assert table == {1: -1, 2: -2, 3: -3}
+        made.clear()
+        unbounded = model._Table(lambda key: made.append(key) or key * 2)
+        assert [unbounded[key] for key in [5, 6, 5, 7, 6] * 3] == [10, 12, 10, 14, 12] * 3
+        assert made == [5, 6, 7]
+
+    def test_each_c_j_is_read_at_most_once_per_call(self, monkeypatch):
+        rng = random.Random(35)
+        cases = []
+        for colors in (ColorSequence.catalan_pair_sum(), WIDE_COLORS, ColorSequence.ones()):
+            for params in ROUND_TRIP_PARAMS:
+                word = random_block_word(rng, params, colors, 300, (1, 3, 5))
+                cases.append((params, colors, _untagged(word), to_steps(word)))
+        reads = []
+        at = ColorSequence.at
+        monkeypatch.setattr(ColorSequence, "at", lambda self, j: reads.append(j) or at(self, j))
+        for params, colors, word, text in cases:
+            calls = [
+                lambda: parse_steps(text, params, colors),
+                lambda: validate_colors(word, colors),
+                lambda: decompose(word, params, colors),
+            ]
+            if colors is not WIDE_COLORS:  # whose c_3 = 10^5 makes index 6 too large
+                calls.append(lambda: [
+                    [*tails] for _, tails in bijection._walk(params, colors, 6, 10**6)[1]
+                ])
+            for call in calls:
+                reads.clear()
+                call()
+                assert reads and len(reads) == len(set(reads)), (params, colors, reads)
+
+    def test_kept_pieces_are_read_once_and_no_table_passes_the_bound(self, monkeypatch):
+        read = []
+        read_piece = model._read_piece
+        monkeypatch.setattr(
+            model, "_read_piece", lambda *args: read.append(args[-1]) or read_piece(*args)
+        )
+        monkeypatch.setattr(model, "_Table", _KeptTable)
+        monkeypatch.setattr(_KeptTable, "made", [])
+        pieces = [f"u[{k}]d" for k in range(1, 2 * _PIECE_TABLE_BOUND + 1)]
+        text = "".join(pieces * 2)
+        word = parse_steps(text, PathParams(1, 0), ColorSequence.constant(10**6))
+        kept = pieces[:_PIECE_TABLE_BOUND]
+        assert read == kept + pieces[_PIECE_TABLE_BOUND:] * 2
+        assert to_steps(word) == text
+        sizes = [len(table) for table in _KeptTable.made]
+        assert max(sizes) == _PIECE_TABLE_BOUND and len(sizes) > 4
+
+
 # The token-stream parser that the one-pattern parse_steps replaced,
 # kept verbatim as the oracle of the differential test below.
 _TOKEN = re.compile(r"u+|d+|\[[0-9]+\]|.", re.DOTALL)
@@ -964,8 +1030,8 @@ class TestParseDifferential:
 
     def test_piece_table_policy(self, monkeypatch):
         # each of the first _PIECE_TABLE_BOUND distinct pieces is read
-        # once; from the first occurrence of any other piece on, every
-        # piece is read where it occurs, a kept one too
+        # once and kept; past the bound a piece not kept is read where it
+        # occurs, and a kept one is still read from the table
         read = []
         read_piece = model._read_piece
         monkeypatch.setattr(
@@ -975,7 +1041,7 @@ class TestParseDifferential:
         text = "".join(kept * 2 + ["u[2000]d", "u[1]d", "u[2000]d"])
         word = parse_steps(text, PathParams(1, 0), ColorSequence.constant(10**6))
         assert to_steps(word) == text
-        assert read == kept + ["u[2000]d", "u[1]d", "u[2000]d"]
+        assert read == kept + ["u[2000]d", "u[2000]d"]
 
 
 # Characters of random step text: mostly step letters, so that some
