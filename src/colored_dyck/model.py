@@ -461,10 +461,11 @@ def parse_steps(text: str, params: PathParams, colors: ColorSequence) -> Colored
     The text is split into pieces (a rise with its annotations and
     descent run, a down run, an annotation, or a stray character), and
     each check is one pass over them, in text order.  Each distinct
-    piece is checked and read at its first occurrence, and kept in a
-    _Table, up to _PIECE_TABLE_BOUND of them, so a kept piece is read
-    once per call; a piece past the bound is read where it occurs.  The
-    word carries colors: its every rise has just been checked.
+    piece is checked at its first occurrence and kept in a _Table, up
+    to _PIECE_TABLE_BOUND of them; the kept pieces are then read in
+    that order, once per call, and a piece past the bound is read
+    where it occurs.  The word carries colors: its every rise has just
+    been checked.
     """
     pieces = _PIECE_TEXT.findall(text.strip())
     # The pass over every piece finds a stray character before the
@@ -478,6 +479,10 @@ def parse_steps(text: str, params: PathParams, colors: ColorSequence) -> Colored
 
     limits, rises = _Table(colors.at), _Table(_unchecked_rise, _PIECE_TABLE_BOUND)
     read = _Table(partial(_read_piece, params, colors, limits, rises), _PIECE_TABLE_BOUND)
+    # The pieces nets keeps, the first _PIECE_TABLE_BOUND to occur, are
+    # read first, in that order, without a __missing__ call each; every
+    # other piece first occurs after them, so errors come in text order.
+    read.update(zip(nets, map(read.make, nets)))
     # The blocks expand to the letters just checked, and every ascent
     # is a whole number of periods.
     blocks = tuple(chain.from_iterable(map(read.__getitem__, pieces)))
