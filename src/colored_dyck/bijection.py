@@ -192,31 +192,34 @@ def weak_compositions(total: int, parts: int):
         yield tuple(map(sub, (*cuts, total), (0, *cuts)))
 
 
-def _compositions(total: int, parts: int, forests):
-    """Yield the weak compositions of `total` into `parts` >= 1 parts
-    whose every part has words, lazily and in weak_compositions' order.
-
-    forests[q][s] is nonzero exactly when s is the sum of q parts that
-    have words, for q < parts and s <= total; forests[1] marks the
-    parts themselves, 0 among them (the empty word).  A part is chosen
-    only where the rest is such a sum, so no choice is a dead end, and
-    once the rest is 0 so is every later part.  There is one iterator
-    of choices per part, not one frame: no recursion, however many
-    parts."""
+def _choices(forests):
+    """The table of first parts of the walk, made once forests is filled:
+    (q, s) -> the first parts p, ascending, of q >= 1 parts that have
+    words and sum to s.  forests[q][s] is nonzero exactly when s is the
+    sum of q parts that have words, and forests[1] marks the parts
+    themselves, 0 among them (the empty word); at q = 1 the one part
+    is s itself."""
     support = forests[1]
-    if parts == 1:
-        if support[total]:
-            yield (total,)
-        return
 
     def firsts(key):
-        """The first parts, ascending, of q parts summing to s, for key
-        (q, s)."""
         q, s = key
+        if q == 1:
+            return [s] if support[s] else []
         rest = forests[q - 1]
         return [p for p in range(s + 1) if support[p] and rest[s - p]]
 
-    choices = _Table(firsts)
+    return _Table(firsts)
+
+
+def _compositions(total: int, parts: int, choices):
+    """Yield the weak compositions of `total` into `parts` >= 1 parts
+    whose every part has words, lazily and in weak_compositions' order,
+    with choices the walk's table of first parts (_choices).
+
+    A part is chosen only where the rest is a sum of parts that have
+    words, so no choice is a dead end, and once the rest is 0 so is
+    every later part.  There is one iterator of choices per part, not
+    one frame: no recursion, however many parts."""
     comp = [0] * parts
     rests = [total] * parts  # rests[i]: the sum of parts i, i + 1, ...
     stack = [iter(choices[parts, total])]
@@ -226,13 +229,16 @@ def _compositions(total: int, parts: int, forests):
         if p is None:
             stack.pop()
             continue
-        comp[i] = p
         rest = rests[i] - p
-        if not rest or i + 2 == parts:
+        if not rest or i + 2 >= parts:
+            # The rest, which has words as the table read it, is the
+            # last part, and the parts between are 0; p is set last, as
+            # at one part it is the last part.
             comp[i + 1 : -1] = [0] * (parts - i - 2)
-            comp[-1] = rest  # has words, as forests[1][rest] was read
+            comp[-1], comp[i] = rest, p
             yield tuple(comp)
         else:
+            comp[i] = p
             rests[i + 1] = rest
             stack.append(iter(choices[parts - i - 1, rest]))
 
@@ -316,9 +322,10 @@ def _walk(
     once y_n words are out.  An index that only heads with one child
     read (a link of a chain, as at a = 0, b = 1) leaves the memo once
     no index still to be built reads it.  Index n is never held: each
-    group streams the product of one composition's memo lists, and a
-    head of index n with one color streams its compositions too (one
-    with more colors lists them once, for every color reads them).
+    group streams the product of one composition's memo lists, and
+    every head of index n streams its compositions, afresh for each
+    color.  The memo and index n read one table of first parts per walk
+    (_choices), made once the limits are checked.
     Heads at index n get no code: they may have more colors than
     characters.
     """
@@ -378,6 +385,7 @@ def _walk(
                 letters[ell] = [*map(chr, codes)] if spell is None else spell(new)
                 rises.extend(new)
     y = forests[1]
+    choices = _choices(forests)
     # memo[m]: the string of every word of index m, in order.
     memo: dict[int, list[str]] = {0: [""]}
 
@@ -429,7 +437,7 @@ def _walk(
             words = []
             for ell in sizes(m):
                 ends = []
-                for comp in _compositions(m - ell, a * ell + b, forests):
+                for comp in _compositions(m - ell, a * ell + b, choices):
                     ends.extend(tails(comp))
                 for letter in letters[ell]:
                     words.extend(map(letter.__add__, ends))
@@ -440,11 +448,9 @@ def _walk(
                 left -= len(words) - skip
         first = 1 if chain else 0  # index n's first group went out with the chain
         for ell in sizes(n):
-            comps = _compositions(n - ell, a * ell + b, forests)
-            if color[ell] > 1:  # each color reads them again
-                comps = [*comps]
             for c in range(1, color[ell] + 1):
                 head = (Rise(ell, c),)
+                comps = _compositions(n - ell, a * ell + b, choices)
                 for comp in islice(comps, first, None):
                     yield head, tails(comp)
                 first = 0

@@ -34,25 +34,22 @@ def _plain_int(text: str) -> int:
 _plain_int.__name__ = "int"
 
 
+_CS = model.ColorSequence
+
+
 def parse_color_spec(spec: str) -> model.ColorSequence:
     """Grammar: ones | pow2 | catpair | const:V | explicit:c1,c2,...[+tail:T],
-    each number read by _plain_int."""
-    if spec == "ones":
-        return model.ColorSequence.ones()
-    if spec == "pow2":
-        return model.ColorSequence.powers_of_two()
-    if spec == "catpair":
-        return model.ColorSequence.catalan_pair_sum()
-    if spec.startswith("const:"):
-        return model.ColorSequence.constant(_plain_int(spec[len("const:"):]))
-    if spec.startswith("explicit:"):
-        body = spec[len("explicit:"):]
-        tail = 0
-        if "+tail:" in body:
-            body, tail_part = body.split("+tail:", 1)
-            tail = _plain_int(tail_part)
-        prefix = tuple(map(_plain_int, body.split(","))) if body else ()
-        return model.ColorSequence.explicit(prefix, tail)
+    each number read by _plain_int, T before the c_i."""
+    kind, colon, body = spec.partition(":")
+    if colon and kind == "const":
+        return _CS.constant(_plain_int(body))
+    if colon and kind == "explicit":
+        body, plus, tail = body.partition("+tail:")
+        tail = _plain_int(tail) if plus else 0
+        return _CS.explicit(tuple(map(_plain_int, body.split(","))) if body else (), tail)
+    named = {"ones": _CS.ones, "pow2": _CS.powers_of_two, "catpair": _CS.catalan_pair_sum}
+    if spec in named:
+        return named[spec]()
     raise argparse.ArgumentTypeError(f"bad color spec: {spec!r}")
 
 
@@ -193,7 +190,6 @@ def _cmd_validate(args):
 # Each family: its (a, b), its coloring, and the closed forms, each a
 # name in sequences with its leading arguments, that every count must
 # equal.  mary's a is --m; narayana compares the peak row of index n.
-_CS = model.ColorSequence
 _PRESETS = {
     "a052709": ((0, 2), _CS.explicit((1, 1)), [("a052709_closed",)]),
     "a186997": ((1, 2), _CS.explicit((1, 1)), [("a186997_closed",)]),

@@ -209,8 +209,7 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
         for row, left, right, e in steps if m else ():
             row.append(_miller_at(left, right, row, e, m) if e else _conv_at(left, right, m))
         y.append(term(n))
-        if ky is not None:
-            ky.append(n * y[n])
+        ky.append(n * y[n])
     return CountSeries(tuple(y))
 
 
@@ -271,8 +270,8 @@ def _power_steps(a, b, exponents, y):
     Returns rows (e: row, each [1] until filled, with rows[1] = y),
     the steps (row, left, right, e) ascending by e, each filling row as
     left * right (e = 0) or by Miller's rule for y^e (left = y,
-    right = ky), and ky, the list k * y_k that Miller's rule reads, or
-    None where no step uses it."""
+    right = ky), and ky, the list k * y_k that Miller's rule reads,
+    which the caller extends as y grows."""
     powers, todo = set(), list(exponents)
     while todo:
         e = todo.pop()
@@ -287,7 +286,7 @@ def _power_steps(a, b, exponents, y):
             steps.append((row, y, ky, e))
         else:
             steps.append((row, rows[pair[0]], rows[pair[1]], 0))
-    return rows, steps, ky if any(e for *_, e in steps) else None
+    return rows, steps, ky
 
 
 def _catpair_terms(a, b, rows):

@@ -245,7 +245,7 @@ class ColoredDyckWord:
 
 
 def _trusted_word(
-    params: PathParams, blocks: tuple, n: int, colors: ColorSequence | None = None
+    params: PathParams, blocks: tuple, n: int, colors: ColorSequence | None
 ) -> ColoredDyckWord:
     """A word whose invariants the caller already guarantees: `blocks`
     is a tuple of blocks built for `params` whose expansion is a

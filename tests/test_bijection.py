@@ -95,7 +95,8 @@ def sums_of_parts(support, parts):
 
 class TestCompositionsWithWords:
     """bijection._compositions lists the weak compositions whose parts
-    all have words, pruned by the walk's forest table, and is checked
+    all have words, pruned by the walk's table of first parts, which
+    _choices makes from its forest table, and is checked
     against weak_compositions filtered to those parts."""
 
     @staticmethod
@@ -107,7 +108,8 @@ class TestCompositionsWithWords:
     @given(st.sets(st.integers(1, 12)), st.integers(0, 12), st.integers(1, 6))
     def test_equals_weak_compositions_filtered(self, with_words, total, parts):
         support = [p == 0 or p in with_words for p in range(total + 1)]
-        got = bijection._compositions(total, parts, sums_of_parts(support, parts))
+        choices = bijection._choices(sums_of_parts(support, parts))
+        got = bijection._compositions(total, parts, choices)
         assert list(got) == self.filtered(total, parts, support)
 
     @pytest.mark.parametrize(
@@ -116,13 +118,15 @@ class TestCompositionsWithWords:
     )
     def test_one_part_and_no_composition(self, with_words, total, parts):
         support = [p == 0 or p in with_words for p in range(total + 1)]
-        got = list(bijection._compositions(total, parts, sums_of_parts(support, parts)))
+        choices = bijection._choices(sums_of_parts(support, parts))
+        got = list(bijection._compositions(total, parts, choices))
         assert got == self.filtered(total, parts, support)
 
     @pytest.mark.parametrize("total, one_has_words", [(0, False), (1, False), (1, True)])
     def test_1500_parts_need_no_recursion(self, total, one_has_words):
         support = [True, one_has_words][: total + 1]
-        got = list(bijection._compositions(total, 1500, sums_of_parts(support, 1500)))
+        choices = bijection._choices(sums_of_parts(support, 1500))
+        got = list(bijection._compositions(total, 1500, choices))
         assert got == self.filtered(total, 1500, support)
         assert len(got) == (1 if total == 0 else 1500 * one_has_words)
 
@@ -511,6 +515,55 @@ class TestEnumeration:
             tracemalloc.stop()
         assert peak < 400_000
         assert words == count_recurrence(params, ONES, 3)[3] == 5551
+
+    def test_heads_with_several_colors_stream_their_compositions(self):
+        # as above, with two colors per head: each color walks the 1891
+        # compositions of index 3's size-1 head again, none are listed
+        params, colors = PathParams(60, 0), ColorSequence.constant(2)
+        tracemalloc.start()
+        try:
+            rises, groups = bijection._walk(params, colors, 3, bijection.DEFAULT_ENUMERATION_CAP)
+            words = sum(sum(1 for _ in tails) for _, tails in groups)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400_000
+        assert words == count_recurrence(params, colors, 3)[3]
+
+    @pytest.mark.parametrize(
+        "params, colors, n",
+        [
+            (PathParams(1, 0), ONES, 9),
+            (PathParams(1, 0), ColorSequence.powers_of_two(), 6),
+            (PathParams(2, 1), ColorSequence.catalan_pair_sum(), 4),
+            (PathParams(60, 0), ColorSequence.constant(2), 3),
+            (PathParams(0, 1), ColorSequence.explicit((0, 1, 1)), 20),
+        ],
+        ids=["ones", "pow2", "catpair", "60-const2", "chain"],
+    )
+    def test_one_walk_makes_each_first_part_list_once(self, monkeypatch, params, colors, n):
+        # the memo and every head and color of index n read one table
+        made, tables = [], []
+        choices = bijection._choices
+
+        def counted(forests):
+            table = choices(forests)
+            make = table.make
+
+            def firsts(key):
+                made.append(key)
+                return make(key)
+
+            table.make = firsts
+            tables.append(table)
+            return table
+
+        monkeypatch.setattr(bijection, "_choices", counted)
+        rises, groups = bijection._walk(params, colors, n, bijection.DEFAULT_ENUMERATION_CAP)
+        words = sum(sum(1 for _ in tails) for _, tails in groups)
+        assert words == count_recurrence(params, colors, n)[n]
+        assert len(tables) == 1
+        assert made and len(made) == len(set(made))
 
     @pytest.mark.parametrize("prefix", [(0, 1, 1), (0, 0, 1, 2), (0, 1, 0, 3)])
     def test_chains_with_several_head_sizes(self, prefix):

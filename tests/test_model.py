@@ -940,7 +940,7 @@ def reference_parse_steps(
 
     # The blocks expand to the letters just checked, and every ascent
     # is a whole number of periods.
-    return _trusted_word(params, tuple(blocks), ups // p.period)
+    return _trusted_word(params, tuple(blocks), ups // p.period, None)
 
 
 ANNOTATIONS = ["[1]", "[2]", "[3]", "[0]", "[007]"]
