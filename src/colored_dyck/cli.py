@@ -76,30 +76,59 @@ def _read_word_text(args) -> str:
 _WRITE_CHARS = 1 << 16
 
 
-def _write_lines(lines) -> None:
-    """Write each line of lines to stdout, ending it with a newline: the
-    first at once, then batches of as many lines as the last line
-    written fits in _WRITE_CHARS characters.  A batch longer than
-    2 * _WRITE_CHARS, as where lines grow, goes out in pieces that each
-    end at the first line end past _WRITE_CHARS, so no write after the
-    first is longer than 2 * _WRITE_CHARS unless one line is longer
-    than _WRITE_CHARS.  The interpreter's limit on int-to-str digits
-    (4300 by default) is lifted while lines are formed, so that a legal
-    count of any size is written; argv is parsed with the limit in
-    force."""
+def _write_batch(pieces) -> None:
+    """Write the text of pieces, which ends in a newline, in writes that
+    each end at the first line end past _WRITE_CHARS once more than
+    2 * _WRITE_CHARS characters are left."""
+    text, start = "".join(pieces), 0
+    while len(text) - start > 2 * _WRITE_CHARS:
+        end = text.find("\n", start + _WRITE_CHARS) + 1
+        sys.stdout.write(text[start:end])
+        start = end
+    sys.stdout.write(text[start:])
+
+
+def _write_lines(groups) -> None:
+    """Write groups to stdout: each group is a pair (prefix, lines), and
+    each of its lines goes out as prefix + line + newline.  A run of a
+    group's lines is one join, prefix + ("\\n" + prefix).join(run), so
+    the shared prefix rides in the separator and no line is formed on
+    its own.
+
+    The first line goes out at once.  Then each batch, which may span
+    groups, takes runs of lines until it holds _WRITE_CHARS characters.
+    A run is one more line than the last line taken fits in what the
+    batch lacks, but no more than the lines taken so far, so a short
+    first line does not size a batch of long ones; a group that ends
+    within its run leaves the rest of the run to the next group.  A
+    batch longer than 2 * _WRITE_CHARS, as where lines grow, goes out
+    in pieces that each end at the first line end past _WRITE_CHARS,
+    so no write after the first is longer than 2 * _WRITE_CHARS unless
+    one line is longer than _WRITE_CHARS.  The interpreter's limit on
+    int-to-str digits (4300 by default) is lifted while lines are
+    formed, so that a legal count of any size is written; argv is
+    parsed with the limit in force."""
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        lines, per_write = iter(lines), 1
-        # Each batch is its lines and an empty one, joined by newlines.
-        while len(batch := [*itertools.islice(lines, per_write), ""]) > 1:
-            text, start = "\n".join(batch), 0
-            while len(text) - start > 2 * _WRITE_CHARS:
-                end = text.find("\n", start + _WRITE_CHARS) + 1
-                sys.stdout.write(text[start:end])
-                start = end
-            sys.stdout.write(text[start:])
-            per_write = max(1, _WRITE_CHARS // (len(batch[-2]) + 1))
+        # size starts full, so that the first line is a batch of its own
+        pieces, size, taken, run = [], _WRITE_CHARS, 0, 1
+        for prefix, lines in groups:
+            lines, sep = iter(lines), "\n" + prefix
+            while part := [*itertools.islice(lines, run)]:
+                body = sep.join(part)
+                pieces += prefix, body, "\n"
+                size += len(body) + len(sep)
+                taken += len(part)
+                if size >= _WRITE_CHARS:
+                    _write_batch(pieces)
+                    pieces, size = [], 0
+                elif len(part) < run:
+                    run -= len(part)
+                    break
+                run = min((_WRITE_CHARS - size) // (len(sep) + len(part[-1])) + 1, taken)
+        if pieces:
+            _write_batch(pieces)
     finally:
         sys.set_int_max_str_digits(saved)
 
@@ -122,14 +151,14 @@ def _cmd_count(args):
             return 1
         series = bell_series
     line = _SERIES_LINE[args.format].format
-    _write_lines(line(n=n, v=v) for n, v in enumerate(series.values))
+    _write_lines([("", (line(n=n, v=v) for n, v in enumerate(series.values)))])
     return 0
 
 
 def _cmd_peaks(args):
     params = model.PathParams(args.a, args.b)
     table = counting.peak_table(params, args.colors, args.n)
-    _write_lines(f"{k} {count}" for k, count in enumerate(table, 1))
+    _write_lines([("", (f"{k} {count}" for k, count in enumerate(table, 1)))])
     return 0
 
 
@@ -142,32 +171,40 @@ def _block_json(block) -> str:
 def _cmd_enumerate(args):
     params = model.PathParams(args.a, args.b)
     spell = functools.partial(model._step_texts, params)
-    # The cap is checked here, before any line is written.  A jsonl
-    # record needs both the blocks and the steps of a word, so its walk
-    # keeps block codes and each record translates them twice; a plain
-    # line is the walk's step text as is.
+    # The cap is checked here, before any line is written.  Each group
+    # of the walk is one head and the tails that follow it, so the
+    # head's part of a line is made once per walk, from a table keyed
+    # by the head, and handed to the writer as the group's prefix.  A
+    # jsonl record needs both the blocks and the steps of a word, so its
+    # walk keeps block codes and each record translates them twice; a
+    # plain line is the walk's step text as is.
     if args.format == "jsonl":
         rises, groups = bijection._walk(params, args.colors, args.n, args.cap)
         steps = spell(rises)
         blocks = ["," + _block_json(block) for block in rises]
         down = chr(0)  # the code of a down step; every other code is a peak
+        # head -> its record up to the head's block, and its step text
+        heads = model._Table(lambda head: (
+            f'{{"n":{args.n},"blocks":[' + "".join(map(_block_json, head)),
+            "".join(spell(head)),
+        ))
 
-        def lines(head, tails):
-            pre = f'{{"n":{args.n},"blocks":[' + "".join(map(_block_json, head))
-            text = "".join(spell(head))
-            return (
-                f'{pre}{tail.translate(blocks)}],"peaks":'
+        def group(head, tails):
+            pre, text = heads[head]
+            return pre, (
+                f'{tail.translate(blocks)}],"peaks":'
                 f'{len(head) + len(tail) - tail.count(down)},'
                 f'"steps":"{text}{tail.translate(steps)}"}}'
                 for tail in tails
             )
     else:
         _, groups = bijection._walk(params, args.colors, args.n, args.cap, spell)
+        heads = model._Table(lambda head: "".join(spell(head)))
 
-        def lines(head, tails):
-            return map("".join(spell(head)).__add__, tails)
+        def group(head, tails):
+            return heads[head], tails
 
-    _write_lines(itertools.chain.from_iterable(itertools.starmap(lines, groups)))
+    _write_lines(itertools.starmap(group, groups))
     return 0
 
 
@@ -176,14 +213,14 @@ def _cmd_decompose(args):
     word = model.parse_steps(_read_word_text(args), params, args.colors)
     t = bijection.decompose(word, params, args.colors)
     children = (f"child {model.to_steps(child)}".rstrip() for child in t.children)
-    _write_lines(itertools.chain((f"ell {t.ell}", f"color {t.color}"), children))
+    _write_lines([("", itertools.chain((f"ell {t.ell}", f"color {t.color}"), children))])
     return 0
 
 
 def _cmd_validate(args):
     params = model.PathParams(args.a, args.b)
     model.parse_steps(_read_word_text(args), params, args.colors)
-    _write_lines(["valid"])
+    _write_lines([("", ["valid"])])
     return 0
 
 
@@ -224,7 +261,7 @@ def _cmd_preset(args):
         for name, *fixed in forms
     ]
     rows = [(i, *(f(i) for f in closed), counts[i]) for i in range(1, top + 1)]
-    _write_lines(" ".join(map(str, row)) for row in rows)
+    _write_lines([("", (" ".join(map(str, row)) for row in rows))])
     bad = [row[0] for row in rows if len(set(row[1:])) > 1]
     if bad:
         print(f"closed form disagreement at {where}{bad[0]}", file=sys.stderr)

@@ -8,13 +8,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from colored_dyck import bijection, cli, counting, sequences
+from colored_dyck import bijection, cli, counting, model, sequences
 from colored_dyck.bijection import enumerate_all
 from colored_dyck.cli import build_parser, main, parse_color_spec
 from colored_dyck.counting import CountSeries, count_recurrence
@@ -920,6 +921,82 @@ class TestStdoutPinned:
         assert writes[0] == out[: out.index("\n") + 1]
         assert max(map(len, writes[1:])) <= 2 * cli._WRITE_CHARS
         assert len(writes) > size // (2 * cli._WRITE_CHARS)
+
+
+W = cli._WRITE_CHARS
+
+
+class TestWriteGroups:
+    """_write_lines takes groups (prefix, lines) and writes prefix +
+    line + newline for each line, the first line on its own and no
+    later write longer than 2 * _WRITE_CHARS unless one line is."""
+
+    GROUPS = {
+        "empty groups": lambda: [("h", []), ("", iter(["a", "b"])), ("q", ())],
+        "no lines": lambda: [("h", []), ("", iter(()))],
+        "groups smaller than a batch": lambda: [
+            ("u[1]d", ["", "d", "dd"]), ("u[2]d", iter(["x"])), ("", ["y"] * 5)
+        ],
+        "long prefix": lambda: [("p" * 5000, (f"{i}" for i in range(200))), ("", ["z"])],
+        "group after a batch boundary": lambda: [
+            ("", ["z" * 100] * 1000), ("h", (f"t{i}" for i in range(10))), ("k", ["w"] * 3)
+        ],
+        "group ending on a batch boundary": lambda: [
+            ("", ["a"] * 15), ("", ["z" * 1023] * 64), ("e", ["f"] * 3)
+        ],
+        "line longer than 2 * _WRITE_CHARS": lambda: [
+            ("", ["a", "b"]), ("p", ["c" * (3 * W), "d"]), ("", ["e" * 10] * 10000)
+        ],
+    }
+
+    @pytest.mark.parametrize("case", GROUPS)
+    def test_groups(self, monkeypatch, case):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys.stdout, "write", writes.append)
+        cli._write_lines(self.GROUPS[case]())
+        lines = [prefix + line + "\n" for prefix, group in self.GROUPS[case]() for line in group]
+        assert "".join(writes) == "".join(lines)
+        assert writes[:1] == lines[:1]
+        for text in writes[1:]:
+            assert len(text) <= 2 * W or max(map(len, text.split("\n"))) > W
+
+    def test_lines_after_a_short_first_one_are_joined_in_bounded_batches(self, monkeypatch):
+        # count's lines grow from "1" to 1,800 digits: each batch is
+        # sized by its own lines, not by the first, so the writer never
+        # holds the 2.7 MB after the first line at once
+        values = count_recurrence(PathParams(1, 0), ColorSequence.ones(), 3000).values
+        digest = hashlib.sha256()
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys.stdout, "write", lambda text: digest.update(text.encode()))
+        tracemalloc.start()
+        try:
+            cli._write_lines([("", (f"{v}" for v in values))])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest.hexdigest() == (
+            "892e95c4d6bcd8481ece6799992bf1f0a49c5d241d590ae94841a44f6b02dfaf"
+        )
+        assert peak <= 1 << 20
+
+    def test_each_head_is_spelled_once_per_walk(self, monkeypatch):
+        # the walk spells the 10 letter lists below index 11 and the
+        # separator; the listing spells each of the 11 heads of index 11
+        # once, not once for each of its 1,033 groups
+        calls = []
+        step_texts = model._step_texts
+
+        def counted(params, blocks):
+            calls.append(blocks)
+            return step_texts(params, blocks)
+
+        monkeypatch.setattr(model, "_step_texts", counted)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["enumerate", "--a", "1", "--b", "0", "--n", "11"]) == 0
+        assert out.getvalue().count("\n") == 58786
+        assert len(calls) == 22
 
 
 # --- the plain command line, parsed without argparse ------------------
