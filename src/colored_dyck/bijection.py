@@ -36,6 +36,7 @@ from .model import (
     _colors_checked,
     _Table,
     _trusted_word,
+    validate_colors,
 )
 
 __all__ = [
@@ -136,8 +137,8 @@ def decompose(
     balance zero separates), and as each separator needs word balance
     >= 1 and the word ends at zero, there are a*ell+b-1 separators.
 
-    Colors are checked first, head first, unless the word carries the
-    coloring (model._colors_checked), then the separators are scanned
+    Colors are checked first (model.validate_colors), head first, unless
+    the word carries the coloring, then the separators are scanned
     for.  Each c_j is read once per distinct size j per call, and each
     child is cut from the word's block tuple as one slice; the children
     carry the coloring.
@@ -150,8 +151,7 @@ def decompose(
     blocks = w.blocks
     if not blocks:
         raise EmptyWord("cannot decompose the empty word")
-    if not _colors_checked(w, colors):
-        _check_colors(blocks, colors)
+    validate_colors(w, colors)
 
     # Each child is the slice between two separators; balance and size
     # are the open child's.

@@ -44,22 +44,17 @@ so Y = C(x * y^a) satisfies
     Y = x * y^a * (2 + x * y^a + Y + Y^2),  y = 1 + y^b * Y.
 
 The recurrence builds only the powers of y that its rule reads, and
-their factors, each online: the square of y, y^a or y^b (half the
-products of a convolution), y^a * y or y^b * y, a chain link
-y^(a*(i-1)+b) * y^a, or, for y^a and y^b themselves (such as
-y^1500), Miller's rule
+their factors, each online and each one convolution of two smaller
+powers: y^e is the square of y^(e/2) for even e (half the products of
+a convolution), a chain link y^(a*(i-1)+b) * y^a for odd e on the
+chain, else y^(e-1) * y.  It divides nowhere.  The closed form raises
+the coloring series C to powers and never reads y.  Neither route
+reads the other's tables: both read C's description (p, r), or
+catpair's equation, which is the input, not a table of either.
 
-    m * z_m = sum_(k=1..m) ((e+1)*k - m) * y_k * z_(m-k),  z = y^e,
-
-from y alone (Knuth, TAOCP vol. 2, section 4.7), with the division
-checked.  The closed form raises the coloring series C to powers and
-never reads y.  Neither route reads the other's tables: both read
-C's description (p, r), or catpair's equation, which is the input,
-not a table of either.
-
-Each formula term is an exact integer quotient; a nonzero remainder
-raises NonIntegerTerm and certifies a bug, since integrality is a
-theorem.
+Each term of the Bell route is an exact integer quotient; a nonzero
+remainder raises NonIntegerTerm and certifies a bug, since
+integrality is a theorem.
 """
 
 from __future__ import annotations
@@ -149,22 +144,6 @@ def _conv_at(u, v, i: int) -> int:
     return sum(map(mul, u, v[i::-1]))
 
 
-def _miller_at(y, ky, z, e: int, m: int) -> int:
-    """Index m >= 1 of z = y^e, with y_0 = 1, by Miller's rule
-
-        m * z_m = sum_(k=1..m) ((e+1)*k - m) * y_k * z_(m-k),
-
-    as two dot products, with ky[k] = k * y_k.  y and ky must be
-    defined through index m and z through m-1.  The division is
-    checked: a remainder raises NonIntegerTerm."""
-    back = z[m - 1 :: -1]
-    num = (e + 1) * sum(map(mul, ky[1 : m + 1], back)) - m * sum(map(mul, y[1 : m + 1], back))
-    q, rem = divmod(num, m)
-    if rem:
-        exact_div(num, m, f"Miller's rule for y^{e} at index {m}")
-    return q
-
-
 def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> CountSeries:
     """Evaluate the convolution recurrence up to index N.
 
@@ -184,9 +163,10 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
     Terms of one power of y at one shift are added up first, so a
     power whose coefficients cancel is never read (y^a for ones at
     b = 0).  y^0 is the unit series and y^1 is y; every other power
-    is one row, built as _factors says, and filled online, one entry
-    per new term of y, through index n - 1 before y_n is formed: O(N^2)
-    products for every coloring with a short prefix.  Inner sums over
+    is one row, the square or product of two smaller ones as _factors
+    says, and filled online, one convolution entry per new term of y,
+    through index n - 1 before y_n is formed: O(N^2) products for every
+    coloring with a short prefix, and no division.  Inner sums over
     weak compositions are never enumerated.
     """
     _need_index(N, 0, "N")
@@ -196,20 +176,19 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
     form = colors.rational()
     y = [1]
     if form is None:  # catpair reads y^a and y^b through index n-1
-        rows, steps, ky = _power_steps(a, b, (a, b), y)
+        rows, steps = _power_steps(a, b, (a, b), y)
         term = _catpair_terms(a, b, rows)
     else:
         reads = _reads(a, b, form, N)
-        rows, steps, ky = _power_steps(a, b, [e for _, e, _ in reads], y)
+        rows, steps = _power_steps(a, b, [e for _, e, _ in reads], y)
         if any(e == 0 for _, e, _ in reads):
             rows[0] = [1] + [0] * N
         term = _read_terms(reads, rows)
     for n in range(1, N + 1):
         m = n - 1  # every row is read through index m; its entry 0 is 1
-        for row, left, right, e in steps if m else ():
-            row.append(_miller_at(left, right, row, e, m) if e else _conv_at(left, right, m))
+        for row, left, right in steps if m else ():
+            row.append(_conv_at(left, right, m))
         y.append(term(n))
-        ky.append(n * y[n])
     return CountSeries(tuple(y))
 
 
@@ -242,23 +221,21 @@ def _read_terms(reads, rows):
 
 
 def _factors(a, b, e):
-    """(f, g) with y^e = y^f * y^g for a power e > 1 of the recurrence,
-    or None where y^e is built by Miller's rule.
+    """(f, g) with y^e = y^f * y^g and 1 <= g <= f < e, for a power
+    e > 1 of the recurrence.
 
     The powers read are y^a, y^b, the tail's y^(a+1) and the chain
-    y^(a*i+b).  y^e is the square of y, y^a or y^b where e is twice one
-    of them; else y^(e-1) * y where e-1 is a or b; else a chain link
+    y^(a*i+b).  y^e is the square of y^(e/2) for even e (half the
+    products of a convolution); else, on the chain, a link
     y^(e-a) * y^a, with y^(e-a) = y^b or an earlier row of the chain;
-    else, as for y^a and y^b themselves, Miller's rule from y alone."""
-    for f in (1, a, b):
-        if e == 2 * f:
-            return f, f
-    if e - 1 in (a, b):
-        return e - 1, 1
+    else y^(e-1) * y.  Every factor is a smaller power, so each row is
+    built from y alone by squares and products, with no division."""
+    if e % 2 == 0:
+        return e // 2, e // 2
     g = e - a
     if a and g >= max(b, 1) and (g - b) % a == 0:
-        return g, a
-    return None
+        return max(g, a), min(g, a)
+    return e - 1, 1
 
 
 def _power_steps(a, b, exponents, y):
@@ -267,26 +244,21 @@ def _power_steps(a, b, exponents, y):
     formed, in ascending e: a factor's exponent is smaller, so it is
     filled first.
 
-    Returns rows (e: row, each [1] until filled, with rows[1] = y),
-    the steps (row, left, right, e) ascending by e, each filling row as
-    left * right (e = 0) or by Miller's rule for y^e (left = y,
-    right = ky), and ky, the list k * y_k that Miller's rule reads,
-    which the caller extends as y grows."""
+    Returns rows (e: row, each [1] until filled, with rows[1] = y) and
+    the steps (row, left, right) ascending by e, each filling row as
+    the convolution left * right (a square where left is right)."""
     powers, todo = set(), list(exponents)
     while todo:
         e = todo.pop()
         if e > 1 and e not in powers:
             powers.add(e)
-            todo.extend(_factors(a, b, e) or ())
-    rows, steps, ky = {1: y}, [], [0]
+            todo.extend(_factors(a, b, e))
+    rows, steps = {1: y}, []
     for e in sorted(powers):
         rows[e] = row = [1]
-        pair = _factors(a, b, e)
-        if pair is None:
-            steps.append((row, y, ky, e))
-        else:
-            steps.append((row, rows[pair[0]], rows[pair[1]], 0))
-    return rows, steps, ky
+        f, g = _factors(a, b, e)
+        steps.append((row, rows[f], rows[g]))
+    return rows, steps
 
 
 def _catpair_terms(a, b, rows):

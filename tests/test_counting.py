@@ -1,3 +1,4 @@
+import random
 import re
 import sys
 import tracemalloc
@@ -76,22 +77,16 @@ SPARSE_COLORS = [
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """(kind, index) of every call to one of the recurrence's kernels:
-    a convolution entry is a "square" or a "product", a Miller's rule
-    entry is "miller"."""
+    """(kind, index) of every call to the recurrence's one kernel: a
+    convolution entry is a "square" or a "product"."""
     calls = []
-    conv, miller = counting._conv_at, counting._miller_at
+    conv = counting._conv_at
 
     def counted_conv(u, v, i):
         calls.append(("square" if u is v else "product", i))
         return conv(u, v, i)
 
-    def counted_miller(y, ky, z, e, m):
-        calls.append(("miller", m))
-        return miller(y, ky, z, e, m)
-
     monkeypatch.setattr(counting, "_conv_at", counted_conv)
-    monkeypatch.setattr(counting, "_miller_at", counted_miller)
     return calls
 
 
@@ -158,14 +153,15 @@ class TestChain:
         count_recurrence(PathParams(a, b), colors, N)
         assert len(kernel_calls) <= (max(a, b) + 4) * N
 
-    def test_large_a_builds_two_rows(self, kernel_calls):
-        # For ones at b = 0 the y^a terms cancel, so only y^(a+1) is
-        # read, built as y^a * y with y^a by Miller's rule: two calls
-        # per index.
+    def test_large_a_builds_seventeen_rows(self, kernel_calls):
+        # For ones at b = 0 the y^a terms cancel, so only y^1501 is
+        # read: y^1501 = y^1500 * y, y^1500 = (y^750)^2, and so on down
+        # to y^2 = y * y, halving even exponents and taking one factor
+        # y from odd ones: 17 rows, each filled through index N-1.
         N = 30
         s = count_recurrence(PathParams(1500, 0), ColorSequence.ones(), N)
         assert s.values[1:] == tuple(fuss_catalan(1500, n) for n in range(1, N + 1))
-        assert len(kernel_calls) <= 2 * N
+        assert Counter(kind for kind, _ in kernel_calls) == {"square": 290, "product": 203}
 
     def test_catalan_is_squares_only(self, kernel_calls):
         N = 200
@@ -173,12 +169,14 @@ class TestChain:
         assert 0 < len(kernel_calls) <= N
         assert {kind for kind, _ in kernel_calls} == {"square"}
 
-    def test_adjacent_powers_take_one_miller_row(self, kernel_calls):
-        # At (4, 3) only y^3 is built by Miller's rule: y^4 = y^3 * y,
-        # y^5 = y^4 * y and y^7 = y^3 * y^4 are products.
+    def test_adjacent_powers_build_from_squares_and_products(self, kernel_calls):
+        # At (4, 3) ones reads y^4, y^5 and y^7.  y^2 = y * y and
+        # y^4 = (y^2)^2 are squares; y^3 = y^2 * y, y^5 = y^4 * y and
+        # the chain link y^7 = y^4 * y^3 are products, each row filled
+        # through index N-1.
         N = 30
         count_recurrence(PathParams(4, 3), ColorSequence.ones(), N)
-        assert 0 < sum(kind == "miller" for kind, _ in kernel_calls) <= N
+        assert Counter(kind for kind, _ in kernel_calls) == {"square": 58, "product": 87}
 
     @pytest.mark.parametrize(
         "a, b, N, calls",
@@ -186,8 +184,9 @@ class TestChain:
             # y^2 = y * y through N-1, then per index Y^2 (none while it
             # is 0, at n = 1, 2), y^a * T and y^b * Y.
             (2, 1, 300, {"square": 299 + 298, "product": 2 * 300}),
-            # y^5 by Miller's rule through N-1; y^b * Y is Y at b = 0.
-            (5, 0, 100, {"square": 98, "product": 100, "miller": 99}),
+            # y^5 = (y^2)^2 * y through N-1: two squares and one
+            # product per index; y^b * Y is Y at b = 0.
+            (5, 0, 100, {"square": 296, "product": 199}),
         ],
     )
     def test_catpair_three_convolutions_per_index(self, kernel_calls, a, b, N, calls):
@@ -248,7 +247,7 @@ def test_recurrence_equals_its_explicit_prefix(params, colors):
 
 class TestPowerRows:
     """The rows of powers of y the recurrence builds: squares, products,
-    Miller's rule, and the factor 1 - r t folded into y^(a+1)."""
+    and the factor 1 - r t folded into y^(a+1)."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), DRAWN_COLORS, st.integers(0, 25))
@@ -267,30 +266,41 @@ class TestPowerRows:
         for i in range(len(u)):
             assert counting._conv_at(u, u, i) == counting._conv_at(u, list(u), i)
 
-    def test_miller_equals_repeated_products(self):
-        y = [1, 2, 0, 5, 1, 3, 8]
-        ky = [k * v for k, v in enumerate(y)]
-        power = y
-        for e in range(2, 8):
-            power = [counting._conv_at(power, y, i) for i in range(len(y))]
-            z = [1]
-            for m in range(1, len(y)):
-                z.append(counting._miller_at(y, ky, z, e, m))
-            assert z == power
+    def test_factors_and_rows_equal_repeated_products(self):
+        # Every power is a square or a product of two smaller powers,
+        # and its row is y's repeated product, for a random y with
+        # y_0 = 1.
+        rng = random.Random(40)
+        y = [1] + [rng.randint(-9, 9) for _ in range(11)]
+        powers = [y]
+        for _ in range(63):
+            powers.append([counting._conv_at(powers[-1], y, i) for i in range(len(y))])
+        for a in range(7):
+            for b in range(7):
+                if a + b == 0:
+                    continue
+                for e in range(2, 65):
+                    f, g = counting._factors(a, b, e)
+                    assert f + g == e and 1 <= g <= f < e
+                grown = [1]
+                rows, steps = counting._power_steps(a, b, range(65), grown)
+                for m in range(1, len(y)):
+                    grown.append(y[m])
+                    for row, left, right in steps:
+                        row.append(counting._conv_at(left, right, m))
+                assert rows == dict(enumerate(powers, 1))
 
-    def test_miller_remainder_raises(self, monkeypatch):
-        # At (4, 0) ones reads y^5 alone, built as y^4 * y with y^4 by
-        # Miller's rule.  With z_1 = 5, one too large,
-        # 2 * z_2 = 3 * y_1 * z_1 + 8 * y_2 is odd.
-        miller = counting._miller_at
+    def test_recurrence_never_divides(self, monkeypatch):
+        cases = [(params, colors) for params in PARAM_GRID for colors in COLOR_GRID]
+        expected = [count_bell(params, colors, 30) for params, colors in cases]
 
-        def corrupted(y, ky, z, e, m):
-            value = miller(y, ky, z, e, m)
-            return value + 1 if m == 1 else value
+        def forbidden(*args):
+            raise AssertionError("division on the recurrence route")
 
-        monkeypatch.setattr(counting, "_miller_at", corrupted)
-        with pytest.raises(NonIntegerTerm, match=r"Miller's rule for y\^4 at index 2"):
-            count_recurrence(PathParams(4, 0), ColorSequence.ones(), 5)
+        monkeypatch.setattr(counting, "divmod", forbidden, raising=False)
+        monkeypatch.setattr(counting, "exact_div", forbidden)
+        for (params, colors), series in zip(cases, expected):
+            assert count_recurrence(params, colors, 30) == series
 
 
 class TestBellRoute:
@@ -350,7 +360,6 @@ class TestBellRoute:
             raise AssertionError("recurrence kernel called by the Bell route")
 
         monkeypatch.setattr(counting, "_conv_at", forbidden)
-        monkeypatch.setattr(counting, "_miller_at", forbidden)
         for colors, series in zip(colorings, expected):
             assert count_bell(params, colors, 20) == series
             assert peak_table(params, colors, 8).total() == series[8]
