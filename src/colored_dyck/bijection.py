@@ -6,25 +6,25 @@ ell with its color, followed by the children words separated by single
 down steps.  compose builds the word from the tuple, decompose inverts
 it via the excess procedure, and enumerate_all lists the whole set in
 a fixed deterministic order.  The enumeration is one walk that counts
-every index by the convolution recurrence first, then memoizes every
-child index as strings, spelled in an alphabet its caller picks:
+every index first, through count_recurrence's own loop, and reads from
+those counts alone which heads and children have words; then it memoizes
+every child index as strings, spelled in an alphabet its caller picks:
 enumerate_all spells each block as a one-character code, which it
 decodes into blocks; the CLI's plain listing spells each block as its
 step text, so each output line is a head's text and one of the walk's
-finished child strings, without a word object or a translation.
-Every product of children, in the memo and in the groups the walk
-hands its callers, is formed in one place, by itertools.product and
-str.join.
+finished child strings, without a word object or a translation.  Every
+product of children, in the memo and in the groups the walk hands its
+callers, is formed in one place, by itertools.product and str.join.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, count, islice, product
+from itertools import chain, combinations_with_replacement, islice, product
 from operator import sub
 
 from .bell import _int_text, _need_index
-from .counting import _conv_at
+from .counting import _recurrence
 from .errors import EmptyWord, InvalidTuple, MalformedWord, ResourceLimit
 from .model import (
     DOWN,
@@ -192,21 +192,20 @@ def weak_compositions(total: int, parts: int):
         yield tuple(map(sub, (*cuts, total), (0, *cuts)))
 
 
-def _choices(forests):
-    """The table of first parts of the walk, made once forests is filled:
+def _choices(y):
+    """The table of first parts of the walk, made once y is counted:
     (q, s) -> the first parts p, ascending, of q >= 1 parts that have
-    words and sum to s.  forests[q][s] is nonzero exactly when s is the
-    sum of q parts that have words, and forests[1] marks the parts
-    themselves, 0 among them (the empty word); at q = 1 the one part
-    is s itself."""
-    support = forests[1]
+    words and sum to s.  y's support is closed under addition (a
+    nonempty word has an empty child, where a word of any index can be
+    grafted), so s is the sum of q >= 1 parts that have words exactly
+    when y_s > 0: at q = 1 the one part is s itself, and at q >= 2
+    the first part p needs y_p > 0 and y_(s-p) > 0."""
 
     def firsts(key):
         q, s = key
         if q == 1:
-            return [s] if support[s] else []
-        rest = forests[q - 1]
-        return [p for p in range(s + 1) if support[p] and rest[s - p]]
+            return [s] if y[s] else []
+        return [p for p in range(s + 1) if y[p] and y[s - p]]
 
     return _Table(firsts)
 
@@ -243,39 +242,6 @@ def _compositions(total: int, parts: int, choices):
             stack.append(iter(choices[parts - i - 1, rest]))
 
 
-def _forests(params: PathParams, color, most: int):
-    """The forest counts F_r(s) = [x^s] y^r, filled one index at a time.
-
-    Yields the table once per index m = 0, 1, 2, ..., after appending
-    y_m to its row 1, which is y itself (row 0 is y^0 = 1).  Index m
-    is the paper's convolution recurrence,
-
-        y_m = [m = 0] + sum_l c_l * F_(a*l+b)(m - l),
-
-    over the head sizes l <= min(m, most), with color(l) = c_l read in
-    turn.  Each row r >= 2 is y times row r - 1, and it is filled as
-    far as index m reads it, to s = m - l for the smallest head size l
-    with a*l + b >= r, which is as far as the rows above it read it in
-    turn: nothing is sized by an index not yet reached."""
-    a, b = params.a, params.b
-    y = []
-    forests = [[1], y]
-    for m in count():
-        total = 0 if m else 1
-        for ell in range(1, min(m, most) + 1):
-            s = m - ell
-            # the rows whose smallest head size is ell (row 1 is y)
-            for r in range(a * (ell - 1) + b + 1 if ell > 1 else 2, a * ell + b + 1):
-                if s:
-                    forests[r].append(_conv_at(y, forests[r - 1], s))
-                else:
-                    forests.append([1])
-            if c := color(ell):
-                total += c * forests[a * ell + b][s]
-        y.append(total)
-        yield forests
-
-
 # chr() names each integer below 0x110000, so the walk has at most
 # this many codes: DOWN and the distinct rises below the top index.
 _CODE_LIMIT = 0x110000
@@ -299,35 +265,35 @@ def _walk(
     head followed by one tail, in turn.
 
     Before this returns, the words are counted and every limit is
-    checked, with no word built.  _forests counts the words of each
-    index by the recurrence.  Every index that a word of index n can
-    hold as a child, and n itself, is checked against the cap, lowest
-    first, so the error names the lowest index over the cap; no other
-    index is checked.  The same pass gives out the codes, so going over
-    _CODE_LIMIT fails here too.  Each c_j is read once per walk, at its
-    first use, into a model._Table, and no head is larger than a
-    polynomial coloring's degree.
+    checked, with no word built.  counting._recurrence, the loop of
+    count_recurrence, counts the words of each index, and y alone tells
+    which heads and children have words: a head of size ell has words at
+    index m exactly when c_ell > 0 and y_(m-ell) > 0 (_choices says
+    why).  Every index that a word of index n can hold as a child, and n
+    itself, is checked against the cap, lowest first, so the error names
+    the lowest index over the cap; no other index is checked.  The same
+    pass gives out the codes, so going over _CODE_LIMIT fails here too.
+    Each c_j is read once per walk, at its first use, into a
+    model._Table, and no head is larger than a polynomial coloring's
+    degree.
 
     groups builds those child indices lowest first, each memoized whole
     as strings, one composition of children at a time.  It lists only
-    the compositions whose children all have words (_compositions).
-    Its first words come before the memo is whole.  The first
-    composition of index n's first head, color 1, is (0, ..., 0, L)
-    when index L has words; index L's is likewise, and so on down: a
-    chain.  Every word of the chain's deepest index, behind the chain's
-    text above it, is a word of index n, and these go out as soon as
-    that index is built (at once when it is index 0).  Each chain index
-    above it gives the words after its first group as soon as it is
-    built.  Index n's other groups follow the memo, and the walk stops
-    once y_n words are out.  An index that only heads with one child
-    read (a link of a chain, as at a = 0, b = 1) leaves the memo once
-    no index still to be built reads it.  Index n is never held: each
-    group streams the product of one composition's memo lists, and
-    every head of index n streams its compositions, afresh for each
-    color.  The memo and index n read one table of first parts per walk
-    (_choices), made once the limits are checked.
-    Heads at index n get no code: they may have more colors than
-    characters.
+    the compositions whose children all have words (_compositions).  Its
+    first words come before the memo is whole.  The first composition of
+    index n's first head, color 1, is (0, ..., 0, L), since index L has
+    words; index L's is likewise, and so on down to index 0: a chain.
+    The chain's text is index n's first word, which goes out at once.
+    Each chain index above 0 gives the words after its first group as
+    soon as it is built.  Index n's other groups follow the memo, and
+    the walk stops once y_n words are out.  An index that only heads
+    with one child read (a link of a chain, as at a = 0, b = 1) leaves
+    the memo once no index still to be built reads it.  Index n is never
+    held: each group streams the product of one composition's memo
+    lists, and every head of index n streams its compositions, afresh
+    for each color.  The memo and index n read one table of first parts
+    per walk (_choices), made once the limits are checked.  Heads at
+    index n get no code: they may have more colors than characters.
     """
     _need_index(n, 0, "n")
     _need_index(cap, 0, "cap")
@@ -359,16 +325,16 @@ def _walk(
         """The head sizes with words at index m, ascending."""
         return (
             ell for ell in range(1, min(m, most) + 1)
-            if color[ell] and forests[a * ell + b][m - ell]
+            if color[ell] and y[m - ell]
         )
 
     rises = [DOWN]
     sep = "\0" if spell is None else spell(rises)[0]  # between children
     letters: dict[int, list[str]] = {}  # ell -> Rise(ell, 1), ... spelled
-    for m, forests in zip(range(n + 1), _forests(params, color.__getitem__, most)):
+    for m, y in enumerate(_recurrence(params, colors, n)):
         if m != n and (m == 0 or m > top and m not in single):
             continue
-        if forests[1][m] > cap:
+        if y[m] > cap:
             raise ResourceLimit(f"more than {cap} words at index {m}")
         if m == n:
             break
@@ -384,8 +350,7 @@ def _walk(
                 codes = range(len(rises), len(rises) + n_colors)
                 letters[ell] = [*map(chr, codes)] if spell is None else spell(new)
                 rises.extend(new)
-    y = forests[1]
-    choices = _choices(forests)
+    choices = _choices(y)
     # memo[m]: the string of every word of index m, in order.
     memo: dict[int, list[str]] = {0: [""]}
 
@@ -401,30 +366,26 @@ def _walk(
         left = y[n]
         if not left:
             return
-        # The chain of first compositions.  chain[m] is the length of
-        # the text above index m, and the number of words in m's first
-        # group, which the chain's deeper indices give (none at the
-        # deepest), for each chain index with words past that group.
-        # Every word of the chain starts with the head of index n's
-        # first group.
+        # The chain of first compositions, down to index 0.  chain[m] is
+        # the length of the text above index m, and the number of words
+        # in m's first group, which the chain's deeper indices give, for
+        # each chain index m > 0 with words past that group.  Every word
+        # of the chain starts with the head of index n's first group.
         ell = next(sizes(n))
         head = (Rise(ell, 1),)
         pieces = [sep * (a * ell + b - 1)]
         length, m, chain = len(pieces[0]), n - ell, {}
-        while y[m]:
-            ell = next(sizes(m), None)  # None at index 0
-            skip = y[m - ell] if ell else 0
+        while m:
+            ell = next(sizes(m))
+            skip = y[m - ell]
             if y[m] > skip:
                 chain[m] = length, skip
-            if not skip:
-                break
             pieces.append(letters[ell][0] + sep * (a * ell + b - 1))
             length += len(pieces[-1])
             m -= ell
         text = "".join(pieces)
-        if 0 in chain:
-            yield head, iter((text,))
-            left -= 1
+        yield head, iter((text,))
+        left -= 1
         for m in range(1, n):
             if not left:
                 return
@@ -446,7 +407,7 @@ def _walk(
                 length, skip = chain[m]
                 yield head, map(text[:length].__add__, islice(words, skip, None))
                 left -= len(words) - skip
-        first = 1 if chain else 0  # index n's first group went out with the chain
+        first = 1  # index n's first group went out with the chain
         for ell in sizes(n):
             for c in range(1, color[ell] + 1):
                 head = (Rise(ell, c),)

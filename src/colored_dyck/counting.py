@@ -60,6 +60,7 @@ integrality is a theorem.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from operator import mul
@@ -167,11 +168,21 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
     says, and filled online, one convolution entry per new term of y,
     through index n - 1 before y_n is formed: O(N^2) products for every
     coloring with a short prefix, and no division.  Inner sums over
-    weak compositions are never enumerated.
+    weak compositions are never enumerated.  The loop is _recurrence,
+    which the enumeration walk reads too.
     """
     _need_index(N, 0, "N")
     if N >= sys.maxsize:  # checked here, not after a loop of N steps
         raise OverflowError("y_0..y_N do not fit in a list")
+    for y in _recurrence(params, colors, N):
+        pass
+    return CountSeries(tuple(y))
+
+
+def _recurrence(params: PathParams, colors: ColorSequence, N: int):
+    """The loop of count_recurrence: yields the list y = [y_0, ..., y_n]
+    once for each n = 0..N, after y_n is appended, the same list each
+    time.  Nothing is sized by N, so a caller may stop at any n."""
     a, b = params.a, params.b
     form = colors.rational()
     y = [1]
@@ -182,14 +193,15 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
         reads = _reads(a, b, form, N)
         rows, steps = _power_steps(a, b, [e for _, e, _ in reads], y)
         if any(e == 0 for _, e, _ in reads):
-            rows[0] = [1] + [0] * N
+            rows[0] = Counter({0: 1})  # y^0 = 1: reads 0 past index 0, sized by nothing
         term = _read_terms(reads, rows)
+    yield y
     for n in range(1, N + 1):
         m = n - 1  # every row is read through index m; its entry 0 is 1
         for row, left, right in steps if m else ():
             row.append(_conv_at(left, right, m))
         y.append(term(n))
-    return CountSeries(tuple(y))
+        yield y
 
 
 def _reads(a, b, form, N):

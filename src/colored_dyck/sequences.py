@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import comb, lcm
 
-from .bell import _need_index, _need_peaks, binomial, catalan, exact_div
+from .bell import _need_index, _need_peaks, catalan, exact_div
 
 __all__ = [
     "narayana",
@@ -91,12 +91,10 @@ def fuss_catalan(m: int, n: int) -> int:
 
 def fuss_catalan_peaks(m: int, n: int, k: int) -> int:
     """m-ary paths of length (m+1)n with exactly k peaks:
-    (1/n) * C(m*n, k-1) * C(n, k)."""
+    (1/n) * C(m*n, k-1) * C(n, k), with math.comb's 0 for k-1 > m*n."""
     _need_index(m, 0, "m")
     _need_peaks(n, k)
-    return exact_div(
-        binomial(m * n, k - 1) * comb(n, k), n, "fuss_catalan_peaks"
-    )
+    return exact_div(comb(m * n, k - 1) * comb(n, k), n, "fuss_catalan_peaks")
 
 
 def a052709_closed(n: int) -> int:

@@ -2,7 +2,7 @@ import operator
 import random
 import re
 import tracemalloc
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from operator import mul
 
 import pytest
@@ -24,7 +24,7 @@ from colored_dyck import (
     to_steps,
     validate_colors,
 )
-from colored_dyck import bijection
+from colored_dyck import bijection, counting
 from colored_dyck.bijection import weak_compositions
 from colored_dyck.counting import count_recurrence
 from colored_dyck.errors import (
@@ -36,7 +36,14 @@ from colored_dyck.errors import (
     ResourceLimit,
 )
 from colored_dyck.model import _block_net, _check_color, _step_texts
-from conftest import HUGE, HUGE_TEXT, needs_int_digit_limit, random_block_word
+from conftest import (
+    DRAWN_COLORS,
+    HUGE,
+    HUGE_TEXT,
+    PARAM_GRID,
+    needs_int_digit_limit,
+    random_block_word,
+)
 
 
 ONES = ColorSequence.ones()
@@ -80,24 +87,21 @@ class TestWeakCompositions:
         assert len(list(weak_compositions(1, 5000))) == 5000
 
 
-def sums_of_parts(support, parts):
-    """rows[q][s]: whether s <= len(support) - 1 is the sum of q parts
-    p with support[p], for q < max(parts, 2); rows[1] is support."""
-    rows = [[s == 0 for s in range(len(support))]]
-    for _ in range(1, max(parts, 2)):
-        below = rows[-1]
-        rows.append([
-            any(support[p] and below[s - p] for p in range(s + 1))
-            for s in range(len(support))
-        ])
-    return rows
+def additive_closure(with_words, total):
+    """support[s] for s = 0..total: whether s is a sum of members of
+    with_words, 0 (the empty sum) among them.  y's support is such a
+    closure, which is what _choices relies on."""
+    support = [True] + [False] * total
+    for s in range(1, total + 1):
+        support[s] = any(support[s - p] for p in with_words if p <= s)
+    return support
 
 
 class TestCompositionsWithWords:
     """bijection._compositions lists the weak compositions whose parts
     all have words, pruned by the walk's table of first parts, which
-    _choices makes from its forest table, and is checked
-    against weak_compositions filtered to those parts."""
+    _choices makes from y's support, and is checked against
+    weak_compositions filtered to those parts."""
 
     @staticmethod
     def filtered(total, parts, support):
@@ -107,8 +111,8 @@ class TestCompositionsWithWords:
     @settings(max_examples=300, deadline=None)
     @given(st.sets(st.integers(1, 12)), st.integers(0, 12), st.integers(1, 6))
     def test_equals_weak_compositions_filtered(self, with_words, total, parts):
-        support = [p == 0 or p in with_words for p in range(total + 1)]
-        choices = bijection._choices(sums_of_parts(support, parts))
+        support = additive_closure(with_words, total)
+        choices = bijection._choices(support)
         got = bijection._compositions(total, parts, choices)
         assert list(got) == self.filtered(total, parts, support)
 
@@ -117,36 +121,48 @@ class TestCompositionsWithWords:
         [({2}, 3, 1), ({2}, 2, 1), ({2, 3}, 5, 2), ({3, 5}, 4, 3), ({1, 4}, 12, 6)],
     )
     def test_one_part_and_no_composition(self, with_words, total, parts):
-        support = [p == 0 or p in with_words for p in range(total + 1)]
-        choices = bijection._choices(sums_of_parts(support, parts))
+        support = additive_closure(with_words, total)
+        choices = bijection._choices(support)
         got = list(bijection._compositions(total, parts, choices))
         assert got == self.filtered(total, parts, support)
 
     @pytest.mark.parametrize("total, one_has_words", [(0, False), (1, False), (1, True)])
     def test_1500_parts_need_no_recursion(self, total, one_has_words):
         support = [True, one_has_words][: total + 1]
-        choices = bijection._choices(sums_of_parts(support, 1500))
+        choices = bijection._choices(support)
         got = list(bijection._compositions(total, 1500, choices))
         assert got == self.filtered(total, 1500, support)
         assert len(got) == (1 if total == 0 else 1500 * one_has_words)
 
 
+def assert_rows_have_the_support_of_y(params, colors, N):
+    """Each power y^r, r = 1..6, convolved here directly from
+    count_recurrence's values, is nonzero exactly where y is: the walk
+    reads F_r(s) = [x^s] y^r > 0 as y_s > 0."""
+    y = count_recurrence(params, colors, N).values
+    support = [v > 0 for v in y]
+    power = [1] + [0] * N
+    for r in range(1, 7):
+        power = [sum(map(mul, y, power[s::-1])) for s in range(N + 1)]
+        assert [v > 0 for v in power] == support, r
+
+
 class TestForestCounts:
+    """The forest counts F_r(s) = [x^s] y^r, which the walk reads only
+    through y's support."""
+
     def test_y_is_the_recurrence_and_each_row_its_power(self, params, colors):
-        # two implementations of y_m = sum_l c_l [x^(m-l)] y^(a l + b):
-        # the walk's forest table and count_recurrence; row r of the
-        # table is [x^s] y^r as far as it is filled
-        forests = next(islice(bijection._forests(params, colors.at, 30), 30, None))
-        y = forests[1]
-        assert y == list(count_recurrence(params, colors, 30).values)
-        power = [1] + [0] * 30
-        for row in forests[1:]:
-            power = [sum(map(mul, y, power[s::-1])) for s in range(31)]
-            assert row == power[: len(row)]
-        # row a*l + b is filled to s = 30 - l, what index 30 reads
-        for ell in range(1, 31):
-            if params.a * ell + params.b < len(forests):
-                assert len(forests[params.a * ell + params.b]) >= 31 - ell
+        # the walk's loop yields y_0..y_m at step m, count_recurrence's
+        # values, and every row y^r has y's support
+        steps = [list(y) for y in counting._recurrence(params, colors, 30)]
+        values = count_recurrence(params, colors, 30).values
+        assert steps == [list(values[: m + 1]) for m in range(31)]
+        assert_rows_have_the_support_of_y(params, colors, 30)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(PARAM_GRID), DRAWN_COLORS, st.integers(0, 20))
+    def test_drawn_rows_have_the_support_of_y(self, params, colors, N):
+        assert_rows_have_the_support_of_y(params, colors, N)
 
 
 class TestCompose:
@@ -481,6 +497,19 @@ class TestEnumeration:
         blocks = head + tuple(rises[ord(code)] for code in tail)
         assert "".join(_step_texts(params, blocks)) == "u[1]d" * 14
 
+    def test_counts_are_sized_by_no_index_not_reached(self):
+        # at (0, 1), c_j = 1, the recurrence reads y^0, and y_21 = 2^20
+        # is the first count over the cap: a y^0 row sized by the index
+        # asked for, 10^7, would take 80 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit, match="more than 1000000 words at index 21$"):
+                enumerate_all(PathParams(0, 1), ONES, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_chain_links_leave_the_memo_once_read(self):
         # each link of the chain at (0, 1), c = (0, 1) is read once, by
         # the link above it: holding all 1500 links below index 3000,
@@ -546,8 +575,8 @@ class TestEnumeration:
         made, tables = [], []
         choices = bijection._choices
 
-        def counted(forests):
-            table = choices(forests)
+        def counted(y):
+            table = choices(y)
             make = table.make
 
             def firsts(key):
