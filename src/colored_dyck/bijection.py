@@ -138,8 +138,11 @@ def decompose(
     >= 1 and the word ends at zero, there are a*ell+b-1 separators.
 
     Colors are checked first (model.validate_colors), head first, unless
-    the word carries the coloring, then the separators are scanned
-    for.  Each c_j is read once per distinct size j per call, and each
+    the word carries the coloring; only they are checked over the whole
+    word.  Then the separators are scanned for, and the scan stops at
+    the last one: everything after it is the last child, whose index is
+    n - ell minus the other children's.  At a*ell+b = 1 no block is
+    read.  Each c_j is read once per distinct size j per call, and each
     child is cut from the word's block tuple as one slice; the children
     carry the coloring.
     """
@@ -153,23 +156,31 @@ def decompose(
         raise EmptyWord("cannot decompose the empty word")
     validate_colors(w, colors)
 
-    # Each child is the slice between two separators; balance and size
-    # are the open child's.
+    # Each child before the last is the slice between two separators;
+    # balance and size are the open child's, left counts the separators
+    # not yet met and rest the index not yet given to a child.
     a, b = params.a, params.b
-    children = []
-    start, balance, size = 1, 0, 0
-    for end, block in enumerate(islice(blocks, 1, None), 1):
-        if isinstance(block, Rise):
-            j = block.j
-            balance += a * j + b - 1  # the net of the block
-            size += j
-        elif balance:
-            balance -= 1
-        else:
-            children.append(_trusted_word(params, blocks[start:end], size, colors))
-            start, size = end + 1, 0
-    children.append(_trusted_word(params, blocks[start:], size, colors))
     head = blocks[0]
+    left = a * head.j + b - 1
+    rest = w.n - head.j
+    children = []
+    start = 1
+    if left:
+        balance = size = 0
+        for end, block in enumerate(islice(blocks, 1, None), 1):
+            if isinstance(block, Rise):
+                j = block.j
+                balance += a * j + b - 1  # the net of the block
+                size += j
+            elif balance:
+                balance -= 1
+            else:
+                children.append(_trusted_word(params, blocks[start:end], size, colors))
+                start, rest, size = end + 1, rest - size, 0
+                left -= 1
+                if not left:
+                    break
+    children.append(_trusted_word(params, blocks[start:], rest, colors))
     return DecompositionTuple(head.j, head.color, tuple(children))
 
 

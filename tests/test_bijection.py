@@ -24,7 +24,7 @@ from colored_dyck import (
     to_steps,
     validate_colors,
 )
-from colored_dyck import bijection, counting
+from colored_dyck import bijection, counting, model
 from colored_dyck.bijection import weak_compositions
 from colored_dyck.counting import count_recurrence
 from colored_dyck.errors import (
@@ -305,6 +305,51 @@ class TestDecompose:
             for child, want in zip(got.children, expected.children):
                 assert type(child.blocks) is tuple
                 assert all(map(operator.is_, child.blocks, want.blocks))
+
+    @pytest.mark.parametrize(
+        "a, b, ell",
+        [(2, 1, 1), (2, 1, 2), (1, 1, 3), (0, 3, 2), (1, 0, 1), (0, 1, 1), (0, 1, 4)],
+    )
+    def test_scan_stops_at_the_last_separator(self, a, b, ell):
+        # a*ell+b-1 separators, then a last child of at least 10^5
+        # blocks: decompose draws no block past the last separator, and
+        # none at all when there is no separator
+        params = PathParams(a, b)
+        colors = ColorSequence.constant(3)
+        rng = random.Random(a * 100 + b * 10 + ell)
+        blocks = [Rise(ell, 2)]
+        for _ in range(a * ell + b - 1):
+            rises = rng.choice([0, 1, 4])
+            blocks += random_block_word(rng, params, colors, rises, (1, 2)).blocks
+            blocks.append(DOWN)
+        drawn_before_last = len(blocks) if a * ell + b > 1 else 0
+        last = random_block_word(rng, params, colors, -(-10**5 // params.period), (1,))
+        assert len(last.blocks) >= 10**5
+        blocks += last.blocks
+
+        class CountingBlocks(tuple):
+            """Blocks that count the ones iteration draws; their slices
+            are plain tuples."""
+
+            drawn = 0
+
+            def __iter__(self):
+                for block in tuple.__iter__(self):
+                    self.drawn += 1
+                    yield block
+
+        counted = CountingBlocks(blocks)
+        n = sum(block.j for block in blocks if isinstance(block, Rise))
+        w = model._trusted_word(params, counted, n, colors)
+        got = decompose(w, params, colors)
+        assert counted.drawn <= drawn_before_last
+        expected = block_by_block_decompose(w, params, colors)
+        assert got == expected
+        assert len(got.children) == a * ell + b
+        for child, want in zip(got.children, expected.children):
+            assert child.n == want.n
+            assert type(child.blocks) is tuple
+        assert got.children[-1].blocks == last.blocks
 
     def test_minimal(self):
         params = PathParams(1, 0)

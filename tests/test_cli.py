@@ -613,6 +613,32 @@ class TestDecomposeValidate:
         assert lines[1] == "color 1"
         assert lines[2] == "child u[1]d"
 
+    @pytest.mark.parametrize(
+        "a, b, ell, head, children",
+        [
+            (2, 1, 1, "uuu[1]d", ["uuu[2]ddd", "", "uuu[1]ddd" * 30000 + "uuu[2]ddd"]),
+            (0, 3, 2, "uuuuuu[1]dddd", ["", "uuuuuu[2]dddddd", "uuu[1]ddd" * 30000]),
+        ],
+    )
+    def test_decompose_multi_child_word(self, run, a, b, ell, head, children):
+        # a*ell+b child lines, the last one long; joined with the
+        # separators they give back the text after the head
+        text = head + "d".join(children)
+        code, out, err = run(
+            "decompose", "--a", str(a), "--b", str(b), "--colors", "const:2", text
+        )
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[:2] == [f"ell {ell}", "color 1"]
+        child_lines = lines[2:]
+        assert len(child_lines) == a * ell + b
+        assert all(line == "child" or line.startswith("child ") for line in child_lines)
+        texts = [line[len("child "):] for line in child_lines]
+        assert "d".join(texts) == text[len(head):]
+        params, colors = PathParams(a, b), ColorSequence.constant(2)
+        t = bijection.decompose(model.parse_steps(text, params, colors), params, colors)
+        assert texts == [to_steps(child) for child in t.children]
+
 
 class TestPreset:
     def test_duchon_columns_agree(self, run):
@@ -1164,6 +1190,7 @@ WORKFLOW_LINES = {
     "enumerate --a 1 --b 2 --colors explicit:1,1 --n 7 --format jsonl": None,
     "enumerate --a 1 --b 0 --n 12 --format jsonl": None,
     "decompose --a 1 --b 0": "ud" * 100000 + "\n",
+    "decompose --a 2 --b 1": "uuu[1]d" + "dd" + "uuu[1]ddd" * 300000 + "\n",
     "validate --a 1 --b 0 --colors const:1000000": RISES,
     "decompose --a 1 --b 0 --colors const:1000000": RISES,
     "enumerate --a 1500 --b 0 --n 1": None,
