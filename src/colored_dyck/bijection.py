@@ -14,7 +14,9 @@ decodes into blocks; the CLI's plain listing spells each block as its
 step text, so each output line is a head's text and one of the walk's
 finished child strings, without a word object or a translation.  Every
 product of children, in the memo and in the groups the walk hands its
-callers, is formed in one place, by itertools.product and str.join.
+callers, is formed in one place, by itertools.product and str.join;
+the CLI's jsonl listing alone takes index n's product groups as their
+child lists, and forms their products itself.
 """
 
 from __future__ import annotations
@@ -259,7 +261,7 @@ _CODE_LIMIT = 0x110000
 
 
 def _walk(
-    params: PathParams, colors: ColorSequence, n: int, cap: int, spell=None
+    params: PathParams, colors: ColorSequence, n: int, cap: int, spell=None, lists=False
 ):
     """The words of index n, streamed as strings in the caller's alphabet.
 
@@ -273,7 +275,11 @@ def _walk(
     (head, tails) that together hold every word in enumeration order:
     head is the block tuple (Rise(ell, color),) of index n's head (the
     empty tuple at n = 0) and tails iterates strings, each word being
-    head followed by one tail, in turn.
+    head followed by one tail, in turn.  With lists true, each of index
+    n's product groups (those after the chain, below) hands, in place of
+    its tails, its children as a tuple of pairs (i, words): the child
+    index and its memo list, whose product, joined by the down step's
+    string, is the group's tails.  The chain's groups still hand tails.
 
     Before this returns, the words are counted and every limit is
     checked, with no word built.  counting._recurrence, the loop of
@@ -372,7 +378,7 @@ def _walk(
 
     def groups():
         if n == 0:
-            yield (), tails(())
+            yield (), () if lists else tails(())
             return
         left = y[n]
         if not left:
@@ -424,7 +430,9 @@ def _walk(
                 head = (Rise(ell, c),)
                 comps = _compositions(n - ell, a * ell + b, choices)
                 for comp in islice(comps, first, None):
-                    yield head, tails(comp)
+                    yield head, (
+                        tuple([(i, memo[i]) for i in comp]) if lists else tails(comp)
+                    )
                 first = 0
 
     return rises, groups()

@@ -168,6 +168,24 @@ def _block_json(block) -> str:
     return '{"type":"down"}'
 
 
+# A child index of a jsonl listing's product groups with at most this
+# many words has its words spelled once per walk (_spelled_children).
+_SPELLED_BOUND = 4096
+
+
+def _spelled_children(children, table, spell):
+    """The spelled lists of each child (i, words) of a group, in order,
+    or None when a child has more than _SPELLED_BOUND words.  table maps
+    a child index to spell(words), made at the index's first read and
+    kept for the walk; a group over the bound adds nothing to it."""
+    if any(len(words) > _SPELLED_BOUND for _, words in children):
+        return None
+    return [
+        table[i] if i in table else table.setdefault(i, spell(words))
+        for i, words in children
+    ]
+
+
 def _cmd_enumerate(args):
     params = model.PathParams(args.a, args.b)
     spell = functools.partial(model._step_texts, params)
@@ -175,26 +193,53 @@ def _cmd_enumerate(args):
     # of the walk is one head and the tails that follow it, so the
     # head's part of a line is made once per walk, from a table keyed
     # by the head, and handed to the writer as the group's prefix.  A
-    # jsonl record needs both the blocks and the steps of a word, so its
-    # walk keeps block codes and each record translates them twice; a
-    # plain line is the walk's step text as is.
+    # plain line is the walk's step text as is.  A jsonl record needs
+    # both the blocks and the steps of a word, so its walk keeps block
+    # codes.  The walk hands each of index n's product groups as its
+    # children, and each child index with at most _SPELLED_BOUND words
+    # has its words spelled once per walk into three lists: block JSON,
+    # step text and peak count.  A group whose children are all spelled
+    # writes each record from the product of those lists, joined by the
+    # down step's JSON and text, with the peaks summed.  The chain's
+    # groups, and a group with a child over the bound, translate each
+    # record's code string twice, as its tails come.
     if args.format == "jsonl":
-        rises, groups = bijection._walk(params, args.colors, args.n, args.cap)
+        rises, groups = bijection._walk(params, args.colors, args.n, args.cap, lists=True)
         steps = spell(rises)
         blocks = ["," + _block_json(block) for block in rises]
         down = chr(0)  # the code of a down step; every other code is a peak
-        # head -> its record up to the head's block, and its step text
+        # head -> its record up to the head's block, and the format of
+        # the rest from a tail's block JSON, peak count and step text
+        # (step text holds no braces)
         heads = model._Table(lambda head: (
             f'{{"n":{args.n},"blocks":[' + "".join(map(_block_json, head)),
-            "".join(spell(head)),
+            ('{}],"peaks":{},"steps":"' + "".join(spell(head)) + '{}"}}').format,
         ))
+        spelled = {}  # child index -> its words' block JSON, steps and peaks
+
+        def pieces(words):
+            return (
+                [word.translate(blocks) for word in words],
+                [word.translate(steps) for word in words],
+                [len(word) - word.count(down) for word in words],
+            )
 
         def group(head, tails):
-            pre, text = heads[head]
+            pre, rest = heads[head]
+            if isinstance(tails, tuple):  # one of index n's product groups
+                lists = _spelled_children(tails, spelled, pieces)
+                if lists is not None:
+                    return pre, map(
+                        rest,
+                        map(blocks[0].join, itertools.product(*[j for j, _, _ in lists])),
+                        map(sum, itertools.product(*[p for _, _, p in lists]),
+                            itertools.repeat(len(head))),
+                        map(steps[0].join, itertools.product(*[s for _, s, _ in lists])),
+                    )
+                tails = map(down.join, itertools.product(*[words for _, words in tails]))
             return pre, (
-                f'{tail.translate(blocks)}],"peaks":'
-                f'{len(head) + len(tail) - tail.count(down)},'
-                f'"steps":"{text}{tail.translate(steps)}"}}'
+                rest(tail.translate(blocks), len(head) + len(tail) - tail.count(down),
+                     tail.translate(steps))
                 for tail in tails
             )
     else:

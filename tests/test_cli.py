@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -439,15 +440,39 @@ class TestEnumerateStream:
         assert len(writes) > 3
 
 
+def record_paths(monkeypatch):
+    """Wrap cli._spelled_children.  Returns (paths, held): paths gets
+    "spelled" or "translated" for each product group of a jsonl walk,
+    and held maps each child index that a walk's spelled table holds,
+    after any group, to its number of words."""
+    paths, held = [], {}
+    spelled_children = cli._spelled_children
+
+    def recorder(children, table, spell):
+        lists = spelled_children(children, table, spell)
+        paths.append("translated" if lists is None else "spelled")
+        held.update((i, len(jsons)) for i, (jsons, _, _) in table.items())
+        return lists
+
+    monkeypatch.setattr(cli, "_spelled_children", recorder)
+    return paths, held
+
+
 class TestEnumerateAtSize:
     """The plain listing spells its walk in step text and joins each
-    product of children in it; the jsonl listing joins block codes and
-    translates each record twice; enumerate_all decodes block codes
-    into words.  The three routes compared record by record at sizes
-    past TestEnumerateStream's."""
+    product of children in it; enumerate_all decodes block codes into
+    words.  The jsonl listing walks in block codes.  Each child index of
+    its product groups with at most cli._SPELLED_BOUND words is spelled
+    once per walk into block JSON, step text and peak count, and a group
+    whose children are all spelled joins each record from those lists.
+    The chain's groups and a group with a child over the bound translate
+    each record twice.  The routes compared record by record at sizes
+    past TestEnumerateStream's, jsonl at bound 0 (every record
+    translated), at the real bound, and past every child list (every
+    product group spelled)."""
 
     @pytest.mark.parametrize("spec", STREAM_SPECS[:6])
-    def test_plain_and_jsonl_at_20000_words(self, run, params, spec):
+    def test_plain_and_jsonl_at_20000_words(self, run, monkeypatch, params, spec):
         colors = parse_color_spec(spec)
         y = count_recurrence(params, colors, 40).values
         n = max(m for m, v in enumerate(y) if v <= 20000)
@@ -456,9 +481,48 @@ class TestEnumerateAtSize:
         words = enumerate_all(params, colors, n)
         assert (code, err) == (0, "")
         assert plain == "".join(to_steps(w) + "\n" for w in words)
-        code, jsonl, err = run(*argv, "--format", "jsonl")
-        assert (code, err) == (0, "")
+        records = [*map(word_record, words)]
+        paths, _ = record_paths(monkeypatch)
+        for bound, kinds in (
+            (0, {"translated"}),
+            (cli._SPELLED_BOUND, {"translated", "spelled"}),
+            (max(y[: n + 1]), {"spelled"}),
+        ):
+            monkeypatch.setattr(cli, "_SPELLED_BOUND", bound)
+            code, jsonl, err = run(*argv, "--format", "jsonl")
+            assert (code, err) == (0, "")
+            assert jsonl.splitlines() == records, bound
+            assert set(paths) <= kinds, bound
+            paths.clear()
+
+    def test_jsonl_records_on_both_sides_of_the_bound(self, run, monkeypatch):
+        # y_7 = 4279 > 4096 = cli._SPELLED_BOUND.  Only the chain's group,
+        # head Rise(1, 1) and child 7, reads index 7, and it translates
+        # each of its 4279 records; every product group after it is
+        # spelled, and the table holds every other index below 8.
+        params, spec, n = PathParams(1, 0), "pow2", 8
+        paths, held = record_paths(monkeypatch)
+        code, jsonl, err = run(*enumerate_argv(params, spec, n, "--format", "jsonl"))
+        words = enumerate_all(params, parse_color_spec(spec), n)
+        assert (code, err, len(words)) == (0, "", 20793)
         assert jsonl.splitlines() == [*map(word_record, words)]
+        assert set(paths) == {"spelled"}
+        assert held == {0: 1, 1: 1, 2: 3, 3: 11, 4: 45, 5: 197, 6: 903}
+
+    def test_spelled_table_holds_no_index_over_the_bound(self, monkeypatch):
+        # At (1, 0), y_8 = 1430 <= 4096 < y_9 = 4862: index 12's groups
+        # with a child of index 9 or more are translated record by record
+        paths, held = record_paths(monkeypatch)
+        y = count_recurrence(PathParams(1, 0), ColorSequence.ones(), 12).values
+        argv = enumerate_argv(PathParams(1, 0), "ones", 12, "--format", "jsonl")
+        out = _Pipe(head=False)
+        try:
+            with contextlib.redirect_stdout(out):
+                assert main(list(argv)) == 0
+        finally:
+            os.close(out.fd)
+        assert {"spelled", "translated"} <= set(paths)
+        assert held == {i: y[i] for i in range(9)}
 
     @pytest.mark.parametrize(
         "ab, spec, n",
@@ -482,6 +546,27 @@ class TestEnumerateAtSize:
                 argv = enumerate_argv(params, spec, n, "--cap", str(cap))
                 assert run(*argv) == expected, (limit, cap)
         assert kinds == {False, True}
+
+    @pytest.mark.parametrize("prefix", ["0,1,1", "0,0,1,0,1", "0,2,0,1"])
+    def test_spelled_table_holds_no_released_index(self, run, monkeypatch, prefix):
+        # As below, the walk releases index i once i + reach + 1 is
+        # built; by index n's product groups it has released every index
+        # up to n - reach - 2, and the jsonl walk's spelled table holds
+        # none of them.
+        params, spec = PathParams(0, 1), f"explicit:{prefix}"
+        colors = parse_color_spec(spec)
+        reach = max(ell for ell, c in enumerate(map(int, prefix.split(",")), 1) if c)
+        y = count_recurrence(params, colors, 60).values
+        _, held = record_paths(monkeypatch)
+        spelled = 0  # the walks whose table held an index
+        for n in (m for m in range(reach + 2, 61) if y[m] <= 20000):
+            code, jsonl, err = run(*enumerate_argv(params, spec, n, "--format", "jsonl"))
+            assert (code, err) == (0, "")
+            assert jsonl.splitlines() == [*map(word_record, enumerate_all(params, colors, n))]
+            assert all(i > n - reach - 2 for i in held), n
+            spelled += bool(held)
+            held.clear()
+        assert spelled > 5
 
     @pytest.mark.parametrize("prefix", ["0,1,1", "0,0,1,0,1", "0,2,0,1"])
     def test_chains_past_reach_two(self, run, prefix):
@@ -525,11 +610,18 @@ class TestEnumerateSparseColorings:
         words = enumerate_all(params, colors, n)
         assert len(words) == y[n]
         argv = enumerate_argv(params, spec, n)
-        for fmt, line in (("plain", to_steps), ("jsonl", word_record)):
+        # jsonl with every record translated, at the real bound, and with
+        # every product group spelled
+        for fmt, line, bound in (
+            ("plain", to_steps, cli._SPELLED_BOUND),
+            ("jsonl", word_record, 0),
+            ("jsonl", word_record, cli._SPELLED_BOUND),
+            ("jsonl", word_record, max(y[: n + 1])),
+        ):
             out = io.StringIO()
-            with contextlib.redirect_stdout(out):
+            with contextlib.redirect_stdout(out), mock.patch.object(cli, "_SPELLED_BOUND", bound):
                 assert main([*argv, "--format", fmt]) == 0
-            assert out.getvalue() == "".join(line(w) + "\n" for w in words)
+            assert out.getvalue() == "".join(line(w) + "\n" for w in words), bound
 
 
 
@@ -1188,6 +1280,7 @@ WORKFLOW_LINES = {
     "enumerate --a 2 --b 1 --colors catpair --n 5": None,
     "enumerate --a 2 --b 1 --colors catpair --n 5 --format jsonl": None,
     "enumerate --a 1 --b 2 --colors explicit:1,1 --n 7 --format jsonl": None,
+    "enumerate --a 1 --b 0 --colors pow2 --n 8 --format jsonl": None,
     "enumerate --a 1 --b 0 --n 12 --format jsonl": None,
     "decompose --a 1 --b 0": "ud" * 100000 + "\n",
     "decompose --a 2 --b 1": "uuu[1]d" + "dd" + "uuu[1]ddd" * 300000 + "\n",
