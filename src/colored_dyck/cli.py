@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import operator
 import os
 import sys
 
 from . import bijection, counting, model, sequences
-from .bell import _int_text
+from .bell import _int_text, _need_index
 from .errors import ColoredDyckError, InvalidIndex, NonIntegerTerm
 
 __all__ = ["main", "parse_color_spec"]
@@ -76,16 +77,26 @@ def _read_word_text(args) -> str:
 _WRITE_CHARS = 1 << 16
 
 
+def _flush() -> None:
+    """Flush stdout, so that a reader sees what was written and a
+    closed pipe raises here.  In-process callers may capture stdout
+    with a write-only object."""
+    flush = getattr(sys.stdout, "flush", None)
+    if flush is not None:
+        flush()
+
+
 def _write_batch(pieces) -> None:
     """Write the text of pieces, which ends in a newline, in writes that
     each end at the first line end past _WRITE_CHARS once more than
-    2 * _WRITE_CHARS characters are left."""
+    2 * _WRITE_CHARS characters are left; then flush."""
     text, start = "".join(pieces), 0
     while len(text) - start > 2 * _WRITE_CHARS:
         end = text.find("\n", start + _WRITE_CHARS) + 1
         sys.stdout.write(text[start:end])
         start = end
     sys.stdout.write(text[start:])
+    _flush()
 
 
 def _write_lines(groups) -> None:
@@ -96,62 +107,99 @@ def _write_lines(groups) -> None:
     its own.
 
     The first line goes out at once.  Then each batch, which may span
-    groups, takes runs of lines until it holds _WRITE_CHARS characters.
-    A run is one more line than the last line taken fits in what the
-    batch lacks, but no more than the lines taken so far, so a short
-    first line does not size a batch of long ones; a group that ends
-    within its run leaves the rest of the run to the next group.  A
-    batch longer than 2 * _WRITE_CHARS, as where lines grow, goes out
+    groups, takes runs of lines until it holds as many characters as
+    were written before it, or _WRITE_CHARS once that many were, and
+    is flushed: lines made one by one (count, preset) reach a reader
+    as they come, in a number of writes that grows with the log of the
+    text.  A run is one more line than the last line taken fits in what
+    the batch lacks, but no more than the lines taken so far, so a
+    short first line does not size a batch of long ones; a group that
+    ends within its run leaves the rest of the run to the next group.
+    A batch longer than 2 * _WRITE_CHARS, as where lines grow, goes out
     in pieces that each end at the first line end past _WRITE_CHARS,
     so no write after the first is longer than 2 * _WRITE_CHARS unless
-    one line is longer than _WRITE_CHARS.  The interpreter's limit on
-    int-to-str digits (4300 by default) is lifted while lines are
-    formed, so that a legal count of any size is written; argv is
-    parsed with the limit in force."""
+    one line is longer than _WRITE_CHARS.  Where the lines raise, the
+    lines taken before are written, then the error propagates.  The
+    interpreter's limit on int-to-str digits (4300 by default) is
+    lifted while lines are formed, so that a legal count of any size is
+    written; argv is parsed with the limit in force."""
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
+    # goal is the size a batch waits for; at 0 the first line is a
+    # batch of its own
+    pieces, size, goal, taken, run = [], 0, 0, 0, 1
     try:
-        # size starts full, so that the first line is a batch of its own
-        pieces, size, taken, run = [], _WRITE_CHARS, 0, 1
         for prefix, lines in groups:
             lines, sep = iter(lines), "\n" + prefix
-            while part := [*itertools.islice(lines, run)]:
-                body = sep.join(part)
-                pieces += prefix, body, "\n"
-                size += len(body) + len(sep)
+            while True:
+                part = []
+                try:
+                    part += itertools.islice(lines, run)
+                finally:  # also where the lines raised
+                    if part:
+                        pieces += prefix, sep.join(part), "\n"
+                if not part:
+                    break
+                size += len(pieces[-2]) + len(sep)
                 taken += len(part)
-                if size >= _WRITE_CHARS:
-                    _write_batch(pieces)
-                    pieces, size = [], 0
+                if size >= goal:
+                    # emptied first, so that a write that fails is not
+                    # made again below
+                    batch, pieces = pieces, []
+                    _write_batch(batch)
+                    goal, size = min(goal + size, _WRITE_CHARS), 0
                 elif len(part) < run:
                     run -= len(part)
                     break
-                run = min((_WRITE_CHARS - size) // (len(sep) + len(part[-1])) + 1, taken)
-        if pieces:
-            _write_batch(pieces)
+                run = min((goal - size) // (len(sep) + len(part[-1])) + 1, taken)
     finally:
         sys.set_int_max_str_digits(saved)
+        if pieces:
+            _write_batch(pieces)
 
 
-# The line of y_n = v in each output format of count.
-_SERIES_LINE = {"plain": "{v}", "bfile": "{n} {v}", "jsonl": '{{"n":{n},"value":{v}}}'}
+# The line of y_n = v in each output format of count, from (n, v).
+_SERIES_LINE = {"plain": "{1}", "bfile": "{0} {1}", "jsonl": '{{"n":{0},"value":{1}}}'}
+
+
+def _agreed(recurrence, bell, failure):
+    """y_0, y_1, ...: each y_n once both routes have given it and the
+    two are equal, checked as CountSeries checks a series.  At the first
+    n where they differ, its message goes to failure and the values
+    end."""
+    n = 0
+    for v, w in zip(recurrence, bell):
+        if v != w or v < 0 or not n and v != 1:
+            if v != w:
+                values = f"recurrence={_int_text(v)} bell={_int_text(w)}"
+                failure.append(f"route disagreement at n={n}: {values}")
+                return
+            raise ValueError(
+                "counts are nonnegative" if v < 0 else "a count series must start with y_0 = 1"
+            )
+        n += 1
+        yield v
 
 
 def _cmd_count(args):
-    params = model.PathParams(args.a, args.b)
-    series = None
-    if args.route in ("both", "recurrence"):
-        series = counting.count_recurrence(params, args.colors, args.N)
-    if args.route in ("both", "bell"):
-        bell_series = counting.count_bell(params, args.colors, args.N)
-        if series is not None and series.values != bell_series.values:
-            n = next(n for n, v in enumerate(bell_series.values) if v != series[n])
-            values = f"recurrence={_int_text(series[n])} bell={_int_text(bell_series[n])}"
-            print(f"route disagreement at n={n}: {values}", file=sys.stderr)
-            return 1
-        series = bell_series
+    # Both routes are online in n, so each y_n is written as soon as
+    # both have given it and agree on it; a route run alone is compared
+    # with itself.  The checks that need no term (the index, and the
+    # tables it sizes) come before the first line.
+    params, colors, N = model.PathParams(args.a, args.b), args.colors, args.N
+    counting._need_length(N)
+    routes = []
+    if args.route != "bell":
+        routes.append(map(operator.itemgetter(-1), counting._recurrence(params, colors, N)))
+    if args.route != "recurrence":
+        routes.append(itertools.chain((1,), counting._bell_terms(params, colors, N)))
+    failure = []
+    values = _agreed(*(routes if len(routes) == 2 else itertools.tee(routes[0])), failure)
     line = _SERIES_LINE[args.format].format
-    _write_lines([("", (line(n=n, v=v) for n, v in enumerate(series.values)))])
+    _write_lines([("", map(line, itertools.count(), values))])
+    if failure:
+        print(failure[0], file=sys.stderr)
+        return 1
     return 0
 
 
@@ -290,24 +338,31 @@ def _cmd_preset(args):
         a, lead = args.m, (args.m,)
     params = model.PathParams(a, b)
 
-    # Each row is an index followed by values that must all be equal.
+    # Each row is an index followed by values that must all be equal,
+    # written as the Bell route makes its count: the peak row of index
+    # n (narayana), checked as peak_table checks n, or y_1..y_N.
     if args.name == "narayana":
         top = args.n if args.n is not None else args.N
-        counts = counting.peak_table(params, colors, top)
-        lead = (top,)
-        where = f"n={top}, k="
+        _need_index(top, 1, "n")
+        lead, where, first = (top,), f"n={top}, k=", top
     else:
-        top = args.N
-        counts = counting.count_bell(params, colors, top)
-        where = "n="
+        top, where, first = args.N, "n=", 1
+    counts = counting._bell_terms(params, colors, top, first)
     # Looked up now, so that a closed form replaced in sequences is used.
     closed = [
         functools.partial(getattr(sequences, name), *fixed, *lead)
         for name, *fixed in forms
     ]
-    rows = [(i, *(f(i) for f in closed), counts[i]) for i in range(1, top + 1)]
-    _write_lines([("", (" ".join(map(str, row)) for row in rows))])
-    bad = [row[0] for row in rows if len(set(row[1:])) > 1]
+    bad = []
+
+    def rows():
+        for i, count in enumerate(counts, 1):
+            row = (i, *(f(i) for f in closed), count)
+            if len(set(row[1:])) > 1:
+                bad.append(i)
+            yield " ".join(map(str, row))
+
+    _write_lines([("", rows())])
     if bad:
         print(f"closed form disagreement at {where}{bad[0]}", file=sys.stderr)
         return 1
@@ -429,11 +484,8 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         # Flush here so that a closed pipe is handled below, not at
-        # interpreter exit.  In-process callers may capture stdout with
-        # a write-only object.
-        flush = getattr(sys.stdout, "flush", None)
-        if flush is not None:
-            flush()
+        # interpreter exit.
+        _flush()
         return code
     except BrokenPipeError:
         # The reader closed stdout (e.g. `| head`).  Point stdout at

@@ -26,6 +26,12 @@ convolution_power_closed, come from one loop, _bell_terms, which makes
 one math.comb and one checked division per term: N(N+1)/2 terms for
 count_bell, one cell P_{k,n} of each row for the other two.
 
+Both routes are online in n.  Row k adds into y_k..y_N alone, so y_k
+is final once row k is added, and _bell_terms yields it then; the
+recurrence's loop, _recurrence, yields y once y_n is appended.  The
+CLI's count steps the two together and writes each y_n once both
+have it and agree on it.
+
 Both routes are polynomial in N.  Summed over l, the recurrence is
 the functional equation
 
@@ -171,12 +177,19 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
     weak compositions are never enumerated.  The loop is _recurrence,
     which the enumeration walk reads too.
     """
-    _need_index(N, 0, "N")
-    if N >= sys.maxsize:  # checked here, not after a loop of N steps
-        raise OverflowError("y_0..y_N do not fit in a list")
+    _need_length(N)
     for y in _recurrence(params, colors, N):
         pass
     return CountSeries(tuple(y))
+
+
+def _need_length(N) -> None:
+    """The checks of an index N that sizes y_0..y_N, made before any
+    term: InvalidIndex unless N >= 0, OverflowError past what a list
+    holds, not after a loop of N steps."""
+    _need_index(N, 0, "N")
+    if N >= sys.maxsize:
+        raise OverflowError("y_0..y_N do not fit in a list")
 
 
 def _recurrence(params: PathParams, colors: ColorSequence, N: int):
@@ -300,30 +313,42 @@ def _catpair_terms(a, b, rows):
     return term
 
 
-def _bell_terms(out, params, colors, N, first=1, r=1):
-    """Add the exact terms r * C(a*n + b*k + r - 1, k-1) * P_{k,n} / k
-    of each row k = 1..N of power_rows(N), for n = s..N with
-    s = max(k, first), into out[k + n - s] as the row arrives: the one
-    term loop of the Bell route.  At first = 1 each term goes to out[n]
-    (count_bell); at first = N each row has one term, which goes to
-    out[k] (peak_table, convolution_power_closed).  It adds in place
-    rather than yielding the terms: at N <= 20 a yield per term adds
-    about 40% to the loop.  The binomial needs no
-    range check: its top is at least k-1 >= 0.  Each term is divided
-    in place; on a remainder exact_div raises NonIntegerTerm, naming
-    n, r and both operands."""
-    a, b = params.a, params.b
-    for k, row in enumerate(power_rows(N, colors.rational()), 1):
-        s = first if first > k else k
+def _bell_terms(params, colors, N, first=1, r=1):
+    """The Bell route's terms r * C(a*n + b*k + r - 1, k-1) * P_{k,n} / k,
+    for each row k = 1..N of power_rows(N) and n = s..N with
+    s = max(k, first), added into out[k + n - s], where out is a table
+    of N + 1 zeros: the one term loop of the Bell route.  At first = 1
+    each term goes to out[n] (count_bell); at first = N each row has one
+    term, which goes to out[k] (peak_table, convolution_power_closed).
+
+    Returns an iterator over out[1..N]: out[k] is yielded once row k is
+    added, when no later row reaches it, so a caller may stop at any k.
+    N is checked and the table allocated at the call, not at the first
+    row.  Terms are added in place rather than yielded: at N <= 20 a
+    yield per term adds about 40% to the loop."""
+    rows = power_rows(N, colors.rational())  # checks N
+    return _bell_rows([0] * (N + 1), rows, params.a, params.b, first, r)
+
+
+def _bell_rows(out, rows, a, b, first, r):
+    """The loop of _bell_terms.  The binomial needs no range check: its
+    top is at least k-1 >= 0.  Each term is divided in place; on a
+    remainder exact_div raises NonIntegerTerm, naming n, r and both
+    operands."""
+    for k, row in enumerate(rows, 1):
+        s, j = (first if first > k else k), k - 1
         top = a * s + b * k + r - 1
-        cells = row[s - k :] if r == 1 else [r * cell for cell in row[s - k :]]
+        cells = row if s == k else row[s - k :]
+        if r != 1:
+            cells = [r * cell for cell in cells]
         for i, cell in enumerate(cells, k):
-            num = comb(top, k - 1) * cell
+            num = comb(top, j) * cell
             q, rem = divmod(num, k)
             if rem:
                 exact_div(num, k, f"Bell term n={i + s - k}, r={r}")
             out[i] += q
             top += a
+        yield out[k]
 
 
 def count_bell(params: PathParams, colors: ColorSequence, N: int) -> CountSeries:
@@ -331,11 +356,9 @@ def count_bell(params: PathParams, colors: ColorSequence, N: int) -> CountSeries
 
     The terms C(a*n + b*k, k-1) * P_{k,n} / k of each row k of the
     power triangle are added into y_k .. y_N as the row arrives
-    (_bell_terms), so two rows are held at a time, never the triangle."""
-    _need_index(N, 0, "N")
-    values = [1] + [0] * N
-    _bell_terms(values, params, colors, N)
-    return CountSeries(tuple(values))
+    (_bell_terms), so two rows are held at a time, never the triangle,
+    and y_k is final once row k is added."""
+    return CountSeries((1, *_bell_terms(params, colors, N)))
 
 
 def convolution_power_closed(
@@ -346,14 +369,10 @@ def convolution_power_closed(
     summed as r * sum_k C(a*n + b*k + r - 1, k-1) * P_{k,n} / k."""
     _need_index(r, 1, "r")
     _need_index(n, 1, "n")
-    terms = [0] * (n + 1)
-    _bell_terms(terms, params, colors, n, n, r)
-    return sum(terms)
+    return sum(_bell_terms(params, colors, n, n, r))
 
 
 def peak_table(params: PathParams, colors: ColorSequence, n: int) -> PeakTable:
     """Counts of words of index n refined by their number of peaks."""
     _need_index(n, 1, "n")
-    terms = [0] * (n + 1)  # terms[k] for k peaks
-    _bell_terms(terms, params, colors, n, n)
-    return PeakTable(n, terms[1:])
+    return PeakTable(n, _bell_terms(params, colors, n, n))

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from colored_dyck import bijection, cli, counting, model, sequences
 from colored_dyck.bijection import enumerate_all
 from colored_dyck.cli import build_parser, main, parse_color_spec
-from colored_dyck.counting import CountSeries, count_recurrence
-from colored_dyck.errors import ResourceLimit
+from colored_dyck.counting import count_recurrence
+from colored_dyck.errors import NonIntegerTerm, ResourceLimit
 from colored_dyck.model import ColorSequence, PathParams, Rise, to_steps
 from conftest import COLOR_GRID, needs_int_digit_limit, subprocess_env
 
@@ -146,12 +146,11 @@ class TestCount:
         assert len(last) > 4300
 
     def test_route_disagreement_exits_1(self, run, monkeypatch):
-        monkeypatch.setattr(
-            counting, "count_bell", lambda *args: CountSeries((1, 1, 2, 6))
-        )
+        # the Bell route's y_1..y_N; stdout holds the values agreed on
+        monkeypatch.setattr(counting, "_bell_terms", lambda *args: iter((1, 2, 6)))
         code, out, err = run("count", "--a", "1", "--b", "0", "--N", "3")
         assert code == 1
-        assert out == ""
+        assert out == "1\n1\n2\n"
         assert err == "route disagreement at n=3: recurrence=5 bell=6\n"
 
     def test_single_route(self, run):
@@ -161,6 +160,25 @@ class TestCount:
                 "--N", "4", "--route", route,
             )
             assert code == 0
+
+    @pytest.mark.parametrize("route, name, values, out, message", [
+        ("bell", "_bell_terms", lambda *args: iter((1, -2)), "1\n1\n",
+         "counts are nonnegative"),
+        ("recurrence", "_recurrence", lambda *args: iter([[2], [2, 1]]), "",
+         "a count series must start with y_0 = 1"),
+    ])
+    def test_values_are_checked_before_they_are_written(
+        self, capsys, monkeypatch, route, name, values, out, message
+    ):
+        # CountSeries' checks, on each value as it comes: a usage error
+        # after the values that passed
+        monkeypatch.setattr(counting, name, values)
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--a", "1", "--b", "0", "--N", "2", "--route", route])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert captured.err.endswith(f"error: {message}\n")
 
 
 # Out-of-contract input exits 2 (usage) with no traceback; a large but
@@ -221,7 +239,7 @@ class TestUnallocatableTable:
         def out_of_memory(*args):
             raise MemoryError
 
-        monkeypatch.setattr(counting, "count_bell", out_of_memory)
+        monkeypatch.setattr(counting, "_bell_terms", out_of_memory)
         argv = ("count", "--a", "1", "--b", "0", "--N", "99999999999", "--route", "bell")
         self.assert_resource_limit(*run(*argv), "MemoryError")
 
@@ -245,13 +263,15 @@ counting.power_rows = odd
 """
 NON_INTEGER_ARGV = ("count", "--a", "1", "--b", "0", "--N", "5")
 NON_INTEGER_ERR = "NonIntegerTerm: non-integer value in Bell term n=3, r=1: 3/2\n"
+# y_0 and y_1, which both routes gave before row 2 raised
+NON_INTEGER_OUT = "1\n1\n"
 
 
 class TestNonIntegerTermExits3:
     def test_in_process(self, run, monkeypatch):
         monkeypatch.setattr(counting, "power_rows", counting.power_rows)  # restored after
         exec(WRONG_BELL_TERM, {})
-        assert run(*NON_INTEGER_ARGV) == (3, "", NON_INTEGER_ERR)
+        assert run(*NON_INTEGER_ARGV) == (3, NON_INTEGER_OUT, NON_INTEGER_ERR)
 
     def test_subprocess(self, tmp_path):
         # The child imports sitecustomize from the first PYTHONPATH entry
@@ -263,7 +283,9 @@ class TestNonIntegerTermExits3:
             [sys.executable, "-m", "colored_dyck.cli", *NON_INTEGER_ARGV],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", NON_INTEGER_ERR)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, NON_INTEGER_OUT, NON_INTEGER_ERR
+        )
 
 
 def test_closed_stdout_exits_quietly():
@@ -284,6 +306,24 @@ def test_closed_stdout_exits_quietly():
     assert err == b""
 
 
+def test_count_into_a_pipe_closed_after_three_lines():
+    # count writes each y_n once both routes agree on it, so a reader
+    # that takes the first lines of a long count has them at once, and
+    # the writer stops at the flush after the reader has gone.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "colored_dyck.cli", "count", "--a", "1", "--b", "0", "--N", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(),
+    )
+    try:
+        lines = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+    assert lines == [b"1\n", b"1\n", b"2\n"]
+    assert (proc.returncode, err) == (0, b"")
+
+
 def test_closed_stdout_leaves_no_descriptor_open(monkeypatch):
     # In process, main points stdout at devnull and closes the
     # descriptor it opened for that; each _Pipe closes its own.
@@ -296,7 +336,7 @@ def test_closed_stdout_leaves_no_descriptor_open(monkeypatch):
 
     monkeypatch.setattr(os, "open", recorded)
     for _ in range(5):
-        out = _Pipe(head=True)
+        out = _Pipe(head=1)
         try:
             with contextlib.redirect_stdout(out):
                 assert main(["enumerate", "--a", "1", "--b", "0", "--n", "8"]) == 0
@@ -434,10 +474,17 @@ class TestEnumerateStream:
         assert main(list(enumerate_argv(PathParams(1, 0), "ones", 10))) == 0
         words = enumerate_all(PathParams(1, 0), ColorSequence.ones(), 10)
         assert "".join(writes) == "".join(to_steps(w) + "\n" for w in words)
-        # the first line goes out on its own, then pieces of 32-128 KiB
+        # the first line goes out on its own, then a doubling ramp (each
+        # write as long as all before it, up to twice as long) until
+        # _WRITE_CHARS are out, then pieces of 32-128 KiB
         assert writes[0] == to_steps(words[0]) + "\n"
-        assert all(1 << 15 <= len(text) <= 1 << 17 for text in writes[1:-1])
-        assert len(writes) > 3
+        lengths = [len(text) for text in writes]
+        done = [*itertools.accumulate(lengths)]
+        ramp = [i for i in range(1, len(writes)) if done[i - 1] < cli._WRITE_CHARS]
+        assert all(done[i - 1] <= lengths[i] <= 2 * done[i - 1] for i in ramp)
+        assert len(ramp) > 8
+        assert all(1 << 15 <= n <= 1 << 17 for n in lengths[ramp[-1] + 1 : -1])
+        assert len(writes) > len(ramp) + 3
 
 
 def record_paths(monkeypatch):
@@ -515,7 +562,7 @@ class TestEnumerateAtSize:
         paths, held = record_paths(monkeypatch)
         y = count_recurrence(PathParams(1, 0), ColorSequence.ones(), 12).values
         argv = enumerate_argv(PathParams(1, 0), "ones", 12, "--format", "jsonl")
-        out = _Pipe(head=False)
+        out = _Pipe(head=0)
         try:
             with contextlib.redirect_stdout(out):
                 assert main(list(argv)) == 0
@@ -621,7 +668,13 @@ class TestEnumerateSparseColorings:
             out = io.StringIO()
             with contextlib.redirect_stdout(out), mock.patch.object(cli, "_SPELLED_BOUND", bound):
                 assert main([*argv, "--format", fmt]) == 0
-            assert out.getvalue() == "".join(line(w) + "\n" for w in words), bound
+            # line by line: pytest's diff of two texts of thousands of
+            # lines, made at each failing step of the shrinking, takes
+            # minutes
+            lines = out.getvalue().split("\n")
+            assert (len(lines), lines.pop()) == (len(words) + 1, ""), bound
+            for i, (text, word) in enumerate(zip(lines, words)):
+                assert text == line(word), (bound, i)
 
 
 
@@ -1018,7 +1071,8 @@ class TestStdoutPinned:
         monkeypatch.setattr(sys, "stdout", io.StringIO())
         monkeypatch.setattr(sys.stdout, "write", writes.append)
         assert main(["count", "--a", "1", "--b", "0", "--N", "5"]) == 0
-        assert writes == ["1\n", "1\n2\n5\n14\n42\n"]
+        # then each batch as long as all written before it
+        assert writes == ["1\n", "1\n", "2\n5\n", "14\n42\n"]
 
     @pytest.mark.parametrize("line, digest, size", [
         ("count --a 1 --b 0 --N 3000 --route recurrence",
@@ -1078,6 +1132,31 @@ class TestWriteGroups:
         assert writes[:1] == lines[:1]
         for text in writes[1:]:
             assert len(text) <= 2 * W or max(map(len, text.split("\n"))) > W
+
+    def test_lines_taken_before_an_error_are_written(self, monkeypatch):
+        # the error comes within a run of lines: the run's lines taken
+        # before it go out, then the error propagates
+        def lines():
+            yield from "abcde"
+            raise NonIntegerTerm("the sixth line")
+
+        writes = []
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys.stdout, "write", writes.append)
+        with pytest.raises(NonIntegerTerm, match="the sixth line"):
+            cli._write_lines([("p", lines())])
+        assert writes == ["pa\n", "pb\n", "pc\npd\n", "pe\n"]
+
+    def test_each_batch_is_flushed(self, monkeypatch):
+        events = []
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys.stdout, "write", events.append)
+        monkeypatch.setattr(sys.stdout, "flush", lambda: events.append(None))
+        cli._write_lines([("", map(str, range(12)))])
+        assert events == [
+            "0\n", None, "1\n", None, "2\n3\n", None, "4\n5\n6\n7\n", None,
+            "8\n9\n10\n11\n", None,
+        ]
 
     def test_lines_after_a_short_first_one_are_joined_in_bounded_batches(self, monkeypatch):
         # count's lines grow from "1" to 1,800 digits: each batch is
@@ -1267,7 +1346,8 @@ class TestPlainArgs:
 ROOT = Path(__file__).resolve().parents[1]
 # Every command line that .github/workflows/tests.yml runs, with its
 # shell variables expanded, and the text it pipes to stdin.  A line
-# piped into `head -n 1` gets a stdout whose reader closes it.
+# piped into `head -n k` gets a stdout whose reader closes it after k
+# lines.
 RISES = "".join(f"u[{k}]d" for k in range(1, 200001)) + "\n"
 WORKFLOW_LINES = {
     "count --a 1 --b 0 --N 100": None,
@@ -1318,6 +1398,7 @@ WORKFLOW_LINES = {
     "preset mary --m 3 --N 100": None,
     "count --a 1 --b 0 --colors const:1" + "0" * 100 + " --N 50": None,
     "count --a 1 --b 0 --colors ones --N 5": None,
+    "count --a 1 --b 0 --N 20000 | head -n 3": None,
 }
 # The workflow's lines that argparse reads: usage errors, and the
 # abbreviation and --opt=value lines that must print what the plain
@@ -1337,8 +1418,8 @@ README_LINES = re.findall(r"^colored-dyck (.+)$", (ROOT / "README.md").read_text
 
 
 class _Pipe:
-    """A captured stdout, kept as a sha256 of its text.  With head, its
-    reader closes it after the first line, as `| head -n 1` does."""
+    """A captured stdout, kept as a sha256 of its text.  With head = k > 0,
+    its reader closes it after the first k lines, as `| head -n k` does."""
 
     def __init__(self, head):
         self.sha, self.head, self.closed = hashlib.sha256(), head, False
@@ -1348,7 +1429,9 @@ class _Pipe:
         if self.closed:
             raise BrokenPipeError
         self.sha.update(text.encode())
-        self.closed = self.head and "\n" in text
+        if self.head:
+            self.head -= text.count("\n")
+            self.closed = self.head <= 0
         return len(text)
 
     def fileno(self):
@@ -1358,7 +1441,7 @@ class _Pipe:
 def run_line(monkeypatch, line, stdin):
     """(exit code, stdout sha256, stderr) of main on one command line."""
     line, _, pipe = line.partition(" | ")
-    out, err = _Pipe(pipe == "head -n 1"), io.StringIO()
+    out, err = _Pipe(int(pipe.removeprefix("head -n ") or 0)), io.StringIO()
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
