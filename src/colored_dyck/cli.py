@@ -10,12 +10,10 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import operator
 import os
 import sys
 
 from . import bijection, counting, model, sequences
-from .bell import _int_text, _need_index
 from .errors import ColoredDyckError, InvalidIndex, NonIntegerTerm
 
 __all__ = ["main", "parse_color_spec"]
@@ -162,44 +160,12 @@ def _write_lines(groups) -> None:
 _SERIES_LINE = {"plain": "{1}", "bfile": "{0} {1}", "jsonl": '{{"n":{0},"value":{1}}}'}
 
 
-def _agreed(recurrence, bell, failure):
-    """y_0, y_1, ...: each y_n once both routes have given it and the
-    two are equal, checked as CountSeries checks a series.  At the first
-    n where they differ, its message goes to failure and the values
-    end."""
-    n = 0
-    for v, w in zip(recurrence, bell):
-        if v != w or v < 0 or not n and v != 1:
-            if v != w:
-                values = f"recurrence={_int_text(v)} bell={_int_text(w)}"
-                failure.append(f"route disagreement at n={n}: {values}")
-                return
-            raise ValueError(
-                "counts are nonnegative" if v < 0 else "a count series must start with y_0 = 1"
-            )
-        n += 1
-        yield v
-
-
 def _cmd_count(args):
-    # Both routes are online in n, so each y_n is written as soon as
-    # both have given it and agree on it; a route run alone is compared
-    # with itself.  The checks that need no term (the index, and the
-    # tables it sizes) come before the first line.
-    params, colors, N = model.PathParams(args.a, args.b), args.colors, args.N
-    counting._need_length(N)
-    routes = []
-    if args.route != "bell":
-        routes.append(map(operator.itemgetter(-1), counting._recurrence(params, colors, N)))
-    if args.route != "recurrence":
-        routes.append(itertools.chain((1,), counting._bell_terms(params, colors, N)))
-    failure = []
-    values = _agreed(*(routes if len(routes) == 2 else itertools.tee(routes[0])), failure)
-    line = _SERIES_LINE[args.format].format
-    _write_lines([("", map(line, itertools.count(), values))])
-    if failure:
-        print(failure[0], file=sys.stderr)
-        return 1
+    # series checks the index, and allocates the tables it sizes, before
+    # the first line; each y_n goes out once the routes agree on it.
+    params = model.PathParams(args.a, args.b)
+    values = counting.series(params, args.colors, args.N, args.route)
+    _write_lines([("", map(_SERIES_LINE[args.format].format, itertools.count(), values))])
     return 0
 
 
@@ -338,16 +304,16 @@ def _cmd_preset(args):
         a, lead = args.m, (args.m,)
     params = model.PathParams(a, b)
 
-    # Each row is an index followed by values that must all be equal,
-    # written as the Bell route makes its count: the peak row of index
-    # n (narayana), checked as peak_table checks n, or y_1..y_N.
+    # Each row is an index followed by values that must all be equal:
+    # the peak row of index n (narayana), written once it is whole, as
+    # peaks writes it, or y_1..y_N, each written as the Bell route makes it.
     if args.name == "narayana":
         top = args.n if args.n is not None else args.N
-        _need_index(top, 1, "n")
-        lead, where, first = (top,), f"n={top}, k=", top
+        lead, where = (top,), f"n={top}, k="
+        counts = counting.peak_table(params, colors, top)
     else:
-        top, where, first = args.N, "n=", 1
-    counts = counting._bell_terms(params, colors, top, first)
+        where = "n="
+        counts = itertools.islice(counting.series(params, colors, args.N, "bell"), 1, None)
     # Looked up now, so that a closed form replaced in sequences is used.
     closed = [
         functools.partial(getattr(sequences, name), *fixed, *lead)

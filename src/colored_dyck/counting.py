@@ -28,9 +28,10 @@ count_bell, one cell P_{k,n} of each row for the other two.
 
 Both routes are online in n.  Row k adds into y_k..y_N alone, so y_k
 is final once row k is added, and _bell_terms yields it then; the
-recurrence's loop, _recurrence, yields y once y_n is appended.  The
-CLI's count steps the two together and writes each y_n once both
-have it and agree on it.
+recurrence's loop, _recurrence, yields y once y_n is appended.  series
+steps the two together and yields each y_n once both have it and agree
+on it, so a caller (the CLI's count) may write y_n before y_(n+1)
+exists; count_recurrence and count_bell drain it on one route each.
 
 Both routes are polynomial in N.  Summed over l, the recurrence is
 the functional equation
@@ -68,15 +69,18 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, tee
 from math import comb
-from operator import mul
+from operator import itemgetter, mul
 
-from .bell import _need_index, _need_peaks, exact_div, power_rows
+from .bell import _int_text, _need_index, _need_peaks, exact_div, power_rows
+from .errors import RouteDisagreement
 from .model import ColorSequence, PathParams
 
 __all__ = [
     "CountSeries",
     "PeakTable",
+    "series",
     "count_recurrence",
     "count_bell",
     "convolution_power_closed",
@@ -175,21 +179,50 @@ def count_recurrence(params: PathParams, colors: ColorSequence, N: int) -> Count
     through index n - 1 before y_n is formed: O(N^2) products for every
     coloring with a short prefix, and no division.  Inner sums over
     weak compositions are never enumerated.  The loop is _recurrence,
-    which the enumeration walk reads too.
+    which the enumeration walk reads too; this drains it through series.
     """
-    _need_length(N)
-    for y in _recurrence(params, colors, N):
-        pass
-    return CountSeries(tuple(y))
+    return CountSeries(series(params, colors, N, "recurrence"))
 
 
-def _need_length(N) -> None:
-    """The checks of an index N that sizes y_0..y_N, made before any
-    term: InvalidIndex unless N >= 0, OverflowError past what a list
-    holds, not after a loop of N steps."""
+def series(params: PathParams, colors: ColorSequence, N: int, route: str = "both"):
+    """The counts y_0..y_N, cross-checked: each y_n is yielded once the
+    routes of route ("both", "recurrence" or "bell") have given it and
+    agree on it, so a caller may stop at any n.  A route run alone is
+    compared with itself.
+
+    The checks that need no term come at the call, before the first
+    value: ValueError for a route not named above, InvalidIndex unless
+    N >= 0, OverflowError past what a list holds, and the Bell route's
+    table is allocated.  After the values agreed on, RouteDisagreement
+    ends the series where the routes differ (naming n and both values)
+    or where a value breaks CountSeries' checks (y_0 = 1, y_n >= 0)."""
+    if route not in ("both", "recurrence", "bell"):
+        raise ValueError(f"route must be both, recurrence or bell, got {route!r}")
     _need_index(N, 0, "N")
     if N >= sys.maxsize:
         raise OverflowError("y_0..y_N do not fit in a list")
+    routes = []
+    if route != "bell":
+        routes.append(map(itemgetter(-1), _recurrence(params, colors, N)))
+    if route != "recurrence":
+        routes.append(chain((1,), _bell_terms(params, colors, N)))
+    return _agreed(*(routes if len(routes) == 2 else tee(routes[0])))
+
+
+def _agreed(recurrence, bell):
+    """The loop of series: y_0, y_1, ... from the two routes' values,
+    each checked against the other and as CountSeries checks a series."""
+    n = 0
+    for v, w in zip(recurrence, bell):
+        if v != w or v < 0 or not n and v != 1:
+            if v != w:
+                values = f"recurrence={_int_text(v)} bell={_int_text(w)}"
+                raise RouteDisagreement(f"route disagreement at n={n}: {values}")
+            raise RouteDisagreement(
+                "counts are nonnegative" if v < 0 else "a count series must start with y_0 = 1"
+            )
+        n += 1
+        yield v
 
 
 def _recurrence(params: PathParams, colors: ColorSequence, N: int):
@@ -357,8 +390,8 @@ def count_bell(params: PathParams, colors: ColorSequence, N: int) -> CountSeries
     The terms C(a*n + b*k, k-1) * P_{k,n} / k of each row k of the
     power triangle are added into y_k .. y_N as the row arrives
     (_bell_terms), so two rows are held at a time, never the triangle,
-    and y_k is final once row k is added."""
-    return CountSeries((1, *_bell_terms(params, colors, N)))
+    and y_k is final once row k is added.  This drains series."""
+    return CountSeries(series(params, colors, N, "bell"))
 
 
 def convolution_power_closed(

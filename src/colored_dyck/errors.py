@@ -40,6 +40,12 @@ class NonIntegerTerm(ColoredDyckError):
     """
 
 
+class RouteDisagreement(ColoredDyckError):
+    """The two count routes gave different values, or a route gave a
+    value that no count series holds (y_0 other than 1, or a negative
+    count).  Like NonIntegerTerm, it signals a bug, not bad input."""
+
+
 class InvalidTuple(ColoredDyckError):
     """A decomposition tuple violates its invariants."""
 

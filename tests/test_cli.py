@@ -151,7 +151,7 @@ class TestCount:
         code, out, err = run("count", "--a", "1", "--b", "0", "--N", "3")
         assert code == 1
         assert out == "1\n1\n2\n"
-        assert err == "route disagreement at n=3: recurrence=5 bell=6\n"
+        assert err == "RouteDisagreement: route disagreement at n=3: recurrence=5 bell=6\n"
 
     def test_single_route(self, run):
         for route in ("recurrence", "bell"):
@@ -168,17 +168,13 @@ class TestCount:
          "a count series must start with y_0 = 1"),
     ])
     def test_values_are_checked_before_they_are_written(
-        self, capsys, monkeypatch, route, name, values, out, message
+        self, run, monkeypatch, route, name, values, out, message
     ):
-        # CountSeries' checks, on each value as it comes: a usage error
-        # after the values that passed
+        # CountSeries' checks, on each value as it comes: a route's bug,
+        # exit 1, after the values that passed
         monkeypatch.setattr(counting, name, values)
-        with pytest.raises(SystemExit) as exc:
-            main(["count", "--a", "1", "--b", "0", "--N", "2", "--route", route])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == out
-        assert captured.err.endswith(f"error: {message}\n")
+        code, stdout, err = run("count", "--a", "1", "--b", "0", "--N", "2", "--route", route)
+        assert (code, stdout, err) == (1, out, f"RouteDisagreement: {message}\n")
 
 
 # Out-of-contract input exits 2 (usage) with no traceback; a large but

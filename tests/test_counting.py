@@ -1,6 +1,8 @@
+import itertools
 import random
 import re
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from math import comb
@@ -23,7 +25,8 @@ from colored_dyck import (
 )
 from colored_dyck import bell, counting, oracles, sequences
 from colored_dyck.bijection import enumerate_all, weak_compositions
-from colored_dyck.errors import InvalidIndex, NonIntegerTerm
+from colored_dyck.counting import series
+from colored_dyck.errors import InvalidIndex, NonIntegerTerm, RouteDisagreement
 from colored_dyck.oracles import convolution_power_direct
 from colored_dyck.sequences import duchon_d, fuss_catalan, narayana
 from conftest import COLOR_GRID, DRAWN_COLORS, PARAM_GRID, padded_triangle
@@ -588,6 +591,51 @@ class TestSeriesInvariants:
             series[6]
         assert list(series) == list(series.values) == [1, 1, 2, 5, 14, 42]
 
+
+
+class TestSeries:
+    """counting.series: the cross-checked stream of y_0..y_N."""
+
+    @pytest.mark.parametrize("route", ["both", "recurrence", "bell"])
+    def test_every_route_gives_the_recurrences_values(self, params, colors, route):
+        assert tuple(series(params, colors, 12, route)) == count_recurrence(params, colors, 12).values
+
+    @pytest.mark.parametrize(
+        "N, route, error",
+        [(-1, "both", InvalidIndex), (10**20, "both", OverflowError),
+         (10**20, "recurrence", OverflowError), (3, "neither", ValueError)],
+        ids=["negative", "past-a-list", "past-a-list-recurrence", "route"],
+    )
+    def test_arguments_are_checked_at_the_call(self, N, route, error):
+        with pytest.raises(error):
+            series(*CATALAN_SETTING, N, route)  # no next(): raised by the call itself
+
+    @pytest.mark.parametrize(
+        "route, name, values, prefix, message",
+        [
+            ("both", "_bell_terms", lambda *args: iter((1, 2, 6)), [1, 1, 2],
+             "route disagreement at n=3: recurrence=5 bell=6"),
+            ("bell", "_bell_terms", lambda *args: iter((1, -2)), [1, 1],
+             "counts are nonnegative"),
+            ("recurrence", "_recurrence", lambda *args: iter([[2], [2, 1]]), [],
+             "a count series must start with y_0 = 1"),
+        ],
+        ids=["disagreement", "negative", "y0"],
+    )
+    def test_agreed_prefix_then_route_disagreement(
+        self, monkeypatch, route, name, values, prefix, message
+    ):
+        monkeypatch.setattr(counting, name, values)
+        values = series(*CATALAN_SETTING, 3, route)
+        assert list(itertools.islice(values, len(prefix))) == prefix
+        with pytest.raises(RouteDisagreement, match=f"^{message}$"):
+            next(values)
+
+    def test_streams_the_first_values_of_a_long_series_at_once(self):
+        start = time.perf_counter()
+        values = series(PathParams(1, 0), ColorSequence.ones(), 10**6, "recurrence")
+        assert list(itertools.islice(values, 3)) == [1, 1, 2]
+        assert time.perf_counter() - start < 0.5
 
 
 class TestBoolIsNotAnIndex:
